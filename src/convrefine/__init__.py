@@ -7,7 +7,6 @@ from .featio import (
     load_manifest,
     read_labels_file,
     read_tensor_file,
-    spatial_average_pool,
     write_labels_file,
     write_tensor_file,
 )
@@ -42,7 +41,7 @@ from .sepstats import (
     SeparationTally,
     correlation_matrix,
     correlation_stack,
-    network_tallies,
+    network_statistics,
     separation_tally,
 )
 from .evalkit import PredictionDump, precision_at_k, synth_activations

@@ -22,11 +22,11 @@ def _read_ir(path) -> netir.NetworkIR:
 
 
 def _load_means(ir, manifest_path):
-    sets = featio.load_manifest(manifest_path, ir)
-    missing = sorted({b.name for b in ir.blocks} - sets.keys())
+    means = featio.load_manifest(manifest_path, ir)
+    missing = sorted({b.name for b in ir.blocks} - means.keys())
     if missing:
         raise featio.ManifestError(f"manifest has no dumps for block(s) {missing}")
-    return {name: featio.class_means(s) for name, s in sets.items()}
+    return means
 
 
 def _outdirs(out, *subdirs) -> Path:
@@ -52,26 +52,28 @@ def _tally_table(ir, tallies) -> str:
 def cmd_analyze(args) -> int:
     ir = _read_ir(args.ir)
     means = _load_means(ir, args.manifest)
-    stack = sepstats.network_correlations(ir, means, strict=args.strict_degenerate)
-    tallies = sepstats.network_tallies(
+    stats = sepstats.network_statistics(
         ir, means, tie_tol=args.tie_tol, strict=args.strict_degenerate
     )
     base = _outdirs(args.out, "analysis")
-    for lc in stack.layers:
+    for lc in stats.stack.layers:
         sepstats.write_correlation_csv(base / "analysis" / f"{lc.layer_name}.corr.csv", lc.matrix)
         sepstats.write_correlation_pgm(base / "analysis" / f"{lc.layer_name}.corr.pgm", lc.matrix)
-    (base / "analysis" / "tallies.txt").write_text(_tally_table(ir, tallies))
-    print(f"analyzed {len(stack.layers)} layers, {len(tallies)} tallies -> {base / 'analysis'}")
+    (base / "analysis" / "tallies.txt").write_text(_tally_table(ir, stats.tallies))
+    print(
+        f"analyzed {len(stats.stack.layers)} layers, {len(stats.tallies)} tallies"
+        f" -> {base / 'analysis'}"
+    )
     return 0
 
 
 def _plan_from_inputs(args):
     ir = _read_ir(args.ir)
     means = _load_means(ir, args.manifest)
-    tallies = sepstats.network_tallies(
+    stats = sepstats.network_statistics(
         ir, means, tie_tol=args.tie_tol, strict=args.strict_degenerate
     )
-    return ir, tallies
+    return ir, stats.tallies
 
 
 def cmd_plan(args) -> int:
@@ -148,9 +150,9 @@ def cmd_iterate(args) -> int:
     base = _outdirs(args.out, "plans", "refined", "reports")
     for r, manifest in enumerate(manifests, start=1):
         means = _load_means(ir, manifest)
-        tallies = sepstats.network_tallies(
+        tallies = sepstats.network_statistics(
             ir, means, tie_tol=args.tie_tol, strict=args.strict_degenerate
-        )
+        ).tallies
         plan = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=args.lam, tie_tol=args.tie_tol))
         refined = rewriter.apply_plan(ir, plan)
         report = rewriter.size_report(ir, refined)

@@ -12,6 +12,7 @@ analyze/plan pipeline be exercised end to end without training anything.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -20,11 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .featio import (
+    CHUNK_VALUES,
     FORMAT_VERSION,
     ActivationSet,
     TensorFormatError,
     write_labels_file,
-    write_tensor_file,
+    write_tensor_chunks,
 )
 
 TRUTH_MAGIC = b"ATMH"
@@ -176,17 +178,35 @@ def synth_activations(profile: SynthProfile, seed: int):
         )
         q, _ = np.linalg.qr(basis)
         means = root @ q[:, 1 : m + 1].T  # (M, width), rows zero-mean
-        feats = means[labels]
         if profile.noise > 0:
-            eps = rng.standard_normal((n, layer.width))
+            # In place: the features reuse the noise array.
+            feats = rng.standard_normal((n, layer.width))
             for cls in range(m):
                 sel = labels == cls
-                eps[sel] -= eps[sel].mean(axis=0)
-            feats = feats + profile.noise * eps
+                feats[sel] -= feats[sel].mean(axis=0)
+            feats *= profile.noise
+            feats += means[labels]
+        else:
+            feats = means[labels]
         sets[layer.name] = ActivationSet(
             layer_name=layer.name, features=feats, labels=labels, num_classes=m
         )
     return sets, labels
+
+
+def _dump_chunks(feats, spatial, rng):
+    """Whole-image chunks of one layer's dump, the jitter drawn chunk by chunk."""
+    per_image = feats.shape[1] * (1 if spatial is None else math.prod(spatial))
+    step = max(1, CHUNK_VALUES // per_image)
+    for lo in range(0, feats.shape[0], step):
+        rows = feats[lo : lo + step]
+        if spatial is None:
+            yield rows
+            continue
+        jitter = rng.standard_normal(rows.shape + tuple(spatial)) * 0.01
+        jitter -= jitter.mean(axis=(2, 3), keepdims=True)
+        jitter += rows[:, :, None, None]
+        yield jitter
 
 
 def write_activation_dumps(
@@ -196,7 +216,9 @@ def write_activation_dumps(
 
     With ``spatial`` set, each pooled value is inflated to an HxW grid with
     zero-mean jitter so that average pooling recovers it; otherwise rank-2
-    tensors are written as-is.
+    tensors are written as-is.  Tensors are built and written a chunk of
+    whole images at a time; the jitter is drawn chunk by chunk from one
+    generator, which gives the same values as one draw for the whole tensor.
     """
     dest = Path(dest_dir)
     dest.mkdir(parents=True, exist_ok=True)
@@ -204,18 +226,9 @@ def write_activation_dumps(
     lines = []
     for name in sorted(sets):
         feats = sets[name].features
-        if spatial is not None:
-            h, w = spatial
-            tiled = np.repeat(feats[:, :, None, None], h * w, axis=2).reshape(
-                feats.shape[0], feats.shape[1], h, w
-            )
-            jitter = rng.standard_normal(tiled.shape) * 0.01
-            jitter -= jitter.mean(axis=(2, 3), keepdims=True)
-            tensor = tiled + jitter
-        else:
-            tensor = feats
+        shape = feats.shape if spatial is None else feats.shape + tuple(spatial)
         fname = f"{name}.atns"
-        write_tensor_file(dest / fname, tensor)
+        write_tensor_chunks(dest / fname, shape, _dump_chunks(feats, spatial, rng))
         lines.append(f"layer {name} {fname}")
     write_labels_file(dest / "labels.atlb", labels)
     lines.append("labels labels.atlb")

@@ -11,14 +11,19 @@ A manifest ties them together, one line per layer plus one labels line::
     layer <name> <tensor-path>
     labels <path>
 
-Paths are resolved relative to the manifest file.  Rank-4 dumps (N,C,H,W)
-are average-pooled over the spatial axes on load; rank-2 dumps (N,C) are
-taken as already pooled.  All statistics run in float64 regardless of the
-float32 storage.
+Paths are resolved relative to the manifest file.  Each dump is streamed
+once, in chunks of whole images: rank-4 dumps (N,C,H,W) are average-pooled
+over the spatial axes chunk by chunk, rank-2 dumps (N,C) are taken as
+already pooled, and the pooled rows are added into per-class sums.  Memory
+per layer is therefore O(classes x channels) plus one fixed-size chunk,
+whatever the number of images.  All statistics run in float64 regardless of
+the float32 storage.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +44,8 @@ class ManifestError(ValueError):
 TENSOR_MAGIC = b"ATNS"
 LABELS_MAGIC = b"ATLB"
 FORMAT_VERSION = 1
+# float32 values per streamed chunk, rounded down to whole images (at least one).
+CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,48 +90,150 @@ def _read_exact(buf: bytes, offset: int, n: int, path, what: str) -> bytes:
     return buf[offset : offset + n]
 
 
-def read_tensor_file(path) -> np.ndarray:
-    """Load an ATNS tensor as float64, checking shape and finiteness."""
-    path = Path(path)
-    buf = path.read_bytes()
-    if _read_exact(buf, 0, 4, path, "header") != TENSOR_MAGIC:
+def _parse_tensor_header(head: bytes, file_size: int, path) -> tuple[tuple[int, ...], int]:
+    """Check an ATNS header against the file size; returns (dims, payload offset).
+
+    ``head`` holds at least the first 24 bytes of the file, or all of a
+    shorter file.  Sizes are Python ints, so no product of dims can wrap.
+    """
+    if _read_exact(head, 0, 4, path, "header") != TENSOR_MAGIC:
         raise TensorFormatError(f"{path}: bad magic, not an ATNS tensor file")
-    version, rank = struct.unpack("<HH", _read_exact(buf, 4, 4, path, "header"))
+    version, rank = struct.unpack("<HH", _read_exact(head, 4, 4, path, "header"))
     if version != FORMAT_VERSION:
         raise TensorFormatError(f"{path}: unsupported version {version}")
     if rank not in (2, 4):
         raise TensorFormatError(f"{path}: rank must be 2 or 4, got {rank}")
-    dims = struct.unpack(f"<{rank}I", _read_exact(buf, 8, 4 * rank, path, "dims"))
+    dims = struct.unpack(f"<{rank}I", _read_exact(head, 8, 4 * rank, path, "dims"))
     if any(d == 0 for d in dims):
         raise TensorFormatError(f"{path}: zero-sized dimension in {dims}")
-    count = int(np.prod(dims, dtype=np.int64))
     payload_off = 8 + 4 * rank
-    expected = count * 4
-    if len(buf) - payload_off < expected:
+    expected = math.prod(dims) * 4
+    if file_size - payload_off < expected:
         raise TensorFormatError(
             f"{path}: truncated payload, expected {expected} bytes for dims {dims},"
-            f" got {len(buf) - payload_off}"
+            f" got {file_size - payload_off}"
         )
-    if len(buf) - payload_off > expected:
+    if file_size - payload_off > expected:
         raise TensorFormatError(f"{path}: trailing data after payload")
-    values = np.frombuffer(buf, dtype="<f4", count=count, offset=payload_off)
+    return dims, payload_off
+
+
+def _non_finite(path, flat_index: int) -> TensorFormatError:
+    return TensorFormatError(f"{path}: non-finite value at flat index {flat_index}")
+
+
+def read_tensor_file(path) -> np.ndarray:
+    """Load a whole ATNS tensor as float64, checking shape and finiteness."""
+    path = Path(path)
+    buf = path.read_bytes()
+    dims, payload_off = _parse_tensor_header(buf, len(buf), path)
+    values = np.frombuffer(buf, dtype="<f4", count=math.prod(dims), offset=payload_off)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise TensorFormatError(f"{path}: non-finite value at flat index {int(bad[0])}")
+        raise _non_finite(path, int(bad[0]))
     return values.astype(np.float64).reshape(dims)
+
+
+def _pooled_chunks(fh, path, dims: tuple[int, ...], payload_off: int):
+    """Yield (first image, pooled float64 rows) for whole-image chunks of a dump.
+
+    ``fh`` is the dump opened for binary reading.  The rows are a view of a
+    buffer reused for the next chunk: consume them before advancing.
+    """
+    per_image = math.prod(dims[1:])
+    step = min(dims[0], max(1, CHUNK_VALUES // per_image))
+    raw = np.empty(step * per_image, dtype="<f4")
+    wide = np.empty(step * per_image, dtype=np.float64)
+    fh.seek(payload_off)
+    for lo in range(0, dims[0], step):
+        k = min(step, dims[0] - lo)
+        values = raw[: k * per_image]
+        if fh.readinto(values) != values.nbytes:
+            raise TensorFormatError(f"{path}: payload shrank while it was read")
+        chunk = wide[: k * per_image]
+        np.copyto(chunk, values)
+        images = chunk.reshape((k,) + dims[1:])
+        pooled = images.mean(axis=(2, 3)) if len(dims) == 4 else images
+        # A float64 sum of float32 values cannot overflow, so the pooled rows
+        # are finite exactly when every value of the chunk is.
+        if not np.isfinite(pooled).all():
+            bad = int(np.flatnonzero(~np.isfinite(chunk))[0])
+            raise _non_finite(path, lo * per_image + bad)
+        yield lo, pooled
+
+
+class _ClassSums:
+    """Per-class sums of pooled feature rows, added chunk by chunk.
+
+    ``np.add.at`` adds into each entry of a class's sum the rows of that
+    class one at a time in image order: the same order, and so the same
+    float64 result, as ``rows.mean(axis=0)`` over that class's rows.  Every
+    class 0..M-1 must be represented; an empty class is an error because its
+    mean (and every correlation involving it) is undefined.
+    """
+
+    def __init__(self, layer_name: str, labels: np.ndarray, num_classes: int, width: int):
+        # Labels lie in 0..num_classes-1, so every class has images exactly
+        # when there are num_classes distinct labels.  Nothing of size
+        # num_classes is allocated before that holds: a label read from a
+        # file can be near 2^32.
+        present, self.counts = np.unique(labels, return_counts=True)
+        if present.size < num_classes:
+            gaps = np.flatnonzero(present != np.arange(present.size))
+            empty = int(gaps[0]) if gaps.size else present.size
+            raise ValueError(f"layer {layer_name}: class {empty} has no images")
+        self.layer_name = layer_name
+        self.labels = labels
+        self.sums = np.zeros((num_classes, width), dtype=np.float64)
+        self.columns = np.arange(width)
+
+    def add(self, lo: int, rows: np.ndarray) -> None:
+        """Add the rows of images lo, lo+1, ... into their classes' sums."""
+        # One flat index per value keeps the image order of every entry's
+        # additions; 1-D np.add.at runs several times faster than whole rows.
+        width = self.columns.size
+        flat = self.labels[lo : lo + rows.shape[0], None] * width + self.columns
+        np.add.at(self.sums.reshape(-1), flat.reshape(-1), rows.reshape(-1))
+
+    def means(self) -> ClassMeans:
+        return ClassMeans(layer_name=self.layer_name, means=self.sums / self.counts[:, None])
+
+
+def write_tensor_chunks(path, shape, chunks) -> None:
+    """Write an ATNS tensor of ``shape`` from consecutive whole-image chunks.
+
+    Each chunk is checked (rank, trailing dims, finite after the float32
+    cast) before its bytes are written; a failed write leaves no file.
+    """
+    shape = tuple(int(d) for d in shape)
+    if len(shape) not in (2, 4):
+        raise ValueError(f"tensor rank must be 2 or 4, got {len(shape)}")
+    path = Path(path)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(TENSOR_MAGIC)
+            fh.write(struct.pack("<HH", FORMAT_VERSION, len(shape)))
+            fh.write(struct.pack(f"<{len(shape)}I", *shape))
+            rows = 0
+            for chunk in chunks:
+                with np.errstate(over="ignore"):  # an overflow is refused below
+                    values = np.ascontiguousarray(chunk, dtype="<f4")
+                if values.shape[1:] != shape[1:]:
+                    raise ValueError(f"chunk of shape {values.shape} does not fit tensor {shape}")
+                if not np.isfinite(values).all():
+                    raise ValueError("refusing to write non-finite values")
+                fh.write(values)
+                rows += values.shape[0]
+            if rows != shape[0]:
+                raise ValueError(f"chunks hold {rows} images, tensor {shape} needs {shape[0]}")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def write_tensor_file(path, tensor) -> None:
     tensor = np.asarray(tensor)
-    if tensor.ndim not in (2, 4):
-        raise ValueError(f"tensor rank must be 2 or 4, got {tensor.ndim}")
-    if not np.all(np.isfinite(tensor)):
-        raise ValueError("refusing to write non-finite values")
-    with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<HH", FORMAT_VERSION, tensor.ndim))
-        fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-        fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+    write_tensor_chunks(path, tensor.shape, [tensor])
 
 
 def read_labels_file(path) -> np.ndarray:
@@ -153,38 +262,22 @@ def write_labels_file(path, labels) -> None:
         fh.write(np.ascontiguousarray(labels, dtype="<u4").tobytes())
 
 
-def spatial_average_pool(tensor: np.ndarray) -> np.ndarray:
-    """Average the responses of each hidden unit over the spatial grid."""
-    tensor = np.asarray(tensor, dtype=np.float64)
-    if tensor.ndim != 4:
-        raise ValueError(f"expected a rank-4 (N,C,H,W) tensor, got rank {tensor.ndim}")
-    return tensor.mean(axis=(2, 3))
-
-
 def class_means(activations: ActivationSet) -> ClassMeans:
-    """Mean pooled feature vector per class.
-
-    Every class 0..M-1 must be represented; an empty class is an error
-    because its mean (and every correlation involving it) is undefined.
-    """
+    """Mean pooled feature vector per class of in-memory features."""
     feats = activations.features
-    labels = activations.labels
-    m = activations.num_classes
-    means = np.empty((m, feats.shape[1]), dtype=np.float64)
-    for cls in range(m):
-        rows = feats[labels == cls]
-        if rows.shape[0] == 0:
-            raise ValueError(f"layer {activations.layer_name}: class {cls} has no images")
-        means[cls] = rows.mean(axis=0)
-    return ClassMeans(layer_name=activations.layer_name, means=means)
+    sums = _ClassSums(activations.layer_name, activations.labels, activations.num_classes,
+                      feats.shape[1])
+    sums.add(0, feats)
+    return sums.means()
 
 
-def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, ActivationSet]:
-    """Resolve a manifest into one ActivationSet per listed layer.
+def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, ClassMeans]:
+    """Resolve a manifest into the class means of every listed layer.
 
-    All layers must share the labels file's image count.  When an IR is
-    given, each layer name must exist in it and the feature width must match
-    the block's out_channels.
+    The number of classes is one more than the largest label.  All layers
+    must share the labels file's image count, and every class must have
+    images.  When an IR is given, each layer name must exist in it and the
+    feature width must match the block's out_channels.
     """
     path = Path(path)
     layer_paths: list[tuple[str, Path]] = []
@@ -217,28 +310,29 @@ def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, ActivationSet]
     if labels.size == 0:
         raise ManifestError(f"{labels_path}: labels file is empty")
     num_classes = int(labels.max()) + 1
-
-    sets: dict[str, ActivationSet] = {}
+    means: dict[str, ClassMeans] = {}
     for name, tensor_path in layer_paths:
-        tensor = read_tensor_file(tensor_path)
-        if tensor.ndim == 4:
-            tensor = spatial_average_pool(tensor)
-        if tensor.shape[0] != labels.shape[0]:
-            raise ManifestError(
-                f"layer {name}: {tensor.shape[0]} images in {tensor_path}"
-                f" but {labels.shape[0]} labels in {labels_path}"
+        with open(tensor_path, "rb") as fh:
+            dims, payload_off = _parse_tensor_header(
+                fh.read(24), os.fstat(fh.fileno()).st_size, tensor_path
             )
-        if ir is not None:
-            try:
-                block = ir.block(name)
-            except KeyError:
-                raise ManifestError(f"layer {name}: no such block in the IR") from None
-            if tensor.shape[1] != block.out_channels:
+            if dims[0] != labels.shape[0]:
                 raise ManifestError(
-                    f"layer {name}: {tensor.shape[1]} hidden units in dump,"
-                    f" block declares {block.out_channels}"
+                    f"layer {name}: {dims[0]} images in {tensor_path}"
+                    f" but {labels.shape[0]} labels in {labels_path}"
                 )
-        sets[name] = ActivationSet(
-            layer_name=name, features=tensor, labels=labels, num_classes=num_classes
-        )
-    return sets
+            if ir is not None:
+                try:
+                    block = ir.block(name)
+                except KeyError:
+                    raise ManifestError(f"layer {name}: no such block in the IR") from None
+                if dims[1] != block.out_channels:
+                    raise ManifestError(
+                        f"layer {name}: {dims[1]} hidden units in dump,"
+                        f" block declares {block.out_channels}"
+                    )
+            sums = _ClassSums(name, labels, num_classes, dims[1])
+            for lo, rows in _pooled_chunks(fh, tensor_path, dims, payload_off):
+                sums.add(lo, rows)
+        means[name] = sums.means()
+    return means

@@ -162,40 +162,31 @@ def separation_tally(
     )
 
 
-def network_correlations(
-    ir: NetworkIR, means_by_layer, strict: bool = False
-) -> CorrelationStack:
-    """Per-block correlation matrices in analysis (stage, name) order."""
-    ordered_means = []
-    for b in ir.blocks:
-        if b.name not in means_by_layer:
-            raise ValueError(f"no class means supplied for block {b.name}")
-        ordered_means.append(means_by_layer[b.name])
-    return correlation_stack(ordered_means, strict=strict)
+@dataclass(frozen=True, eq=False)
+class NetworkStatistics:
+    stack: CorrelationStack  # one matrix per block, in analysis (stage, name) order
+    tallies: dict[str, SeparationTally]  # blocks that have a predecessor
 
 
-def network_tallies(
+def network_statistics(
     ir: NetworkIR,
     means_by_layer,
     tie_tol: float = 1e-6,
     strict: bool = False,
     ordered: bool = True,
-) -> dict[str, SeparationTally]:
-    """Tallies for every block that has a predecessor.
+) -> NetworkStatistics:
+    """Per-block correlation matrices and tallies, each matrix computed once.
 
     A block is compared against the correlation matrix of its direct
     predecessor; when a block consumes several producers, the predecessor
     statistics come from the concatenation of their class-mean features, in
     edge order, which is exactly the channel stack the block sees.
     """
-    cache: dict[str, np.ndarray] = {}
-
-    def matrix_of(name: str) -> np.ndarray:
-        if name not in cache:
-            if name not in means_by_layer:
-                raise ValueError(f"no class means supplied for block {name}")
-            cache[name] = correlation_layer(means_by_layer[name], strict=strict).matrix
-        return cache[name]
+    for b in ir.blocks:
+        if b.name not in means_by_layer:
+            raise ValueError(f"no class means supplied for block {b.name}")
+    stack = correlation_stack([means_by_layer[b.name] for b in ir.blocks], strict=strict)
+    matrix_of = {b.name: lc.matrix for b, lc in zip(ir.blocks, stack.layers)}
 
     tallies: dict[str, SeparationTally] = {}
     for b in ir.blocks:
@@ -203,11 +194,8 @@ def network_tallies(
         if not preds:
             continue
         if len(preds) == 1:
-            prev_matrix = matrix_of(preds[0])
+            prev_matrix = matrix_of[preds[0]]
         else:
-            for p in preds:
-                if p not in means_by_layer:
-                    raise ValueError(f"no class means supplied for block {p}")
             stacked = np.concatenate(
                 [means_by_layer[p].means for p in preds], axis=1
             )
@@ -216,12 +204,12 @@ def network_tallies(
             ).matrix
         tallies[b.name] = separation_tally(
             prev_matrix,
-            matrix_of(b.name),
+            matrix_of[b.name],
             tie_tol=tie_tol,
             layer_name=b.name,
             ordered=ordered,
         )
-    return tallies
+    return NetworkStatistics(stack=stack, tallies=tallies)
 
 
 def write_correlation_csv(path, matrix: np.ndarray) -> None:

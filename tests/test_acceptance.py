@@ -33,7 +33,12 @@ from convrefine.featio import (
 from convrefine.netir import ConvBlock, block_params, param_count, parse_network, serialize_network
 from convrefine.planner import PlanEntry, PlannerConfig, build_plan
 from convrefine.rewriter import apply_plan
-from convrefine.sepstats import SeparationTally, correlation_matrix, network_tallies, separation_tally
+from convrefine.sepstats import (
+    SeparationTally,
+    correlation_matrix,
+    network_statistics,
+    separation_tally,
+)
 from convrefine.featio import ClassMeans
 
 from conftest import chain_ir, random_chain_tallies, random_ir, random_split_only_tallies
@@ -194,8 +199,8 @@ def test_criterion_5_end_to_end_case_discrimination(tmp_path):
         )
         sets, labels = synth_activations(profile, seed=7)
         manifest = write_activation_dumps(tmp_path, sets, labels, spatial=(2, 2), seed=7)
-        means = {n: class_means(s) for n, s in load_manifest(manifest, ir).items()}
-        plan = build_plan(ir, network_tallies(ir, means), PlannerConfig(lam=0.25))
+        means = load_manifest(manifest, ir)
+        plan = build_plan(ir, network_statistics(ir, means).tallies, PlannerConfig(lam=0.25))
         rise = plan.per_block["conv2"]  # correlations rose: separation dropped
         assert (rise.case, rise.stretch) == ("a", 1.0)
         assert rise.split >= 2
@@ -206,7 +211,7 @@ def test_criterion_5_end_to_end_case_discrimination(tmp_path):
         # determinism: a second synthesis with the same seed gives the same plan
         sets2, labels2 = synth_activations(profile, seed=7)
         means2 = {n: class_means(s) for n, s in sets2.items()}
-        plan2 = build_plan(ir, network_tallies(ir, means2), PlannerConfig(lam=0.25))
+        plan2 = build_plan(ir, network_statistics(ir, means2).tallies, PlannerConfig(lam=0.25))
         assert plan2.per_block == plan.per_block
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from convrefine.evalkit import write_truth_file
 from convrefine.featio import write_labels_file, write_tensor_file
 from convrefine.netir import parse_network, serialize_network
 from convrefine.planner import parse_plan
+from convrefine.sepstats import DegenerateClassWarning
 
 CHAIN_IR = "\n".join(
     f"block conv{i} in={3 if i == 0 else 16} out=16 k=3x3 group=1 stage={i}"
@@ -256,6 +258,19 @@ def test_strict_degenerate_names_layer(workdir, capsys):
               "--out", workdir / "run")
     assert rc == 1
     assert "conv4" in capsys.readouterr().err
+
+
+def test_analyze_warns_once_per_degenerate_layer(workdir):
+    feats = np.full((20, 16), 3.25, dtype=np.float32)
+    write_tensor_file(workdir / "dumps" / "conv4.atns", feats)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = _run("analyze", "--ir", workdir / "net.ir", "--manifest",
+                  workdir / "dumps" / "manifest.txt", "--out", workdir / "run")
+    assert rc == 0
+    degenerate = [w for w in caught if issubclass(w.category, DegenerateClassWarning)]
+    assert len(degenerate) == 1
+    assert "layer conv4" in str(degenerate[0].message)
 
 
 def test_precision_command(tmp_path, capsys):

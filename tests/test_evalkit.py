@@ -3,6 +3,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from convrefine import evalkit
 from convrefine.evalkit import (
     PredictionDump,
     SynthLayer,
@@ -18,7 +19,7 @@ from convrefine.evalkit import (
 from convrefine.featio import TensorFormatError, class_means, load_manifest
 from convrefine.netir import parse_network
 from convrefine.planner import PlannerConfig, build_plan
-from convrefine.sepstats import correlation_matrix, network_tallies
+from convrefine.sepstats import correlation_matrix, network_statistics
 
 
 def test_precision_perfect():
@@ -169,6 +170,27 @@ def test_synth_deterministic_files(tmp_path):
         assert a == b
 
 
+@pytest.mark.parametrize("chunk_values", [None, 40, 300])
+def test_chunked_dumps_match_whole_tensor_reference(tmp_path, monkeypatch, chunk_values):
+    # 96 values an image: one image a chunk at 40, three (20 = 6*3 + 2) at 300
+    if chunk_values is not None:
+        monkeypatch.setattr(evalkit, "CHUNK_VALUES", chunk_values)
+    sets, labels = synth_activations(_profile([0.2, 0.4]), seed=11)
+    write_activation_dumps(tmp_path / "maps", sets, labels, spatial=(2, 3), seed=5)
+    write_activation_dumps(tmp_path / "flat", sets, labels, spatial=None, seed=5)
+    rng = np.random.default_rng(5)
+    for name in sorted(sets):
+        feats = sets[name].features
+        n, c = feats.shape
+        tiled = np.repeat(feats[:, :, None, None], 6, axis=2).reshape(n, c, 2, 3)
+        jitter = rng.standard_normal(tiled.shape) * 0.01
+        jitter -= jitter.mean(axis=(2, 3), keepdims=True)
+        maps = (tmp_path / "maps" / f"{name}.atns").read_bytes()
+        assert maps[24:] == (tiled + jitter).astype("<f4").tobytes()
+        flat = (tmp_path / "flat" / f"{name}.atns").read_bytes()
+        assert flat[16:] == feats.astype("<f4").tobytes()
+
+
 def test_synth_infeasible_target():
     # uniform rho below -1/(M-1) is not PSD
     with pytest.raises(ValueError, match="not positive semidefinite"):
@@ -195,7 +217,7 @@ def test_synth_identical_layers_tally_all_ties(tmp_path):
     )
     sets, labels = synth_activations(profile, seed=5)
     means = {n: class_means(s) for n, s in sets.items()}
-    t = network_tallies(ir, means, tie_tol=1e-6)["conv1"]
+    t = network_statistics(ir, means, tie_tol=1e-6).tallies["conv1"]
     assert (t.n_plus, t.n_minus, t.n_ties) == (0, 0, 16)
 
 
@@ -210,9 +232,7 @@ def test_synth_forces_cases_through_file_roundtrip(tmp_path):
     # correlations rise at conv2 (case a there) then fall (case b after)
     sets, labels = synth_activations(_profile([0.1, 0.3, 0.6, 0.4, 0.2, 0.05], m=4), seed=7)
     manifest = write_activation_dumps(tmp_path, sets, labels, spatial=(2, 2), seed=7)
-    loaded = load_manifest(manifest, ir)
-    means = {n: class_means(s) for n, s in loaded.items()}
-    tallies = network_tallies(ir, means)
+    tallies = network_statistics(ir, load_manifest(manifest, ir)).tallies
     plan = build_plan(ir, tallies, PlannerConfig(lam=0.25))
     assert plan.per_block["conv2"].case == "a"
     assert plan.per_block["conv2"].split >= 2

@@ -1,9 +1,12 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convrefine import featio
 from convrefine.featio import (
     ActivationSet,
     ManifestError,
@@ -12,7 +15,6 @@ from convrefine.featio import (
     load_manifest,
     read_labels_file,
     read_tensor_file,
-    spatial_average_pool,
     write_labels_file,
     write_tensor_file,
 )
@@ -84,25 +86,35 @@ def test_labels_roundtrip(tmp_path):
         read_labels_file(path)
 
 
+def _pooled(tensor):
+    """Pool a dump through the streaming loader: one class per image."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_tensor_file(tmp / "t.atns", tensor)
+        write_labels_file(tmp / "labels.atlb", np.arange(tensor.shape[0]))
+        (tmp / "m.txt").write_text("layer t t.atns\nlabels labels.atlb\n")
+        return load_manifest(tmp / "m.txt")["t"].means
+
+
 def test_pool_hand_example():
     t = np.array([[[[1.0, 2.0], [3.0, 5.0]]]])
-    np.testing.assert_allclose(spatial_average_pool(t), [[2.75]])
+    np.testing.assert_allclose(_pooled(t), [[2.75]])
 
 
 def test_pool_identity_and_constant():
     t = np.arange(6, dtype=np.float64).reshape(2, 3, 1, 1)
-    np.testing.assert_array_equal(spatial_average_pool(t), t[:, :, 0, 0])
+    np.testing.assert_array_equal(_pooled(t), t[:, :, 0, 0])
     const = np.full((2, 3, 4, 5), 7.25)
-    np.testing.assert_array_equal(spatial_average_pool(const), np.full((2, 3), 7.25))
+    np.testing.assert_array_equal(_pooled(const), np.full((2, 3), 7.25))
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 10_000))
 @settings(max_examples=60)
 def test_pool_preserves_means(n, c, h, w, seed):
-    t = np.random.default_rng(seed).standard_normal((n, c, h, w))
-    pooled = spatial_average_pool(t)
+    t = np.random.default_rng(seed).standard_normal((n, c, h, w)).astype(np.float32)
+    pooled = _pooled(t)
     assert pooled.shape == (n, c)
-    np.testing.assert_allclose(pooled.sum(), t.sum() / (h * w), rtol=1e-12)
+    np.testing.assert_allclose(pooled.sum(), t.astype(np.float64).sum() / (h * w), rtol=1e-12)
 
 
 def test_class_means_hand_example():
@@ -162,11 +174,11 @@ def test_manifest_two_layers(tmp_path):
         {"a": rng.standard_normal((4, 8)), "b": rng.standard_normal((4, 6, 2, 2))},
         np.array([0, 1, 0, 1]),
     )
-    sets = load_manifest(manifest)
-    assert sorted(sets) == ["a", "b"]
-    assert sets["a"].features.shape == (4, 8)
-    assert sets["b"].features.shape == (4, 6)  # pooled from rank 4
-    assert sets["a"].num_classes == 2
+    means = load_manifest(manifest)
+    assert sorted(means) == ["a", "b"]
+    assert means["a"].means.shape == (2, 8)
+    assert means["b"].means.shape == (2, 6)  # pooled from rank 4
+    assert means["b"].layer_name == "b"
 
 
 def test_manifest_count_mismatch(tmp_path):
@@ -214,3 +226,95 @@ def test_manifest_structural_errors(tmp_path):
     dup.write_text("layer a a.atns\nlayer a a.atns\nlabels l.atlb\n")
     with pytest.raises(ManifestError, match="duplicate layer"):
         load_manifest(dup)
+
+
+def _reference_means(tensor, labels, num_classes):
+    """Whole-array pooling, then rows.mean(axis=0) per class."""
+    feats = tensor.astype(np.float64)
+    if feats.ndim == 4:
+        feats = feats.mean(axis=(2, 3))
+    return np.stack([feats[labels == cls].mean(axis=0) for cls in range(num_classes)])
+
+
+@pytest.mark.parametrize(
+    "chunk_values, shape",
+    [
+        (None, (20_000, 7)),  # the module's chunk size, three chunks
+        (None, (4_000, 5, 3, 3)),
+        (100, (203, 7)),  # 14 images a chunk, the last one short
+        (100, (203, 5, 3, 3)),  # 2 images a chunk
+        (10, (41, 5, 3, 3)),  # an image larger than a chunk: one image a chunk
+    ],
+)
+def test_streamed_means_equal_row_means(tmp_path, monkeypatch, chunk_values, shape):
+    if chunk_values is not None:
+        monkeypatch.setattr(featio, "CHUNK_VALUES", chunk_values)
+    rng = np.random.default_rng(17)
+    tensor = rng.standard_normal(shape).astype(np.float32)
+    labels = rng.integers(0, 3, size=shape[0])  # classes interleave across chunks
+    labels[:3] = [0, 1, 2]
+    manifest = _write_dumps(tmp_path, {"a": tensor}, labels)
+    got = load_manifest(manifest)["a"]
+    assert got.layer_name == "a"
+    np.testing.assert_array_equal(got.means, _reference_means(tensor, labels, 3))
+
+
+@pytest.mark.parametrize("shape", [(30, 4), (30, 2, 3, 3)])
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+def test_streamed_non_finite_reports_global_index(tmp_path, monkeypatch, shape, bad_value):
+    monkeypatch.setattr(featio, "CHUNK_VALUES", 40)
+    tensor = np.ones(shape, dtype=np.float32)
+    flat = tensor.reshape(-1)
+    index = flat.size - 5  # in the last chunk
+    flat[index] = bad_value
+    path = tmp_path / "a.atns"
+    path.write_bytes(
+        b"ATNS" + struct.pack(f"<HH{len(shape)}I", 1, len(shape), *shape) + tensor.tobytes()
+    )
+    write_labels_file(tmp_path / "labels.atlb", np.arange(shape[0]) % 2)
+    (tmp_path / "m.txt").write_text("layer a a.atns\nlabels labels.atlb\n")
+    with pytest.raises(TensorFormatError, match=f"a.atns: non-finite value at flat index {index}$"):
+        load_manifest(tmp_path / "m.txt")
+
+
+def test_streamed_empty_class_names_layer(tmp_path):
+    manifest = _write_dumps(
+        tmp_path, {"a": np.ones((4, 3)), "b": np.ones((4, 3))}, np.array([0, 2, 0, 2])
+    )
+    with pytest.raises(ValueError, match="layer a: class 1 has no images"):
+        load_manifest(manifest)
+    # a label near 2^32 names the first empty class without a 2^32-row array
+    manifest = _write_dumps(tmp_path, {"a": np.ones((2, 3))}, np.array([0, 2**32 - 1]))
+    with pytest.raises(ValueError, match="layer a: class 1 has no images"):
+        load_manifest(manifest)
+
+
+def test_header_sizes_do_not_wrap(tmp_path):
+    # 65536**4 float32 values: a 64-bit element count wraps to 0, which an
+    # empty payload would match.
+    path = tmp_path / "huge.atns"
+    path.write_bytes(b"ATNS" + struct.pack("<HH4I", 1, 4, *(1 << 16,) * 4))
+    with pytest.raises(TensorFormatError, match="huge.atns: truncated payload"):
+        read_tensor_file(path)
+    write_labels_file(tmp_path / "labels.atlb", np.zeros(1 << 16))
+    (tmp_path / "m.txt").write_text("layer a huge.atns\nlabels labels.atlb\n")
+    with pytest.raises(TensorFormatError, match="huge.atns: truncated payload"):
+        load_manifest(tmp_path / "m.txt")
+
+
+def test_chunked_write_checks_every_chunk(tmp_path):
+    path = tmp_path / "t.atns"
+    good = np.ones((2, 3), dtype=np.float32)
+    featio.write_tensor_chunks(path, (4, 3), [good, good * 2])
+    np.testing.assert_array_equal(read_tensor_file(path), np.vstack([good, good * 2]))
+    for chunks, message in [
+        ([good, np.full((2, 3), np.nan)], "non-finite"),
+        ([good, np.full((2, 3), 1e300)], "non-finite"),  # overflows float32
+        ([good, np.ones((2, 4))], "does not fit"),
+        ([good], "hold 2 images"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            featio.write_tensor_chunks(path, (4, 3), chunks)
+        assert not path.exists()
+    with pytest.raises(ValueError, match="rank must be 2 or 4"):
+        write_tensor_file(path, np.ones(3))

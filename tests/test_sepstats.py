@@ -10,7 +10,7 @@ from convrefine.sepstats import (
     correlation_layer,
     correlation_matrix,
     correlation_stack,
-    network_tallies,
+    network_statistics,
     separation_tally,
     write_correlation_csv,
     write_correlation_pgm,
@@ -179,7 +179,10 @@ def test_network_tallies_concatenates_predecessors():
         "b": _means(rng.standard_normal((3, 4)), "b"),
         "c": _means(rng.standard_normal((3, 6)), "c"),
     }
-    tallies = network_tallies(ir, means)
+    stats = network_statistics(ir, means)
+    for name, lc in zip("abc", stats.stack.layers):
+        np.testing.assert_array_equal(lc.matrix, correlation_matrix(means[name]))
+    tallies = stats.tallies
     assert list(tallies) == ["c"]
     stacked = _means(np.concatenate([means["a"].means, means["b"].means], axis=1))
     expected = separation_tally(
@@ -199,7 +202,7 @@ def test_network_tallies_missing_means():
         "block b in=4 out=4 k=1x1 group=1 stage=1 prev=a\n"
     )
     with pytest.raises(ValueError, match="no class means supplied for block b"):
-        network_tallies(ir, {"a": _means(np.random.default_rng(0).standard_normal((2, 4)))})
+        network_statistics(ir, {"a": _means(np.random.default_rng(0).standard_normal((2, 4)))})
 
 
 def test_csv_export_reparses(tmp_path):
