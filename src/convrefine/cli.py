@@ -78,7 +78,7 @@ def _plan_from_inputs(args):
 
 def cmd_plan(args) -> int:
     ir, tallies = _plan_from_inputs(args)
-    cfg = planner.PlannerConfig(lam=args.lam, tie_tol=args.tie_tol)
+    cfg = planner.PlannerConfig(lam=args.lam)
     plan = planner.build_plan(ir, tallies, cfg)
     base = _outdirs(args.out, "plans")
     path = base / "plans" / f"lambda_{plan.lambda_used!r}.plan"
@@ -109,7 +109,7 @@ def cmd_apply(args) -> int:
 
 def cmd_sweep(args) -> int:
     ir, tallies = _plan_from_inputs(args)
-    probe = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=0.25, tie_tol=args.tie_tol))
+    probe = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=0.25))
     lo = args.sweep_min
     hi = args.sweep_max
     if hi is None:
@@ -125,7 +125,7 @@ def cmd_sweep(args) -> int:
         header.extend((f"{name}_stretch", f"{name}_split"))
     rows = [f"# lambda_o={probe.lambda_o!r}", ",".join(header)]
     for lam in grid:
-        plan = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=float(lam), tie_tol=args.tie_tol))
+        plan = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=float(lam)))
         refined = rewriter.apply_plan(ir, plan)
         total = netir.param_count(refined).conv_total
         row = [repr(float(lam)), str(int(lam > probe.lambda_o)), str(total)]
@@ -153,7 +153,7 @@ def cmd_iterate(args) -> int:
         tallies = sepstats.network_statistics(
             ir, means, tie_tol=args.tie_tol, strict=args.strict_degenerate
         ).tallies
-        plan = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=args.lam, tie_tol=args.tie_tol))
+        plan = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=args.lam))
         refined = rewriter.apply_plan(ir, plan)
         report = rewriter.size_report(ir, refined)
         (base / "plans" / f"round_{r}.plan").write_text(planner.serialize_plan(plan))

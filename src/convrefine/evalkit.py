@@ -237,25 +237,37 @@ def write_activation_dumps(
     return manifest
 
 
+def _profile_field(obj, key: str, where: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where}: profile has no {key!r} key")
+    return obj[key]
+
+
 def load_profile(path) -> SynthProfile:
     """Parse the JSON profile the CLI synth command takes.
 
     Schema: {"num_classes": M, "images_per_class": n, "noise": optional,
     "layers": [{"name": ..., "width": ..., "rho": r | "matrix": [[...]]}]}.
+    A missing key raises ValueError naming the file and the key.
     """
     with open(path) as fh:
         raw = json.load(fh)
-    m = int(raw["num_classes"])
+    m = int(_profile_field(raw, "num_classes", str(path)))
     layers = []
-    for entry in raw["layers"]:
+    for i, entry in enumerate(_profile_field(raw, "layers", str(path))):
+        where = f"{path}: layers[{i}]"
+        name = _profile_field(entry, "name", where)
+        width = int(_profile_field(entry, "width", where))
         if "matrix" in entry:
             target = np.asarray(entry["matrix"], dtype=np.float64)
-        else:
+        elif "rho" in entry:
             target = uniform_target(m, float(entry["rho"]))
-        layers.append(SynthLayer(name=entry["name"], width=int(entry["width"]), target=target))
+        else:
+            raise ValueError(f"{where}: profile has no 'rho' or 'matrix' key")
+        layers.append(SynthLayer(name=name, width=width, target=target))
     return SynthProfile(
         num_classes=m,
-        images_per_class=int(raw["images_per_class"]),
+        images_per_class=int(_profile_field(raw, "images_per_class", str(path))),
         layers=tuple(layers),
         noise=float(raw.get("noise", 0.05)),
     )

@@ -63,28 +63,44 @@ class NetworkIR:
 
     Blocks are kept in canonical (stage, name) order; edges are kept grouped
     by consumer, preserving the per-consumer predecessor order because that
-    order defines how input channels concatenate.
+    order defines how input channels concatenate.  The lookup index is built
+    once from the canonical blocks and edges and takes no part in equality,
+    hashing or repr.
     """
 
     blocks: tuple[ConvBlock, ...]
     edges: tuple[tuple[str, str], ...]
     num_stages: int
-    metadata: dict = field(default_factory=dict)
+    _by_name: dict = field(init=False, repr=False, compare=False)
+    _preds: dict = field(init=False, repr=False, compare=False)
+    _consumers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(sorted(self.blocks, key=lambda b: (b.stage, b.name)))
-        preds: dict[str, list[str]] = {}
+        by_name: dict[str, ConvBlock] = {}
+        for b in blocks:
+            by_name.setdefault(b.name, b)  # a scan finds the first of a duplicated name
+        grouped: dict[str, list[str]] = {}
         for producer, consumer in self.edges:
-            preds.setdefault(consumer, []).append(producer)
+            grouped.setdefault(consumer, []).append(producer)
         edges = tuple(
-            (p, b.name) for b in blocks for p in preds.get(b.name, ())
+            (p, b.name) for b in blocks for p in grouped.get(b.name, ())
         )
         # any edge whose consumer is unknown would be silently dropped above;
         # keep it so validation can reject it
-        known = {b.name for b in blocks}
-        stray = tuple(e for e in self.edges if e[1] not in known)
+        edges += tuple(e for e in self.edges if e[1] not in by_name)
+        # index the canonical edges themselves, so lookups return exactly
+        # what a scan of them would, stray and repeated edges included
+        preds: dict[str, list[str]] = {}
+        consumers: dict[str, list[str]] = {}
+        for producer, consumer in edges:
+            preds.setdefault(consumer, []).append(producer)
+            consumers.setdefault(producer, []).append(consumer)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "edges", edges + stray)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_preds", {k: tuple(v) for k, v in preds.items()})
+        object.__setattr__(self, "_consumers", {k: tuple(v) for k, v in consumers.items()})
 
     def __eq__(self, other):
         if not isinstance(other, NetworkIR):
@@ -99,16 +115,13 @@ class NetworkIR:
         return hash((self.blocks, self.edges, self.num_stages))
 
     def block(self, name: str) -> ConvBlock:
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        raise KeyError(name)
+        return self._by_name[name]
 
     def predecessors(self, name: str) -> tuple[str, ...]:
-        return tuple(p for p, c in self.edges if c == name)
+        return self._preds.get(name, ())
 
     def consumers(self, name: str) -> tuple[str, ...]:
-        return tuple(c for p, c in self.edges if p == name)
+        return self._consumers.get(name, ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +130,11 @@ class ParamCount:
     conv_total: int
 
 
-def make_network(blocks, edges, metadata=None) -> NetworkIR:
+def make_network(blocks, edges) -> NetworkIR:
     """Assemble and validate a NetworkIR, computing num_stages."""
     blocks = tuple(blocks)
     num_stages = max((b.stage for b in blocks), default=-1) + 1
-    ir = NetworkIR(blocks, tuple(edges), num_stages, metadata or {})
+    ir = NetworkIR(blocks, tuple(edges), num_stages)
     validate_network(ir)
     return ir
 

@@ -39,16 +39,18 @@ class PlanError(ValueError):
 _FLOOR_SNAP = 1e-12
 
 
+def check_lambda(lam: float) -> None:
+    """Raise PlanError unless lambda is a positive finite number."""
+    if not (lam > 0 and math.isfinite(lam)):
+        raise PlanError(f"lambda must be positive and finite, got {lam}")
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     lam: float = 0.25
-    tie_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise PlanError(f"lambda must be positive, got {self.lam}")
-        if self.tie_tol < 0:
-            raise PlanError("tie_tol must be non-negative")
+        check_lambda(self.lam)
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class RefinementPlan:
             if entry.case == "x" and entry.split != 1:
                 raise PlanError(f"block {name}: excluded blocks cannot split")
             steps = (entry.stretch - 1.0) / self.lambda_used
-            if abs(steps - round(steps)) > 1e-9:
+            if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
                 raise PlanError(
                     f"block {name}: stretch {entry.stretch} is not 1 + k*lambda"
                     f" for lambda={self.lambda_used}"
@@ -207,6 +209,7 @@ def build_plan(ir: NetworkIR, tallies, cfg: PlannerConfig) -> RefinementPlan:
         raise PlanError(f"tallies disagree on n_total: {sorted(totals)}")
 
     ratios = stage_plus_ratios(ir, tallies)
+    xis = [xi(ratios, s) for s in range(ir.num_stages)]
     entries: dict[str, PlanEntry] = {}
     terms: list[float] = []
     for b in ir.blocks:
@@ -214,8 +217,7 @@ def build_plan(ir: NetworkIR, tallies, cfg: PlannerConfig) -> RefinementPlan:
             entries[b.name] = PlanEntry(stretch=1.0, split=1, case="x")
             continue
         t = tallies[b.name]
-        x = xi(ratios, b.stage)
-        x_plus, x_minus = _block_terms(t, x)
+        x_plus, x_minus = _block_terms(t, xis[b.stage])
         split = 1 << psi(x_minus, cfg.lam)
         if t.n_plus < t.n_minus:
             entries[b.name] = PlanEntry(stretch=1.0, split=split, case="a")
@@ -243,6 +245,13 @@ def serialize_plan(plan: RefinementPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_float(line_no: int, key: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise PlanError(f"line {line_no}: {key} expects a number, got {raw!r}") from None
+
+
 def parse_plan(text: str) -> RefinementPlan:
     lam = None
     lam_o = None
@@ -254,11 +263,19 @@ def parse_plan(text: str) -> RefinementPlan:
         if line.startswith("lambda_o="):
             if lam_o is not None:
                 raise PlanError(f"line {line_no}: duplicate lambda_o")
-            lam_o = float(line.partition("=")[2])
+            lam_o = _parse_float(line_no, "lambda_o", line.partition("=")[2])
+            if not (lam_o >= 0 and math.isfinite(lam_o)):
+                raise PlanError(
+                    f"line {line_no}: lambda_o must be finite and non-negative, got {lam_o}"
+                )
         elif line.startswith("lambda="):
             if lam is not None:
                 raise PlanError(f"line {line_no}: duplicate lambda")
-            lam = float(line.partition("=")[2])
+            lam = _parse_float(line_no, "lambda", line.partition("=")[2])
+            try:
+                check_lambda(lam)
+            except PlanError as exc:
+                raise PlanError(f"line {line_no}: {exc}") from None
         elif line.startswith("plan "):
             tokens = line.split()
             if len(tokens) != 5:
@@ -269,14 +286,14 @@ def parse_plan(text: str) -> RefinementPlan:
             fields = dict(tok.partition("=")[::2] for tok in tokens[2:])
             if set(fields) != {"stretch", "split", "case"}:
                 raise PlanError(f"line {line_no}: bad fields {sorted(fields)}")
+            stretch = _parse_float(line_no, "stretch", fields["stretch"])
+            if not math.isfinite(stretch):
+                raise PlanError(f"line {line_no}: stretch must be finite, got {stretch}")
             try:
-                entries[name] = PlanEntry(
-                    stretch=float(fields["stretch"]),
-                    split=int(fields["split"]),
-                    case=fields["case"],
-                )
+                split = int(fields["split"])
             except ValueError as exc:
                 raise PlanError(f"line {line_no}: {exc}") from None
+            entries[name] = PlanEntry(stretch=stretch, split=split, case=fields["case"])
         else:
             raise PlanError(f"line {line_no}: unrecognized line {line!r}")
     if lam is None or lam_o is None:

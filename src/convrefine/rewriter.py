@@ -70,7 +70,10 @@ def apply_plan(ir: NetworkIR, plan: RefinementPlan) -> NetworkIR:
     }
     new_out: dict[str, int] = {}
     for b in ir.blocks:
-        raw = _round_half_up(b.out_channels * plan.per_block[b.name].stretch)
+        width = b.out_channels * plan.per_block[b.name].stretch
+        if not math.isfinite(width):
+            raise RewriteError(f"block {b.name}: stretched width {width} is not finite")
+        raw = _round_half_up(width)
         divisor = math.lcm(new_group[b.name], *(new_group[c] for c in ir.consumers(b.name)))
         rounded = -(-raw // divisor) * divisor
         if rounded != raw:
@@ -107,7 +110,7 @@ def apply_plan(ir: NetworkIR, plan: RefinementPlan) -> NetworkIR:
                 excluded=b.excluded,
             )
         )
-    return make_network(blocks, ir.edges, dict(ir.metadata))
+    return make_network(blocks, ir.edges)
 
 
 def size_report(before: NetworkIR, after: NetworkIR) -> SizeReport:

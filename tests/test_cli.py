@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import convrefine
 from convrefine.cli import main
 from convrefine.evalkit import write_truth_file
 from convrefine.featio import write_labels_file, write_tensor_file
@@ -285,8 +288,12 @@ def test_precision_command(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child must import the same package as this test, however it was found
+    src = str(Path(convrefine.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "convrefine", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "convrefine", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "analyze" in proc.stdout and "precision" in proc.stdout
@@ -297,3 +304,72 @@ def test_missing_ir_file_reports_error(tmp_path, capsys):
               tmp_path / "m.txt", "--out", tmp_path / "out")
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _write_plan(path, lam="0.25", lam_o="0.5", stretch="1.0"):
+    lines = [f"lambda={lam}", f"lambda_o={lam_o}"]
+    for b in parse_network(CHAIN_IR).blocks:
+        if b.excluded:
+            lines.append(f"plan {b.name} stretch=1.0 split=1 case=x")
+        else:
+            s = stretch if b.name == "conv2" else "1.0"
+            lines.append(f"plan {b.name} stretch={s} split=1 case=b")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"lam": "0"}, "error: line 1: lambda must be positive and finite, got 0.0"),
+        ({"lam": "-1"}, "error: line 1: lambda must be positive and finite, got -1.0"),
+        ({"lam": "abc"}, "error: line 1: lambda expects a number, got 'abc'"),
+        ({"lam_o": "nan"}, "error: line 2: lambda_o must be finite and non-negative, got nan"),
+        ({"stretch": "inf"}, "error: line 5: stretch must be finite, got inf"),
+        ({"stretch": "1e308"}, "error: block conv2: stretch 1e+308 is not 1 + k*lambda"),
+        ({"stretch": "1e308", "lam": "1.0"},
+         "error: block conv2: stretched width inf is not finite"),
+    ],
+    ids=["lambda-zero", "lambda-negative", "lambda-text", "lambda_o-nan", "stretch-inf",
+         "stretch-1e308", "width-inf"],
+)
+def test_apply_rejects_bad_plan_values(workdir, capsys, values, message):
+    plan_path = workdir / "bad.plan"
+    _write_plan(plan_path, **values)
+    rc = _run("apply", "--ir", workdir / "net.ir", "--plan", plan_path, "--out", workdir / "run")
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (workdir / "run" / "refined").exists()
+
+
+def test_negative_tie_tol_reported(workdir, capsys):
+    rc = _run("plan", "--ir", workdir / "net.ir", "--manifest",
+              workdir / "dumps" / "manifest.txt", "--tie-tol", "-1", "--out", workdir / "run")
+    assert rc == 1
+    assert "error: tie_tol must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "drop, where",
+    [
+        (("layers",), ""),
+        (("num_classes",), ""),
+        (("images_per_class",), ""),
+        (("layers", 1, "name"), ": layers[1]"),
+        (("layers", 0, "width"), ": layers[0]"),
+        (("layers", 2, "rho"), ": layers[2]"),
+    ],
+    ids=["layers", "num_classes", "images_per_class", "name", "width", "rho"],
+)
+def test_synth_profile_missing_key_reported(tmp_path, capsys, drop, where):
+    profile = json.loads(json.dumps(PROFILE))
+    target = profile
+    for step in drop[:-1]:
+        target = target[step]
+    del target[drop[-1]]
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    rc = _run("synth", "--profile", path, "--out", tmp_path / "dumps")
+    assert rc == 1
+    err = capsys.readouterr().err
+    key = "'rho' or 'matrix'" if drop[-1] == "rho" else repr(drop[-1])
+    assert f"error: {path}{where}: profile has no {key} key" in err

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,12 +9,15 @@ from convrefine.netir import (
     ConvBlock,
     IRSyntaxError,
     IRValidationError,
+    NetworkIR,
     analysis_sequence,
+    auto_excluded,
     block_params,
     make_network,
     param_count,
     parse_network,
     serialize_network,
+    validate_network,
 )
 
 from conftest import chain_ir
@@ -232,3 +238,125 @@ def test_fuzzed_roundtrip():
         again = parse_network(text)
         assert again == ir
         assert serialize_network(again) == text
+
+
+# Reference lookups: a plain scan of the canonical tuples, which the index
+# must reproduce exactly (order, repeats and stray edges included).
+def _scan_block(ir, name):
+    for b in ir.blocks:
+        if b.name == name:
+            return b
+    raise KeyError(name)
+
+
+def _scan_predecessors(ir, name):
+    return tuple(p for p, c in ir.edges if c == name)
+
+
+def _scan_consumers(ir, name):
+    return tuple(c for p, c in ir.edges if p == name)
+
+
+def _assert_lookups_match_scan(ir, names):
+    for name in names:
+        assert ir.predecessors(name) == _scan_predecessors(ir, name)
+        assert ir.consumers(name) == _scan_consumers(ir, name)
+        try:
+            expected = _scan_block(ir, name)
+        except KeyError:
+            with pytest.raises(KeyError):
+                ir.block(name)
+        else:
+            assert ir.block(name) is expected
+
+
+@st.composite
+def valid_dags(draw):
+    """A valid IR whose blocks and edges are handed over in shuffled order.
+
+    Predecessors come from any earlier stage, in drawn order, and names are
+    unrelated to stages, so (stage, name) sorting and per-consumer edge order
+    both matter.
+    """
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    names = iter(draw(st.lists(
+        st.text("abcdef_", min_size=1, max_size=3),
+        min_size=sum(sizes), max_size=sum(sizes), unique=True,
+    )))
+    blocks, edges = [], []
+    for stage, size in enumerate(sizes):
+        earlier = list(blocks)
+        for _ in range(size):
+            name = next(names)
+            preds = []
+            if earlier:
+                preds = draw(st.lists(st.sampled_from(earlier), unique=True, max_size=4))
+            in_ch = sum(p.out_channels for p in preds) or draw(st.integers(1, 8))
+            blocks.append(ConvBlock(name, in_ch, draw(st.integers(1, 8)), 1, 1, stage=stage))
+            edges.extend((p.name, name) for p in preds)
+    flagged = auto_excluded(blocks, edges)
+    blocks = [
+        dataclasses.replace(b, excluded=b.name in flagged or draw(st.booleans()))
+        for b in blocks
+    ]
+    return make_network(draw(st.permutations(blocks)), draw(st.permutations(edges)))
+
+
+@given(valid_dags())
+def test_index_matches_scan_on_random_dags(ir):
+    _assert_lookups_match_scan(ir, [b.name for b in ir.blocks] + ["ghost"])
+
+
+@pytest.mark.parametrize("fixture", ["vgg11_text", "inception_text"])
+def test_index_matches_scan_on_fixtures(fixture, request):
+    ir = parse_network(request.getfixturevalue(fixture))
+    _assert_lookups_match_scan(ir, [b.name for b in ir.blocks] + ["ghost"])
+
+
+@pytest.mark.parametrize(
+    "blocks, edges, message",
+    [
+        # an edge into an unknown block
+        (
+            [ConvBlock("a", 3, 4, 1, 1, stage=0, excluded=True),
+             ConvBlock("b", 4, 4, 1, 1, stage=1, excluded=True)],
+            [("a", "b"), ("b", "ghost"), ("a", "ghost")],
+            "edge (b, ghost) names an unknown block",
+        ),
+        # the same name twice; a scan finds the stage-0 block first
+        (
+            [ConvBlock("a", 3, 4, 1, 1, stage=1, excluded=True),
+             ConvBlock("a", 3, 8, 1, 1, stage=0, excluded=True)],
+            [],
+            "duplicate block name 'a'",
+        ),
+        # the same edge twice
+        (
+            [ConvBlock("a", 3, 4, 1, 1, stage=0, excluded=True),
+             ConvBlock("b", 8, 4, 1, 1, stage=1, excluded=True)],
+            [("a", "b"), ("a", "b")],
+            "duplicate edge (a, b)",
+        ),
+    ],
+)
+def test_invalid_irs_index_like_a_scan_and_are_rejected(blocks, edges, message):
+    ir = NetworkIR(tuple(blocks), tuple(edges), 2)
+    _assert_lookups_match_scan(ir, ["a", "b", "ghost"])
+    with pytest.raises(IRValidationError, match=re.escape(message)):
+        validate_network(ir)
+
+
+def test_replace_builds_a_fresh_index():
+    ir = chain_ir([8, 8, 8])
+    wider = tuple(dataclasses.replace(b, out_channels=16) if b.name == "conv2" else b
+                  for b in ir.blocks)
+    rebuilt = dataclasses.replace(ir, blocks=wider, edges=ir.edges[:1])
+    assert rebuilt.block("conv2").out_channels == 16
+    assert ir.block("conv2").out_channels == 8
+    assert rebuilt.predecessors("conv2") == ()
+    assert ir.predecessors("conv2") == ("conv1",)
+    assert rebuilt.consumers("conv1") == ()
+    # the index takes no part in equality, hashing or repr
+    assert dataclasses.replace(ir) == ir
+    assert hash(dataclasses.replace(ir)) == hash(ir)
+    assert "_by_name" not in repr(ir)

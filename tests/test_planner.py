@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from convrefine.planner import (
     PlannerConfig,
     RefinementPlan,
     build_plan,
+    check_lambda,
     identity_plan,
     lambda_upper_bound,
     parse_plan,
@@ -201,6 +203,43 @@ def test_parse_plan_errors():
         parse_plan("plan a stretch=1.0 split=1 case=x\n")
     with pytest.raises(PlanError, match="unrecognized line"):
         parse_plan("lambda=0.25\nlambda_o=0.5\nbogus\n")
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_lambda_must_be_positive_and_finite(lam):
+    with pytest.raises(PlanError, match="lambda must be positive and finite"):
+        check_lambda(lam)
+    with pytest.raises(PlanError, match="lambda must be positive and finite"):
+        PlannerConfig(lam=lam)
+    with pytest.raises(PlanError, match="line 1: lambda must be positive and finite"):
+        parse_plan(f"lambda={lam!r}\nlambda_o=0.5\nplan a stretch=1.0 split=1 case=b\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("lambda=abc\nlambda_o=0.5\n", "line 1: lambda expects a number, got 'abc'"),
+        ("lambda=0.25\nlambda_o=\n", "line 2: lambda_o expects a number, got ''"),
+        ("lambda=0.25\nlambda_o=nan\n", "line 2: lambda_o must be finite and non-negative"),
+        ("lambda=0.25\nlambda_o=inf\n", "line 2: lambda_o must be finite and non-negative"),
+        ("lambda=0.25\nlambda_o=-0.5\n", "line 2: lambda_o must be finite and non-negative"),
+        ("lambda=0.25\nlambda_o=0.5\nplan a stretch=inf split=1 case=b\n",
+         "line 3: stretch must be finite, got inf"),
+        ("lambda=0.25\nlambda_o=0.5\nplan a stretch=nan split=1 case=b\n",
+         "line 3: stretch must be finite, got nan"),
+        ("lambda=0.25\nlambda_o=0.5\nplan a stretch=x split=1 case=b\n",
+         "line 3: stretch expects a number, got 'x'"),
+    ],
+)
+def test_parse_plan_rejects_bad_values_with_line(text, message):
+    with pytest.raises(PlanError, match=re.escape(message)):
+        parse_plan(text)
+
+
+def test_stretch_too_large_for_lambda_steps_names_block():
+    # (1e308 - 1) / 0.25 overflows to inf, so the step count cannot be checked
+    with pytest.raises(PlanError, match="block a: stretch 1e\\+308 is not 1 \\+ k\\*lambda"):
+        RefinementPlan({"a": PlanEntry(1e308, 1, "b")}, 0.25, 0.0)
 
 
 def test_split_factors_non_increasing_in_lambda():

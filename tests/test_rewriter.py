@@ -105,6 +105,13 @@ def test_cannot_split_input_fed_block():
         apply_plan(ir, plan)
 
 
+def test_non_finite_stretched_width_names_block():
+    ir = chain_ir([8, 8, 8])
+    plan = _plan(ir, {"conv1": PlanEntry(1e308, 1, "b")}, lam=1.0)
+    with pytest.raises(RewriteError, match="block conv1: stretched width inf is not finite"):
+        apply_plan(ir, plan)
+
+
 def test_refined_ir_validates_with_concat_consumers():
     ir = parse_network(
         "block a in=3 out=8 k=1x1 group=1 stage=0\n"
