@@ -15,24 +15,21 @@ from .netir import (
     IRSyntaxError,
     IRValidationError,
     NetworkIR,
-    analysis_sequence,
     make_network,
     param_count,
     parse_network,
     serialize_network,
 )
 from .planner import (
+    BlockTerms,
     PlanEntry,
     PlannerConfig,
     RefinementPlan,
+    block_terms,
     build_plan,
-    lambda_upper_bound,
     parse_plan,
-    phi,
     psi,
     serialize_plan,
-    split_factor,
-    stretch_factor,
     xi,
 )
 from .rewriter import SizeReport, apply_plan, size_report

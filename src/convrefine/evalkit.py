@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,14 +21,15 @@ import numpy as np
 
 from .featio import (
     CHUNK_VALUES,
-    FORMAT_VERSION,
     ActivationSet,
+    BinaryFormat,
     TensorFormatError,
+    check_payload,
     write_labels_file,
     write_tensor_chunks,
 )
 
-TRUTH_MAGIC = b"ATMH"
+TRUTH_FORMAT = BinaryFormat(b"ATMH", "truth", "II")  # N, M
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,16 +79,9 @@ def precision_at_k(dump: PredictionDump, k: int) -> float:
 def read_truth_file(path) -> np.ndarray:
     path = Path(path)
     buf = path.read_bytes()
-    if buf[:4] != TRUTH_MAGIC:
-        raise TensorFormatError(f"{path}: bad magic, not an ATMH truth file")
-    if len(buf) < 14:
-        raise TensorFormatError(f"{path}: truncated header")
-    version, n, m = struct.unpack("<HII", buf[4:14])
-    if version != FORMAT_VERSION:
-        raise TensorFormatError(f"{path}: unsupported version {version}")
-    if len(buf) - 14 != n * m:
-        raise TensorFormatError(f"{path}: payload size mismatch for {n}x{m}")
-    truth = np.frombuffer(buf, dtype=np.uint8, count=n * m, offset=14).reshape(n, m)
+    (n, m), offset = TRUTH_FORMAT.decode(buf, path)
+    check_payload(path, len(buf), offset, n * m, f"{n}x{m} truth")
+    truth = np.frombuffer(buf, dtype=np.uint8, count=n * m, offset=offset).reshape(n, m)
     if not np.isin(truth, (0, 1)).all():
         raise TensorFormatError(f"{path}: truth entries must be 0 or 1")
     return truth.copy()
@@ -99,8 +92,7 @@ def write_truth_file(path, truth) -> None:
     if truth.ndim != 2 or not np.isin(truth, (0, 1)).all():
         raise ValueError("truth must be a rank-2 array of 0/1")
     with open(path, "wb") as fh:
-        fh.write(TRUTH_MAGIC)
-        fh.write(struct.pack("<HII", FORMAT_VERSION, truth.shape[0], truth.shape[1]))
+        fh.write(TRUTH_FORMAT.encode(*truth.shape))
         fh.write(np.ascontiguousarray(truth, dtype=np.uint8).tobytes())
 
 
@@ -237,10 +229,16 @@ def write_activation_dumps(
     return manifest
 
 
-def _profile_field(obj, key: str, where: str):
+def _profile_field(obj, key: str, where: str, kind=None):
+    """``obj[key]``, converted by ``kind`` when given; errors name ``where``."""
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"{where}: profile has no {key!r} key")
-    return obj[key]
+    if kind is None:
+        return obj[key]
+    try:
+        return kind(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: bad value {obj[key]!r} for {key!r}: {exc}") from None
 
 
 def load_profile(path) -> SynthProfile:
@@ -248,26 +246,32 @@ def load_profile(path) -> SynthProfile:
 
     Schema: {"num_classes": M, "images_per_class": n, "noise": optional,
     "layers": [{"name": ..., "width": ..., "rho": r | "matrix": [[...]]}]}.
-    A missing key raises ValueError naming the file and the key.
+    A missing or wrongly typed key raises ValueError naming the file and
+    the key.
     """
     with open(path) as fh:
         raw = json.load(fh)
-    m = int(_profile_field(raw, "num_classes", str(path)))
+    m = _profile_field(raw, "num_classes", str(path), int)
+    entries = _profile_field(raw, "layers", str(path))
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: bad value {entries!r} for 'layers': expected a list")
     layers = []
-    for i, entry in enumerate(_profile_field(raw, "layers", str(path))):
+    for i, entry in enumerate(entries):
         where = f"{path}: layers[{i}]"
         name = _profile_field(entry, "name", where)
-        width = int(_profile_field(entry, "width", where))
+        width = _profile_field(entry, "width", where, int)
         if "matrix" in entry:
-            target = np.asarray(entry["matrix"], dtype=np.float64)
+            target = _profile_field(
+                entry, "matrix", where, lambda v: np.asarray(v, dtype=np.float64)
+            )
         elif "rho" in entry:
-            target = uniform_target(m, float(entry["rho"]))
+            target = uniform_target(m, _profile_field(entry, "rho", where, float))
         else:
             raise ValueError(f"{where}: profile has no 'rho' or 'matrix' key")
         layers.append(SynthLayer(name=name, width=width, target=target))
     return SynthProfile(
         num_classes=m,
-        images_per_class=int(_profile_field(raw, "images_per_class", str(path))),
+        images_per_class=_profile_field(raw, "images_per_class", str(path), int),
         layers=tuple(layers),
-        noise=float(raw.get("noise", 0.05)),
+        noise=_profile_field(raw, "noise", str(path), float) if "noise" in raw else 0.05,
     )

@@ -41,8 +41,6 @@ class ManifestError(ValueError):
     """Bad manifest or inconsistent set of dumps."""
 
 
-TENSOR_MAGIC = b"ATNS"
-LABELS_MAGIC = b"ATLB"
 FORMAT_VERSION = 1
 # float32 values per streamed chunk, rounded down to whole images (at least one).
 CHUNK_VALUES = 1 << 16
@@ -84,38 +82,75 @@ class ClassMeans:
     means: np.ndarray  # (M, h) float64
 
 
-def _read_exact(buf: bytes, offset: int, n: int, path, what: str) -> bytes:
-    if offset + n > len(buf):
+def _unpack(head: bytes, offset: int, codes: str, path, what: str):
+    """Unpack little-endian ``codes`` at ``offset``; returns (values, end offset)."""
+    end = offset + struct.calcsize("<" + codes)
+    if end > len(head):
         raise TensorFormatError(f"{path}: truncated {what}")
-    return buf[offset : offset + n]
+    return struct.unpack_from("<" + codes, head, offset), end
+
+
+@dataclass(frozen=True)
+class BinaryFormat:
+    """Header codec shared by the ATNS, ATLB and ATMH files.
+
+    A header is the 4-byte magic, a u16 version, the fixed ``fields`` (struct
+    codes) and, for ATNS only, one u32 per dimension.  Sizes are compared as
+    Python ints, so no product of header fields can wrap.
+    """
+
+    magic: bytes
+    kind: str  # "tensor", "labels" or "truth", for messages
+    fields: str
+
+    def encode(self, *fields: int, dims=()) -> bytes:
+        return self.magic + struct.pack(
+            f"<H{self.fields}{len(dims)}I", FORMAT_VERSION, *fields, *dims
+        )
+
+    def decode(self, head: bytes, path) -> tuple[tuple[int, ...], int]:
+        """Check magic and version; returns (fields, offset after them)."""
+        if len(head) < 4:
+            raise TensorFormatError(f"{path}: truncated header")
+        if head[:4] != self.magic:
+            raise TensorFormatError(
+                f"{path}: bad magic, not an {self.magic.decode()} {self.kind} file"
+            )
+        (version,), offset = _unpack(head, 4, "H", path, "header")
+        if version != FORMAT_VERSION:
+            raise TensorFormatError(f"{path}: unsupported version {version}")
+        return _unpack(head, offset, self.fields, path, "header")
+
+
+def check_payload(path, file_size: int, offset: int, expected: int, what: str) -> None:
+    """Raise unless exactly ``expected`` payload bytes follow the header."""
+    got = file_size - offset
+    if got < expected:
+        raise TensorFormatError(
+            f"{path}: truncated payload, expected {expected} bytes for {what}, got {got}"
+        )
+    if got > expected:
+        raise TensorFormatError(f"{path}: trailing data after payload")
+
+
+TENSOR_FORMAT = BinaryFormat(b"ATNS", "tensor", "H")  # rank, then rank u32 dims
+LABELS_FORMAT = BinaryFormat(b"ATLB", "labels", "I")  # N
 
 
 def _parse_tensor_header(head: bytes, file_size: int, path) -> tuple[tuple[int, ...], int]:
     """Check an ATNS header against the file size; returns (dims, payload offset).
 
     ``head`` holds at least the first 24 bytes of the file, or all of a
-    shorter file.  Sizes are Python ints, so no product of dims can wrap.
+    shorter file.
     """
-    if _read_exact(head, 0, 4, path, "header") != TENSOR_MAGIC:
-        raise TensorFormatError(f"{path}: bad magic, not an ATNS tensor file")
-    version, rank = struct.unpack("<HH", _read_exact(head, 4, 4, path, "header"))
-    if version != FORMAT_VERSION:
-        raise TensorFormatError(f"{path}: unsupported version {version}")
+    (rank,), offset = TENSOR_FORMAT.decode(head, path)
     if rank not in (2, 4):
         raise TensorFormatError(f"{path}: rank must be 2 or 4, got {rank}")
-    dims = struct.unpack(f"<{rank}I", _read_exact(head, 8, 4 * rank, path, "dims"))
+    dims, offset = _unpack(head, offset, f"{rank}I", path, "dims")
     if any(d == 0 for d in dims):
         raise TensorFormatError(f"{path}: zero-sized dimension in {dims}")
-    payload_off = 8 + 4 * rank
-    expected = math.prod(dims) * 4
-    if file_size - payload_off < expected:
-        raise TensorFormatError(
-            f"{path}: truncated payload, expected {expected} bytes for dims {dims},"
-            f" got {file_size - payload_off}"
-        )
-    if file_size - payload_off > expected:
-        raise TensorFormatError(f"{path}: trailing data after payload")
-    return dims, payload_off
+    check_payload(path, file_size, offset, math.prod(dims) * 4, f"dims {dims}")
+    return dims, offset
 
 
 def _non_finite(path, flat_index: int) -> TensorFormatError:
@@ -211,9 +246,7 @@ def write_tensor_chunks(path, shape, chunks) -> None:
     path = Path(path)
     try:
         with open(path, "wb") as fh:
-            fh.write(TENSOR_MAGIC)
-            fh.write(struct.pack("<HH", FORMAT_VERSION, len(shape)))
-            fh.write(struct.pack(f"<{len(shape)}I", *shape))
+            fh.write(TENSOR_FORMAT.encode(len(shape), dims=shape))
             rows = 0
             for chunk in chunks:
                 with np.errstate(over="ignore"):  # an overflow is refused below
@@ -239,17 +272,9 @@ def write_tensor_file(path, tensor) -> None:
 def read_labels_file(path) -> np.ndarray:
     path = Path(path)
     buf = path.read_bytes()
-    if _read_exact(buf, 0, 4, path, "header") != LABELS_MAGIC:
-        raise TensorFormatError(f"{path}: bad magic, not an ATLB labels file")
-    (version,) = struct.unpack("<H", _read_exact(buf, 4, 2, path, "header"))
-    if version != FORMAT_VERSION:
-        raise TensorFormatError(f"{path}: unsupported version {version}")
-    (n,) = struct.unpack("<I", _read_exact(buf, 6, 4, path, "header"))
-    if len(buf) - 10 < 4 * n:
-        raise TensorFormatError(f"{path}: truncated payload, expected {n} labels")
-    if len(buf) - 10 > 4 * n:
-        raise TensorFormatError(f"{path}: trailing data after payload")
-    return np.frombuffer(buf, dtype="<u4", count=n, offset=10).astype(np.int64)
+    (n,), offset = LABELS_FORMAT.decode(buf, path)
+    check_payload(path, len(buf), offset, 4 * n, f"{n} labels")
+    return np.frombuffer(buf, dtype="<u4", count=n, offset=offset).astype(np.int64)
 
 
 def write_labels_file(path, labels) -> None:
@@ -257,8 +282,7 @@ def write_labels_file(path, labels) -> None:
     if labels.ndim != 1 or (labels.size and labels.min() < 0):
         raise ValueError("labels must be a 1-D array of non-negative integers")
     with open(path, "wb") as fh:
-        fh.write(LABELS_MAGIC)
-        fh.write(struct.pack("<HI", FORMAT_VERSION, labels.size))
+        fh.write(LABELS_FORMAT.encode(labels.size))
         fh.write(np.ascontiguousarray(labels, dtype="<u4").tobytes())
 
 

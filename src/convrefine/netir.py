@@ -17,7 +17,7 @@ their channel concatenation, in the order the ``prev=`` list gives.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 class IRSyntaxError(ValueError):
@@ -35,6 +35,7 @@ class IRValidationError(ValueError):
 _NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
 _KERNEL_RE = re.compile(r"(\d+)x(\d+)$")
 _UINT_RE = re.compile(r"\d+$")
+_U32_MAX = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,8 @@ def validate_network(ir: NetworkIR) -> None:
         ):
             if v < 1:
                 raise IRValidationError(f"block {b.name}: {label} must be positive, got {v}")
+            if v > _U32_MAX:
+                raise IRValidationError(f"block {b.name}: {label} {v} does not fit in a u32")
         if b.stage < 0:
             raise IRValidationError(f"block {b.name}: stage must be non-negative")
 
@@ -330,17 +333,7 @@ def parse_network(text: str) -> NetworkIR:
 
     flagged = auto_excluded(blocks, edges)
     blocks = [
-        b if (b.excluded or b.name not in flagged) else ConvBlock(
-            name=b.name,
-            in_channels=b.in_channels,
-            out_channels=b.out_channels,
-            kernel_h=b.kernel_h,
-            kernel_w=b.kernel_w,
-            group=b.group,
-            stage=b.stage,
-            has_bias=b.has_bias,
-            excluded=True,
-        )
+        b if (b.excluded or b.name not in flagged) else replace(b, excluded=True)
         for b in blocks
     ]
     return make_network(blocks, edges)
@@ -371,25 +364,6 @@ def serialize_network(ir: NetworkIR) -> str:
             parts.append("prev=" + ",".join(preds))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def analysis_sequence(ir: NetworkIR) -> tuple[tuple[int, tuple[ConvBlock, ...]], ...]:
-    """Blocks grouped by stage, ascending.
-
-    Excluded blocks stay in the partition (callers filter on the flag).  A
-    block's "previous" for statistics is its direct predecessor set; its
-    "subsequent" blocks are everything in strictly later stages.
-    """
-    stages = sorted({b.stage for b in ir.blocks})
-    if stages != list(range(len(stages))):
-        raise IRValidationError(f"gap in stage numbering: {stages}")
-    for producer, consumer in ir.edges:
-        if ir.block(producer).stage >= ir.block(consumer).stage:
-            raise IRValidationError(f"cycle or stage-order violation at edge ({producer}, {consumer})")
-    grouped: dict[int, list[ConvBlock]] = {s: [] for s in stages}
-    for b in ir.blocks:
-        grouped[b.stage].append(b)
-    return tuple((s, tuple(grouped[s])) for s in stages)
 
 
 def block_params(block: ConvBlock) -> int:

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .netir import NetworkIR
-from .sepstats import SeparationTally
 
 
 class PlanError(ValueError):
@@ -102,38 +102,16 @@ def psi(x: float, lam: float) -> int:
     return math.floor(q)
 
 
-def phi(x: float, lam: float) -> float:
-    """lambda * psi(x, lambda): the quantized stretch increment."""
-    return lam * psi(x, lam)
-
-
-def split_factor(n_minus: int, n_total: int, xi_l: float, lam: float) -> int:
-    if n_total < 1 or not 0 <= n_minus <= n_total:
-        raise PlanError(f"bad tally counts n_minus={n_minus}, n_total={n_total}")
-    return 1 << psi((n_minus / n_total) * xi_l, lam)
-
-
-def stretch_factor(n_plus: int, n_total: int, xi_l: float, lam: float) -> float:
-    if n_total < 1 or not 0 <= n_plus <= n_total:
-        raise PlanError(f"bad tally counts n_plus={n_plus}, n_total={n_total}")
-    return 1.0 + phi((n_plus / n_total) * xi_l, lam)
-
-
 def xi(plus_ratios, index: int) -> float:
     """Mean n_plus/n_total ratio of the stages after ``index``.
 
-    ``plus_ratios`` is indexed by stage; entries may be ratios,
-    SeparationTally objects, or None for stages that contribute nothing (no
-    tallies, or only excluded blocks).  The final stage is always left out.
-    An empty window yields 0, which makes every factor of the corresponding
-    block identity.
+    ``plus_ratios`` is indexed by stage, with None for stages that
+    contribute nothing (no tallies, or only excluded blocks).  The final
+    stage is always left out.  An empty window yields 0, which makes every
+    factor of the corresponding block identity.
     """
     window = list(plus_ratios)[index + 1 : max(index + 1, len(plus_ratios) - 1)]
-    vals = [
-        v.n_plus / v.n_total if isinstance(v, SeparationTally) else v
-        for v in window
-        if v is not None
-    ]
+    vals = [v for v in window if v is not None]
     if not vals:
         return 0.0
     return sum(vals) / len(vals)
@@ -156,44 +134,29 @@ def stage_plus_ratios(ir: NetworkIR, tallies) -> list:
     return [sum(v) / len(v) if v else None for v in per_stage]
 
 
-def _block_terms(tally: SeparationTally, xi_l: float) -> tuple[float, float]:
-    return (
-        (tally.n_plus / tally.n_total) * xi_l,
-        (tally.n_minus / tally.n_total) * xi_l,
-    )
+class BlockTerms(NamedTuple):
+    """The two floored terms of an analyzed block and its case.
 
-
-def lambda_upper_bound(tallies) -> float:
-    """Smallest lambda above which no factor can differ from identity.
-
-    Takes the stage-ordered tally sequence of a chain (None where a stage
-    has no tally).  The bound is the largest quantity ever floored: both
-    terms for case-b layers, the split term only for case-a layers (they
-    never stretch).  The final stage never participates.
+    x_plus = (n_plus/n_total)*xi and x_minus = (n_minus/n_total)*xi, with xi
+    the mean n_plus/n_total of the block's later stages.  Case "a" blocks
+    never stretch, so only x_minus is floored for them.
     """
-    tallies = list(tallies)
-    ratios = [t.n_plus / t.n_total if t is not None else None for t in tallies]
-    terms = []
-    for i, t in enumerate(tallies[: max(0, len(tallies) - 1)]):
-        if t is None:
-            continue
-        x = xi(ratios, i)
-        x_plus, x_minus = _block_terms(t, x)
-        if t.n_plus >= t.n_minus:
-            terms.extend((x_plus, x_minus))
-        else:
-            terms.append(x_minus)
-    if not terms:
-        raise PlanError("no analyzable layers")
-    return max(terms)
+
+    case: str  # "a" or "b"
+    x_plus: float
+    x_minus: float
+
+    @property
+    def floored(self) -> tuple[float, ...]:
+        return (self.x_minus,) if self.case == "a" else (self.x_plus, self.x_minus)
 
 
-def build_plan(ir: NetworkIR, tallies, cfg: PlannerConfig) -> RefinementPlan:
-    """Stretch/split factors for every block of the network.
+def block_terms(ir: NetworkIR, tallies) -> dict[str, BlockTerms]:
+    """Case, x+ and x- of every non-excluded block, in the IR's block order.
 
     ``tallies`` maps block name to SeparationTally and must cover every
-    non-excluded block; entries for excluded blocks are ignored.  The plan
-    also records lambda_o computed from the same tallies.
+    non-excluded block; entries for excluded blocks are ignored.  xi is
+    computed once per stage.
     """
     for name in tallies:
         try:
@@ -210,26 +173,41 @@ def build_plan(ir: NetworkIR, tallies, cfg: PlannerConfig) -> RefinementPlan:
 
     ratios = stage_plus_ratios(ir, tallies)
     xis = [xi(ratios, s) for s in range(ir.num_stages)]
-    entries: dict[str, PlanEntry] = {}
-    terms: list[float] = []
+    terms: dict[str, BlockTerms] = {}
     for b in ir.blocks:
         if b.excluded:
-            entries[b.name] = PlanEntry(stretch=1.0, split=1, case="x")
             continue
         t = tallies[b.name]
-        x_plus, x_minus = _block_terms(t, xis[b.stage])
-        split = 1 << psi(x_minus, cfg.lam)
-        if t.n_plus < t.n_minus:
-            entries[b.name] = PlanEntry(stretch=1.0, split=split, case="a")
-            terms.append(x_minus)
-        else:
-            stretch = 1.0 + phi(x_plus, cfg.lam)
-            entries[b.name] = PlanEntry(stretch=stretch, split=split, case="b")
-            terms.extend((x_plus, x_minus))
+        terms[b.name] = BlockTerms(
+            "a" if t.n_plus < t.n_minus else "b",
+            (t.n_plus / t.n_total) * xis[b.stage],
+            (t.n_minus / t.n_total) * xis[b.stage],
+        )
+    return terms
+
+
+def build_plan(ir: NetworkIR, tallies, cfg: PlannerConfig) -> RefinementPlan:
+    """Stretch/split factors for every block of the network.
+
+    The factors and lambda_o all come from :func:`block_terms`: the split is
+    2**psi(x-), the case-b stretch 1 + lambda*psi(x+), and lambda_o the
+    largest term any block floors.
+    """
+    terms = block_terms(ir, tallies)
+    entries: dict[str, PlanEntry] = {}
+    for b in ir.blocks:
+        t = terms.get(b.name)
+        if t is None:
+            entries[b.name] = PlanEntry(stretch=1.0, split=1, case="x")
+            continue
+        stretch = 1.0 if t.case == "a" else 1.0 + cfg.lam * psi(t.x_plus, cfg.lam)
+        entries[b.name] = PlanEntry(
+            stretch=stretch, split=1 << psi(t.x_minus, cfg.lam), case=t.case
+        )
     return RefinementPlan(
         per_block=entries,
         lambda_used=cfg.lam,
-        lambda_o=max(terms) if terms else 0.0,
+        lambda_o=max((x for t in terms.values() for x in t.floored), default=0.0),
     )
 
 

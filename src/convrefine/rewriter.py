@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .netir import ConvBlock, NetworkIR, make_network, param_count
+from .netir import NetworkIR, make_network, param_count
 from .planner import RefinementPlan
 
 
@@ -98,17 +98,7 @@ def apply_plan(ir: NetworkIR, plan: RefinementPlan) -> NetworkIR:
                     f" {new_group[b.name]} does not divide in_channels {new_in}"
                 )
         blocks.append(
-            ConvBlock(
-                name=b.name,
-                in_channels=new_in,
-                out_channels=new_out[b.name],
-                kernel_h=b.kernel_h,
-                kernel_w=b.kernel_w,
-                group=new_group[b.name],
-                stage=b.stage,
-                has_bias=b.has_bias,
-                excluded=b.excluded,
-            )
+            replace(b, in_channels=new_in, out_channels=new_out[b.name], group=new_group[b.name])
         )
     return make_network(blocks, ir.edges)
 

@@ -126,16 +126,13 @@ def separation_tally(
     cur: np.ndarray,
     tie_tol: float = 1e-6,
     layer_name: str = "",
-    ordered: bool = True,
 ) -> SeparationTally:
     """Count class pairs whose correlation moved between two layers.
 
     A pair counts toward n_plus when cur < prev - tie_tol, toward n_minus
     when cur > prev + tie_tol, and ties otherwise.  Diagonal pairs always
-    tie.  With ordered counting (the default) every off-diagonal pair is
-    counted twice, once per direction, and n_total = M^2; with
-    ordered=False only unordered pairs i<j are counted and
-    n_total = M(M-1)/2.
+    tie.  Every off-diagonal pair is counted twice, once per direction, so
+    n_total = M^2.
     """
     prev = np.asarray(prev, dtype=np.float64)
     cur = np.asarray(cur, dtype=np.float64)
@@ -145,12 +142,8 @@ def separation_tally(
         raise ValueError("tie_tol must be non-negative")
     m = prev.shape[0]
     diff = cur - prev
-    if ordered:
-        mask = ~np.eye(m, dtype=bool)
-        total = m * m
-    else:
-        mask = np.triu(np.ones((m, m), dtype=bool), k=1)
-        total = m * (m - 1) // 2
+    mask = ~np.eye(m, dtype=bool)
+    total = m * m
     plus = int(np.count_nonzero((diff < -tie_tol) & mask))
     minus = int(np.count_nonzero((diff > tie_tol) & mask))
     return SeparationTally(
@@ -173,7 +166,6 @@ def network_statistics(
     means_by_layer,
     tie_tol: float = 1e-6,
     strict: bool = False,
-    ordered: bool = True,
 ) -> NetworkStatistics:
     """Per-block correlation matrices and tallies, each matrix computed once.
 
@@ -203,11 +195,7 @@ def network_statistics(
                 ClassMeans(layer_name="+".join(preds), means=stacked), strict=strict
             ).matrix
         tallies[b.name] = separation_tally(
-            prev_matrix,
-            matrix_of[b.name],
-            tie_tol=tie_tol,
-            layer_name=b.name,
-            ordered=ordered,
+            prev_matrix, matrix_of[b.name], tie_tol=tie_tol, layer_name=b.name
         )
     return NetworkStatistics(stack=stack, tallies=tallies)
 

@@ -306,13 +306,13 @@ def test_missing_ir_file_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _write_plan(path, lam="0.25", lam_o="0.5", stretch="1.0"):
+def _write_plan(path, lam="0.25", lam_o="0.5", stretch="1.0", stretched=("conv2",)):
     lines = [f"lambda={lam}", f"lambda_o={lam_o}"]
     for b in parse_network(CHAIN_IR).blocks:
         if b.excluded:
             lines.append(f"plan {b.name} stretch=1.0 split=1 case=x")
         else:
-            s = stretch if b.name == "conv2" else "1.0"
+            s = stretch if b.name in stretched else "1.0"
             lines.append(f"plan {b.name} stretch={s} split=1 case=b")
     path.write_text("\n".join(lines) + "\n")
 
@@ -328,16 +328,24 @@ def _write_plan(path, lam="0.25", lam_o="0.5", stretch="1.0"):
         ({"stretch": "1e308"}, "error: block conv2: stretch 1e+308 is not 1 + k*lambda"),
         ({"stretch": "1e308", "lam": "1.0"},
          "error: block conv2: stretched width inf is not finite"),
+        # finite but far past u32: one block used to print a huge negative
+        # reduction, two adjacent ones overflowed the size ratio
+        ({"stretch": "1e300", "lam": "1.0"}, "error: block conv2: out_channels 1"),
+        ({"stretch": "1e300", "lam": "1.0", "stretched": ("conv2", "conv3")},
+         "error: block conv2: out_channels 1"),
     ],
     ids=["lambda-zero", "lambda-negative", "lambda-text", "lambda_o-nan", "stretch-inf",
-         "stretch-1e308", "width-inf"],
+         "stretch-1e308", "width-inf", "width-1e301-one-block", "width-1e301-two-blocks"],
 )
 def test_apply_rejects_bad_plan_values(workdir, capsys, values, message):
     plan_path = workdir / "bad.plan"
     _write_plan(plan_path, **values)
     rc = _run("apply", "--ir", workdir / "net.ir", "--plan", plan_path, "--out", workdir / "run")
     assert rc == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if "out_channels" in message:
+        assert err.rstrip().endswith("does not fit in a u32")
     assert not (workdir / "run" / "refined").exists()
 
 
@@ -373,3 +381,26 @@ def test_synth_profile_missing_key_reported(tmp_path, capsys, drop, where):
     err = capsys.readouterr().err
     key = "'rho' or 'matrix'" if drop[-1] == "rho" else repr(drop[-1])
     assert f"error: {path}{where}: profile has no {key} key" in err
+
+
+@pytest.mark.parametrize(
+    "step, value, where, key",
+    [
+        ((), {"layers": 5}, "", "layers"),
+        (("layers", 0), {"width": [1]}, ": layers[0]", "width"),
+        ((), {"num_classes": "abc"}, "", "num_classes"),
+    ],
+    ids=["layers-int", "width-list", "num_classes-text"],
+)
+def test_synth_profile_bad_type_reported(tmp_path, capsys, step, value, where, key):
+    profile = json.loads(json.dumps(PROFILE))
+    target = profile
+    for s in step:
+        target = target[s]
+    target.update(value)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    rc = _run("synth", "--profile", path, "--out", tmp_path / "dumps")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}{where}: bad value {value[key]!r} for {key!r}" in err

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convrefine import featio
+from convrefine.evalkit import read_truth_file, write_truth_file
 from convrefine.featio import (
     ActivationSet,
     ManifestError,
@@ -318,3 +319,65 @@ def test_chunked_write_checks_every_chunk(tmp_path):
         assert not path.exists()
     with pytest.raises(ValueError, match="rank must be 2 or 4"):
         write_tensor_file(path, np.ones(3))
+
+
+def _valid_files(tmp):
+    """One small valid file per binary format, with its reader."""
+    tmp = Path(tmp)
+    write_tensor_file(tmp / "t.atns", np.arange(6, dtype=np.float32).reshape(2, 3))
+    write_labels_file(tmp / "l.atlb", np.array([0, 2, 1]))
+    write_truth_file(tmp / "h.atmh", np.array([[1, 0], [0, 1]], dtype=np.uint8))
+    return {
+        "ATNS": (tmp / "t.atns", read_tensor_file),
+        "ATLB": (tmp / "l.atlb", read_labels_file),
+        "ATMH": (tmp / "h.atmh", read_truth_file),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["ATNS", "ATLB", "ATMH"])
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda b: b"XXXX" + b[4:], "bad magic, not an {fmt} "),
+        (lambda b: b[:4] + struct.pack("<H", 2) + b[6:], "unsupported version 2"),
+        (lambda b: b[:7], "truncated header"),
+        (lambda b: b[:-1], "truncated payload"),
+        (lambda b: b + b"\0", "trailing data after payload"),
+    ],
+    ids=["bad-magic", "version", "truncated-header", "truncated-payload", "trailing-data"],
+)
+def test_header_codec_errors_name_the_path(tmp_path, fmt, damage, message):
+    path, reader = _valid_files(tmp_path)[fmt]
+    reader(path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(TensorFormatError) as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}: {message.format(fmt=fmt)}")
+
+
+def _loads_or_names_path(reader, path):
+    try:
+        reader(path)
+    except TensorFormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+
+
+@given(st.booleans(), st.binary(max_size=48))
+@settings(max_examples=150)
+def test_readers_accept_or_reject_arbitrary_bytes(behind_magic, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt, (path, reader) in _valid_files(tmp).items():
+            # behind the right magic, the bytes get past the first check
+            path.write_bytes(fmt.encode() + data if behind_magic else data)
+            _loads_or_names_path(reader, path)
+
+
+@given(st.integers(0, 2**16), st.integers(0, 255))
+@settings(max_examples=150)
+def test_readers_accept_or_reject_one_byte_mutations(position, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        for path, reader in _valid_files(tmp).values():
+            data = bytearray(path.read_bytes())
+            data[position % len(data)] = value
+            path.write_bytes(bytes(data))
+            _loads_or_names_path(reader, path)

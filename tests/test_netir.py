@@ -10,7 +10,6 @@ from convrefine.netir import (
     IRSyntaxError,
     IRValidationError,
     NetworkIR,
-    analysis_sequence,
     auto_excluded,
     block_params,
     make_network,
@@ -150,30 +149,25 @@ def test_programmatic_construction_requires_exclusion_flags():
 
 def test_analysis_sequence_linear_chain():
     ir = chain_ir([8] * 8)
-    seq = analysis_sequence(ir)
-    assert [s for s, _ in seq] == list(range(8))
-    assert all(len(blocks) == 1 for _, blocks in seq)
+    assert [(b.stage, b.name) for b in ir.blocks] == [(i, f"conv{i}") for i in range(8)]
+    # blocks come out in (stage, name) order whatever order they are given in
+    assert make_network(reversed(ir.blocks), ir.edges).blocks == ir.blocks
 
 
 def test_analysis_sequence_inception(inception_text):
     ir = parse_network(inception_text)
-    seq = analysis_sequence(ir)
-    assert len(seq) == 2
-    stage1, stage2 = seq
-    assert len(stage1[1]) == 3 and len(stage2[1]) == 3
-    # every first-layer block sees all second-layer blocks as subsequent
-    later = {b.name for b in stage2[1]}
-    assert later == {"incep_3x3", "incep_5x5", "incep_pool"}
+    assert [(b.stage, b.name) for b in ir.blocks] == [
+        (0, "incep_1x1"), (0, "incep_3x3r"), (0, "incep_5x5r"),
+        (1, "incep_3x3"), (1, "incep_5x5"), (1, "incep_pool"),
+    ]
     # all six blocks belong to the trailing unit and are excluded
     assert all(b.excluded for b in ir.blocks)
 
 
 def test_analysis_sequence_retains_excluded_blocks(vgg11_text):
     ir = parse_network(vgg11_text)
-    seq = analysis_sequence(ir)
-    names = [b.name for _, blocks in seq for b in blocks]
-    assert len(names) == 8
-    flags = {b.name: b.excluded for _, blocks in seq for b in blocks}
+    assert [b.stage for b in ir.blocks] == list(range(8))
+    flags = {b.name: b.excluded for b in ir.blocks}
     assert flags["conv1_1"] and flags["conv5_2"]
     assert not flags["conv3_1"]
 
@@ -360,3 +354,16 @@ def test_replace_builds_a_fresh_index():
     assert dataclasses.replace(ir) == ir
     assert hash(dataclasses.replace(ir)) == hash(ir)
     assert "_by_name" not in repr(ir)
+
+
+@pytest.mark.parametrize("field, label", [
+    ("in", "in_channels"), ("out", "out_channels"), ("kh", "kernel_h"), ("group", "group"),
+])
+def test_fields_beyond_u32_rejected(field, label):
+    line = "block a in={in} out={out} k={kh}x1 group={group} stage=0"
+    ones = {"in": 1, "out": 1, "kh": 1, "group": 1}
+    parse_network(line.format(**dict.fromkeys(ones, 2**32 - 1)))  # the largest u32 is fine
+    with pytest.raises(
+        IRValidationError, match=f"block a: {label} 4294967296 does not fit in a u32"
+    ):
+        parse_network(line.format(**{**ones, field: 2**32}))

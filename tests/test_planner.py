@@ -4,24 +4,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from convrefine.planner import (
     PlanEntry,
     PlanError,
     PlannerConfig,
     RefinementPlan,
+    block_terms,
     build_plan,
     check_lambda,
     identity_plan,
-    lambda_upper_bound,
     parse_plan,
-    phi,
     psi,
     serialize_plan,
-    split_factor,
     stage_plus_ratios,
-    stretch_factor,
     xi,
 )
 from convrefine.sepstats import SeparationTally
@@ -69,46 +66,6 @@ def test_psi_rejects_bad_inputs():
         psi(0.1, 0.0)
 
 
-def test_phi_examples():
-    assert phi(0.46875, 0.25) == 0.25
-    assert phi(0.1, 0.25) == 0.0
-
-
-@given(st.floats(0, 10, allow_nan=False), st.floats(0.01, 2, allow_nan=False))
-def test_phi_is_lambda_times_psi(x, lam):
-    assert phi(x, lam) == lam * psi(x, lam)
-
-
-def test_split_factor_examples():
-    assert split_factor(12, 16, 0.625, 0.25) == 2
-    assert split_factor(1, 16, 0.625, 0.25) == 1  # argument below lambda
-    # the stated equivalence point: term 0.25 at lambda 0.25 gives split 2
-    assert split_factor(8, 16, 0.5, 0.25) == 2
-
-
-def test_stretch_factor_examples():
-    assert stretch_factor(12, 16, 0.625, 0.25) == 1.25
-    assert stretch_factor(1, 16, 0.625, 0.25) == 1.0
-    assert stretch_factor(16, 16, 1.0, 0.25) == 2.0
-
-
-def test_lambda_upper_bound_single_case_b_layer():
-    # layer 1 is case b with terms 0.3 (plus) and 0.1 (minus); the layer
-    # providing its xi sits in the final window position and has xi 0
-    tallies = [None, _tally("b", 60, 20, 100), _tally("c", 50, 0, 100), None]
-    assert lambda_upper_bound(tallies) == pytest.approx(0.3)
-
-
-def test_lambda_upper_bound_all_zero():
-    tallies = [None] + [_tally(f"l{i}", 0, 0, 16) for i in range(4)]
-    assert lambda_upper_bound(tallies) == 0.0
-
-
-def test_lambda_upper_bound_no_layers():
-    with pytest.raises(PlanError, match="no analyzable layers"):
-        lambda_upper_bound([None, None])
-
-
 def _plan_for(plus, minus, subsequent_ratio=0.625, lam=0.25):
     """5-block chain with the target tallies on conv1 and fixed xi."""
     ir = chain_ir([16] * 5)
@@ -153,6 +110,61 @@ def test_build_plan_tally_mismatch():
     }
     with pytest.raises(PlanError, match="unknown block 'ghost'"):
         build_plan(ir, tallies, PlannerConfig())
+
+
+def test_split_factor_examples():
+    assert _plan_for(plus=4, minus=12).per_block["conv1"].split == 2
+    assert _plan_for(plus=4, minus=1).per_block["conv1"].split == 1  # term below lambda
+    # the stated equivalence point: term 0.25 at lambda 0.25 gives split 2
+    assert _plan_for(plus=0, minus=8, subsequent_ratio=0.5).per_block["conv1"].split == 2
+
+
+def test_stretch_factor_examples():
+    assert _plan_for(plus=12, minus=4).per_block["conv1"].stretch == 1.25
+    assert _plan_for(plus=1, minus=0).per_block["conv1"].stretch == 1.0
+    assert _plan_for(plus=16, minus=0, subsequent_ratio=1.0).per_block["conv1"].stretch == 2.0
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.01, 2))
+@settings(max_examples=50)
+def test_factors_come_from_block_terms(seed, lam):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 7))
+    length = int(rng.integers(3, 9))
+    ir = chain_ir([m * 8] * length)
+    tallies = {t.layer_name: t for t in random_chain_tallies(rng, m, length) if t is not None}
+    ratios = stage_plus_ratios(ir, tallies)
+    terms = block_terms(ir, tallies)
+    plan = build_plan(ir, tallies, PlannerConfig(lam=lam))
+    assert list(terms) == [b.name for b in ir.blocks if not b.excluded]
+    for name, t in terms.items():
+        tally = tallies[name]
+        x = xi(ratios, ir.block(name).stage)
+        assert t.x_plus == (tally.n_plus / tally.n_total) * x
+        assert t.x_minus == (tally.n_minus / tally.n_total) * x
+        assert t.case == ("a" if tally.n_plus < tally.n_minus else "b")
+        entry = plan.per_block[name]
+        assert entry.split == 1 << psi(t.x_minus, lam)
+        assert entry.stretch == (1.0 if t.case == "a" else 1.0 + lam * psi(t.x_plus, lam))
+
+
+def test_lambda_upper_bound_single_case_b_layer():
+    # conv1 is case b with terms 0.3 (plus) and 0.1 (minus); conv2, which
+    # provides its xi, sits in the final window position and has xi 0
+    tallies = {"conv1": _tally("conv1", 60, 20, 100), "conv2": _tally("conv2", 50, 0, 100)}
+    plan = build_plan(chain_ir([16] * 4), tallies, PlannerConfig())
+    assert plan.lambda_o == pytest.approx(0.3)
+
+
+def test_lambda_upper_bound_all_zero():
+    tallies = {f"conv{i}": _tally(f"conv{i}", 0, 0, 16) for i in range(1, 4)}
+    assert build_plan(chain_ir([16] * 5), tallies, PlannerConfig()).lambda_o == 0.0
+
+
+def test_lambda_upper_bound_no_layers():
+    plan = build_plan(chain_ir([16] * 2), {}, PlannerConfig())
+    assert plan.lambda_o == 0.0
+    assert plan.is_identity()
 
 
 def test_stage_ratios_average_within_stage(inception_text):
@@ -274,7 +286,9 @@ def test_lambda_o_closes_every_factor():
         if plan.lambda_o <= 0:
             continue
         done += 1
-        assert plan.lambda_o == pytest.approx(lambda_upper_bound(seq), rel=1e-12)
+        per_layer = {i + 1: (t.n_plus, t.n_minus) for i, t in enumerate(seq) if t is not None}
+        bound = _rational_plan(per_layer, m, length, Fraction(1, 4))[1]
+        assert plan.lambda_o == pytest.approx(float(bound), rel=1e-12)
         closed = build_plan(ir, tallies, PlannerConfig(lam=plan.lambda_o * (1 + 1e-9)))
         assert closed.is_identity()
         open_ = build_plan(ir, tallies, PlannerConfig(lam=plan.lambda_o * 0.999))

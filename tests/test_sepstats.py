@@ -122,13 +122,6 @@ def test_tally_boundary_is_tie():
     assert (t.n_plus, t.n_minus, t.n_ties) == (0, 0, 4)
 
 
-def test_tally_unordered_mode():
-    prev = np.array([[1.0, 0.8], [0.8, 1.0]])
-    cur = np.array([[1.0, 0.5], [0.5, 1.0]])
-    t = separation_tally(prev, cur, ordered=False)
-    assert (t.n_plus, t.n_minus, t.n_ties, t.n_total) == (1, 0, 0, 1)
-
-
 def test_tally_sum_invariant_enforced():
     with pytest.raises(ValueError, match="!="):
         SeparationTally(layer_name="x", n_plus=1, n_minus=1, n_ties=1, n_total=4)
