@@ -1,9 +1,7 @@
 """convrefine: class-separation analysis and architecture refinement for conv nets."""
 
 from .featio import (
-    ActivationSet,
     ClassMeans,
-    class_means,
     load_manifest,
     read_labels_file,
     read_tensor_file,
@@ -34,10 +32,7 @@ from .planner import (
 )
 from .rewriter import SizeReport, apply_plan, size_report
 from .sepstats import (
-    CorrelationStack,
     SeparationTally,
-    correlation_matrix,
-    correlation_stack,
     network_statistics,
     separation_tally,
 )

@@ -21,12 +21,12 @@ def _read_ir(path) -> netir.NetworkIR:
     return netir.parse_network(Path(path).read_text())
 
 
-def _load_means(ir, manifest_path):
-    means = featio.load_manifest(manifest_path, ir)
-    missing = sorted({b.name for b in ir.blocks} - means.keys())
-    if missing:
-        raise featio.ManifestError(f"manifest has no dumps for block(s) {missing}")
-    return means
+def _statistics(args, ir, manifest) -> sepstats.NetworkStatistics:
+    """Correlations and tallies of ``ir``'s blocks from ``manifest``'s dumps."""
+    means = featio.load_manifest(manifest, ir)
+    return sepstats.network_statistics(
+        ir, means, tie_tol=args.tie_tol, strict=args.strict_degenerate
+    )
 
 
 def _outdirs(out, *subdirs) -> Path:
@@ -51,35 +51,23 @@ def _tally_table(ir, tallies) -> str:
 
 def cmd_analyze(args) -> int:
     ir = _read_ir(args.ir)
-    means = _load_means(ir, args.manifest)
-    stats = sepstats.network_statistics(
-        ir, means, tie_tol=args.tie_tol, strict=args.strict_degenerate
-    )
+    stats = _statistics(args, ir, args.manifest)
     base = _outdirs(args.out, "analysis")
-    for lc in stats.stack.layers:
+    for lc in stats.layers:
         sepstats.write_correlation_csv(base / "analysis" / f"{lc.layer_name}.corr.csv", lc.matrix)
         sepstats.write_correlation_pgm(base / "analysis" / f"{lc.layer_name}.corr.pgm", lc.matrix)
     (base / "analysis" / "tallies.txt").write_text(_tally_table(ir, stats.tallies))
     print(
-        f"analyzed {len(stats.stack.layers)} layers, {len(stats.tallies)} tallies"
+        f"analyzed {len(stats.layers)} layers, {len(stats.tallies)} tallies"
         f" -> {base / 'analysis'}"
     )
     return 0
 
 
-def _plan_from_inputs(args):
-    ir = _read_ir(args.ir)
-    means = _load_means(ir, args.manifest)
-    stats = sepstats.network_statistics(
-        ir, means, tie_tol=args.tie_tol, strict=args.strict_degenerate
-    )
-    return ir, stats.tallies
-
-
 def cmd_plan(args) -> int:
-    ir, tallies = _plan_from_inputs(args)
-    cfg = planner.PlannerConfig(lam=args.lam)
-    plan = planner.build_plan(ir, tallies, cfg)
+    ir = _read_ir(args.ir)
+    tallies = _statistics(args, ir, args.manifest).tallies
+    plan = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=args.lam))
     base = _outdirs(args.out, "plans")
     path = base / "plans" / f"lambda_{plan.lambda_used!r}.plan"
     path.write_text(planner.serialize_plan(plan))
@@ -100,15 +88,16 @@ def cmd_apply(args) -> int:
     report = rewriter.size_report(ir, refined)
     base = _outdirs(args.out, "refined", "reports")
     (base / "refined" / "refined.ir").write_text(netir.serialize_network(refined))
-    (base / "reports" / "size_report.txt").write_text(rewriter.render_size_report(report, ir))
-    (base / "reports" / "size_report.csv").write_text(rewriter.size_report_csv(report, ir))
+    (base / "reports" / "size_report.txt").write_text(rewriter.render_size_report(report))
+    (base / "reports" / "size_report.csv").write_text(rewriter.size_report_csv(report))
     print(f"reduction_pct={report.reduction_pct!r}")
     print(f"refined -> {base / 'refined' / 'refined.ir'}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    ir, tallies = _plan_from_inputs(args)
+    ir = _read_ir(args.ir)
+    tallies = _statistics(args, ir, args.manifest).tallies
     probe = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=0.25))
     lo = args.sweep_min
     hi = args.sweep_max
@@ -149,18 +138,13 @@ def cmd_iterate(args) -> int:
     ir = _read_ir(args.ir)
     base = _outdirs(args.out, "plans", "refined", "reports")
     for r, manifest in enumerate(manifests, start=1):
-        means = _load_means(ir, manifest)
-        tallies = sepstats.network_statistics(
-            ir, means, tie_tol=args.tie_tol, strict=args.strict_degenerate
-        ).tallies
+        tallies = _statistics(args, ir, manifest).tallies
         plan = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=args.lam))
         refined = rewriter.apply_plan(ir, plan)
         report = rewriter.size_report(ir, refined)
         (base / "plans" / f"round_{r}.plan").write_text(planner.serialize_plan(plan))
         (base / "refined" / f"round_{r}.ir").write_text(netir.serialize_network(refined))
-        (base / "reports" / f"round_{r}_size.txt").write_text(
-            rewriter.render_size_report(report, ir)
-        )
+        (base / "reports" / f"round_{r}_size.txt").write_text(rewriter.render_size_report(report))
         print(f"round {r}: reduction_pct={report.reduction_pct!r}")
         ir = refined
     return 0
@@ -250,10 +234,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,13 +21,13 @@ import numpy as np
 
 from .featio import (
     CHUNK_VALUES,
-    ActivationSet,
     BinaryFormat,
     TensorFormatError,
     check_payload,
     write_labels_file,
     write_tensor_chunks,
 )
+from .netir import _NAME_RE, _U32_MAX
 
 TRUTH_FORMAT = BinaryFormat(b"ATMH", "truth", "II")  # N, M
 
@@ -139,7 +139,7 @@ def synth_activations(profile: SynthProfile, seed: int):
     exactly zero-centered across hidden units and their Pearson matrix is
     the target T up to float rounding.  Per-image noise is re-centered
     within each class, leaving the class means (and thus every correlation)
-    untouched.  Returns (activation sets by layer, labels).
+    untouched.  Returns ({layer name: (N, width) float64 features}, labels).
     """
     m = profile.num_classes
     if m < 2:
@@ -150,7 +150,7 @@ def synth_activations(profile: SynthProfile, seed: int):
     labels = np.repeat(np.arange(m), profile.images_per_class)
     n = labels.size
 
-    sets: dict[str, ActivationSet] = {}
+    sets: dict[str, np.ndarray] = {}
     for layer in profile.layers:
         if layer.width < m + 1:
             raise ValueError(
@@ -180,9 +180,7 @@ def synth_activations(profile: SynthProfile, seed: int):
             feats += means[labels]
         else:
             feats = means[labels]
-        sets[layer.name] = ActivationSet(
-            layer_name=layer.name, features=feats, labels=labels, num_classes=m
-        )
+        sets[layer.name] = feats
     return sets, labels
 
 
@@ -204,7 +202,7 @@ def _dump_chunks(feats, spatial, rng):
 def write_activation_dumps(
     dest_dir, sets, labels, spatial: tuple[int, int] | None = (2, 2), seed: int = 0
 ) -> Path:
-    """Write ATNS/ATLB dumps plus a manifest; returns the manifest path.
+    """Write ``sets``' features as ATNS/ATLB dumps plus a manifest; returns its path.
 
     With ``spatial`` set, each pooled value is inflated to an HxW grid with
     zero-mean jitter so that average pooling recovers it; otherwise rank-2
@@ -217,7 +215,7 @@ def write_activation_dumps(
     rng = np.random.default_rng(seed)
     lines = []
     for name in sorted(sets):
-        feats = sets[name].features
+        feats = sets[name]
         shape = feats.shape if spatial is None else feats.shape + tuple(spatial)
         fname = f"{name}.atns"
         write_tensor_chunks(dest / fname, shape, _dump_chunks(feats, spatial, rng))
@@ -247,18 +245,28 @@ def load_profile(path) -> SynthProfile:
     Schema: {"num_classes": M, "images_per_class": n, "noise": optional,
     "layers": [{"name": ..., "width": ..., "rho": r | "matrix": [[...]]}]}.
     A missing or wrongly typed key raises ValueError naming the file and
-    the key.
+    the key, as do a negative or non-finite noise, an M x n image count
+    beyond the labels file's u32, and a layer name that is not a unique
+    block name.
     """
     with open(path) as fh:
         raw = json.load(fh)
     m = _profile_field(raw, "num_classes", str(path), int)
+    per_class = _profile_field(raw, "images_per_class", str(path), int)
+    if m * per_class > _U32_MAX:
+        raise ValueError(
+            f"{path}: bad value {raw['images_per_class']!r} for 'images_per_class':"
+            f" {m} classes of that many images exceed the u32 image count of a labels file"
+        )
     entries = _profile_field(raw, "layers", str(path))
     if not isinstance(entries, list):
         raise ValueError(f"{path}: bad value {entries!r} for 'layers': expected a list")
-    layers = []
+    layers: dict[str, SynthLayer] = {}
     for i, entry in enumerate(entries):
         where = f"{path}: layers[{i}]"
         name = _profile_field(entry, "name", where)
+        if not isinstance(name, str) or not _NAME_RE.fullmatch(name) or name in layers:
+            raise ValueError(f"{where}: bad value {name!r} for 'name': expected a new block name")
         width = _profile_field(entry, "width", where, int)
         if "matrix" in entry:
             target = _profile_field(
@@ -268,10 +276,10 @@ def load_profile(path) -> SynthProfile:
             target = uniform_target(m, _profile_field(entry, "rho", where, float))
         else:
             raise ValueError(f"{where}: profile has no 'rho' or 'matrix' key")
-        layers.append(SynthLayer(name=name, width=width, target=target))
+        layers[name] = SynthLayer(name=name, width=width, target=target)
+    noise = _profile_field(raw, "noise", str(path), float) if "noise" in raw else 0.05
+    if not 0 <= noise < math.inf:
+        raise ValueError(f"{path}: bad value {raw['noise']!r} for 'noise': must be finite, >= 0")
     return SynthProfile(
-        num_classes=m,
-        images_per_class=_profile_field(raw, "images_per_class", str(path), int),
-        layers=tuple(layers),
-        noise=_profile_field(raw, "noise", str(path), float) if "noise" in raw else 0.05,
+        num_classes=m, images_per_class=per_class, layers=tuple(layers.values()), noise=noise
     )

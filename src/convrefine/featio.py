@@ -47,34 +47,6 @@ CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
-class ActivationSet:
-    """Pooled features for one layer: rows are images, columns hidden units."""
-
-    layer_name: str
-    features: np.ndarray  # (N, h) float64
-    labels: np.ndarray  # (N,) int64 in [0, num_classes)
-    num_classes: int
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if feats.ndim != 2:
-            raise ValueError(f"layer {self.layer_name}: features must be rank 2")
-        if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
-            raise ValueError(f"layer {self.layer_name}: labels do not match feature rows")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be positive")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise ValueError(
-                f"layer {self.layer_name}: class index out of range 0..{self.num_classes - 1}"
-            )
-        if not np.all(np.isfinite(feats)):
-            raise ValueError(f"layer {self.layer_name}: non-finite feature values")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
-
-
-@dataclass(frozen=True, eq=False)
 class ClassMeans:
     """Row m is the mean feature vector of the images labelled m."""
 
@@ -197,53 +169,48 @@ def _pooled_chunks(fh, path, dims: tuple[int, ...], payload_off: int):
         yield lo, pooled
 
 
-class _ClassSums:
-    """Per-class sums of pooled feature rows, added chunk by chunk.
+def _class_means(layer_name: str, labels: np.ndarray, num_classes: int, width: int,
+                 chunks) -> ClassMeans:
+    """Per-class means of pooled feature rows, summed chunk by chunk.
 
+    ``chunks`` yields (first image, rows) for consecutive images.
     ``np.add.at`` adds into each entry of a class's sum the rows of that
     class one at a time in image order: the same order, and so the same
     float64 result, as ``rows.mean(axis=0)`` over that class's rows.  Every
     class 0..M-1 must be represented; an empty class is an error because its
     mean (and every correlation involving it) is undefined.
     """
-
-    def __init__(self, layer_name: str, labels: np.ndarray, num_classes: int, width: int):
-        # Labels lie in 0..num_classes-1, so every class has images exactly
-        # when there are num_classes distinct labels.  Nothing of size
-        # num_classes is allocated before that holds: a label read from a
-        # file can be near 2^32.
-        present, self.counts = np.unique(labels, return_counts=True)
-        if present.size < num_classes:
-            gaps = np.flatnonzero(present != np.arange(present.size))
-            empty = int(gaps[0]) if gaps.size else present.size
-            raise ValueError(f"layer {layer_name}: class {empty} has no images")
-        self.layer_name = layer_name
-        self.labels = labels
-        self.sums = np.zeros((num_classes, width), dtype=np.float64)
-        self.columns = np.arange(width)
-
-    def add(self, lo: int, rows: np.ndarray) -> None:
-        """Add the rows of images lo, lo+1, ... into their classes' sums."""
+    # Labels lie in 0..num_classes-1, so every class has images exactly
+    # when there are num_classes distinct labels.  Nothing of size
+    # num_classes is allocated before that holds: a label read from a
+    # file can be near 2^32.
+    present, counts = np.unique(labels, return_counts=True)
+    if present.size < num_classes:
+        gaps = np.flatnonzero(present != np.arange(present.size))
+        empty = int(gaps[0]) if gaps.size else present.size
+        raise ValueError(f"layer {layer_name}: class {empty} has no images")
+    sums = np.zeros((num_classes, width), dtype=np.float64)
+    columns = np.arange(width)
+    for lo, rows in chunks:
         # One flat index per value keeps the image order of every entry's
         # additions; 1-D np.add.at runs several times faster than whole rows.
-        width = self.columns.size
-        flat = self.labels[lo : lo + rows.shape[0], None] * width + self.columns
-        np.add.at(self.sums.reshape(-1), flat.reshape(-1), rows.reshape(-1))
-
-    def means(self) -> ClassMeans:
-        return ClassMeans(layer_name=self.layer_name, means=self.sums / self.counts[:, None])
+        flat = labels[lo : lo + rows.shape[0], None] * width + columns
+        np.add.at(sums.reshape(-1), flat.reshape(-1), rows.reshape(-1))
+    sums /= counts[:, None]
+    return ClassMeans(layer_name=layer_name, means=sums)
 
 
 def write_tensor_chunks(path, shape, chunks) -> None:
     """Write an ATNS tensor of ``shape`` from consecutive whole-image chunks.
 
     Each chunk is checked (rank, trailing dims, finite after the float32
-    cast) before its bytes are written; a failed write leaves no file.
+    cast) before its bytes are written; a failed write leaves no file, and
+    its error names the file.
     """
+    path = Path(path)
     shape = tuple(int(d) for d in shape)
     if len(shape) not in (2, 4):
-        raise ValueError(f"tensor rank must be 2 or 4, got {len(shape)}")
-    path = Path(path)
+        raise ValueError(f"{path}: tensor rank must be 2 or 4, got {len(shape)}")
     try:
         with open(path, "wb") as fh:
             fh.write(TENSOR_FORMAT.encode(len(shape), dims=shape))
@@ -252,13 +219,17 @@ def write_tensor_chunks(path, shape, chunks) -> None:
                 with np.errstate(over="ignore"):  # an overflow is refused below
                     values = np.ascontiguousarray(chunk, dtype="<f4")
                 if values.shape[1:] != shape[1:]:
-                    raise ValueError(f"chunk of shape {values.shape} does not fit tensor {shape}")
+                    raise ValueError(
+                        f"{path}: chunk of shape {values.shape} does not fit tensor {shape}"
+                    )
                 if not np.isfinite(values).all():
-                    raise ValueError("refusing to write non-finite values")
+                    raise ValueError(f"{path}: refusing to write non-finite values")
                 fh.write(values)
                 rows += values.shape[0]
             if rows != shape[0]:
-                raise ValueError(f"chunks hold {rows} images, tensor {shape} needs {shape[0]}")
+                raise ValueError(
+                    f"{path}: chunks hold {rows} images, tensor {shape} needs {shape[0]}"
+                )
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -286,22 +257,14 @@ def write_labels_file(path, labels) -> None:
         fh.write(np.ascontiguousarray(labels, dtype="<u4").tobytes())
 
 
-def class_means(activations: ActivationSet) -> ClassMeans:
-    """Mean pooled feature vector per class of in-memory features."""
-    feats = activations.features
-    sums = _ClassSums(activations.layer_name, activations.labels, activations.num_classes,
-                      feats.shape[1])
-    sums.add(0, feats)
-    return sums.means()
-
-
 def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, ClassMeans]:
     """Resolve a manifest into the class means of every listed layer.
 
     The number of classes is one more than the largest label.  All layers
     must share the labels file's image count, and every class must have
-    images.  When an IR is given, each layer name must exist in it and the
-    feature width must match the block's out_channels.
+    images.  When an IR is given, each layer name must exist in it, the
+    feature width must match the block's out_channels, and every block must
+    have a dump.
     """
     path = Path(path)
     layer_paths: list[tuple[str, Path]] = []
@@ -355,8 +318,12 @@ def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, ClassMeans]:
                         f"layer {name}: {dims[1]} hidden units in dump,"
                         f" block declares {block.out_channels}"
                     )
-            sums = _ClassSums(name, labels, num_classes, dims[1])
-            for lo, rows in _pooled_chunks(fh, tensor_path, dims, payload_off):
-                sums.add(lo, rows)
-        means[name] = sums.means()
+            means[name] = _class_means(
+                name, labels, num_classes, dims[1],
+                _pooled_chunks(fh, tensor_path, dims, payload_off),
+            )
+    if ir is not None:
+        missing = sorted({b.name for b in ir.blocks} - means.keys())
+        if missing:
+            raise ManifestError(f"{path}: manifest has no dumps for block(s) {missing}")
     return means

@@ -58,7 +58,7 @@ class ConvBlock:
     excluded: bool = False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NetworkIR:
     """A validated-on-demand DAG of conv blocks.
 
@@ -102,18 +102,6 @@ class NetworkIR:
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_preds", {k: tuple(v) for k, v in preds.items()})
         object.__setattr__(self, "_consumers", {k: tuple(v) for k, v in consumers.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, NetworkIR):
-            return NotImplemented
-        return (
-            self.blocks == other.blocks
-            and self.edges == other.edges
-            and self.num_stages == other.num_stages
-        )
-
-    def __hash__(self):
-        return hash((self.blocks, self.edges, self.num_stages))
 
     def block(self, name: str) -> ConvBlock:
         return self._by_name[name]

@@ -85,9 +85,6 @@ class RefinementPlan:
                     f" for lambda={self.lambda_used}"
                 )
 
-    def is_identity(self) -> bool:
-        return all(e.stretch == 1.0 and e.split == 1 for e in self.per_block.values())
-
 
 def psi(x: float, lam: float) -> int:
     """floor(x / lambda) with a snap against float noise at the boundary."""
@@ -278,11 +275,3 @@ def parse_plan(text: str) -> RefinementPlan:
         raise PlanError("plan file must carry lambda= and lambda_o= headers")
     return RefinementPlan(per_block=entries, lambda_used=lam, lambda_o=lam_o)
 
-
-def identity_plan(ir: NetworkIR, lam: float = 0.25) -> RefinementPlan:
-    """A plan that leaves every block untouched."""
-    entries = {
-        b.name: PlanEntry(stretch=1.0, split=1, case="x" if b.excluded else "b")
-        for b in ir.blocks
-    }
-    return RefinementPlan(per_block=entries, lambda_used=lam, lambda_o=0.0)

@@ -31,7 +31,7 @@ class SizeReport:
     original_conv_params: int
     refined_conv_params: int
     reduction_pct: float
-    per_block: dict[str, tuple[int, int]]  # name -> (before, after)
+    per_block: dict[str, tuple[int, int]]  # name -> (before, after), in (stage, name) order
 
     def __post_init__(self):
         want = 100.0 * (1.0 - self.refined_conv_params / self.original_conv_params)
@@ -121,29 +121,21 @@ def size_report(before: NetworkIR, after: NetworkIR) -> SizeReport:
     )
 
 
-def _block_order(ir: NetworkIR):
-    return [b.name for b in ir.blocks]
-
-
-def render_size_report(report: SizeReport, ir: NetworkIR | None = None) -> str:
-    names = _block_order(ir) if ir is not None else sorted(report.per_block)
+def render_size_report(report: SizeReport) -> str:
     lines = [
         f"original_conv_params={report.original_conv_params}",
         f"refined_conv_params={report.refined_conv_params}",
         f"reduction_pct={report.reduction_pct!r}",
     ]
-    for name in names:
-        b, a = report.per_block[name]
+    for name, (b, a) in report.per_block.items():
         delta = 100.0 * (1.0 - a / b)
         lines.append(f"block {name} before={b} after={a} delta_pct={delta!r}")
     return "\n".join(lines) + "\n"
 
 
-def size_report_csv(report: SizeReport, ir: NetworkIR | None = None) -> str:
-    names = _block_order(ir) if ir is not None else sorted(report.per_block)
+def size_report_csv(report: SizeReport) -> str:
     lines = ["block,before,after,delta_pct"]
-    for name in names:
-        b, a = report.per_block[name]
+    for name, (b, a) in report.per_block.items():
         lines.append(f"{name},{b},{a},{100.0 * (1.0 - a / b)!r}")
     lines.append(
         f"TOTAL,{report.original_conv_params},{report.refined_conv_params},"

@@ -33,17 +33,6 @@ class DegenerateClassWarning(UserWarning):
 class LayerCorrelation:
     layer_name: str
     matrix: np.ndarray  # (M, M) float64
-    degenerate: tuple[int, ...]  # classes with constant mean vectors
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationStack:
-    layers: tuple[LayerCorrelation, ...]
-    num_classes: int
-
-    @property
-    def per_layer(self) -> list[tuple[str, np.ndarray]]:
-        return [(lc.layer_name, lc.matrix) for lc in self.layers]
 
 
 @dataclass(frozen=True)
@@ -71,9 +60,9 @@ def correlation_layer(means: ClassMeans, strict: bool = False) -> LayerCorrelati
     """Pearson correlation of every ordered pair of class-mean vectors.
 
     A constant (zero-variance) mean vector has no defined correlation; its
-    row and column are set to 0 and the class is flagged, with a warning
-    (or an error in strict mode).  Non-degenerate diagonal entries are
-    exactly 1 and the matrix is exactly symmetric with entries in [-1, 1].
+    row and column are set to 0 and a warning names the class (strict mode
+    raises instead).  Non-degenerate diagonal entries are exactly 1 and the
+    matrix is exactly symmetric with entries in [-1, 1].
     """
     g = np.asarray(means.means, dtype=np.float64)
     if g.ndim != 2:
@@ -85,11 +74,11 @@ def correlation_layer(means: ClassMeans, strict: bool = False) -> LayerCorrelati
         )
     centered = g - g.mean(axis=1, keepdims=True)
     norms = np.sqrt((centered * centered).sum(axis=1))
-    degenerate = tuple(int(i) for i in np.flatnonzero(norms == 0.0))
+    degenerate = [int(i) for i in np.flatnonzero(norms == 0.0)]
     if degenerate:
         msg = (
             f"layer {means.layer_name}: constant class mean vector(s) for"
-            f" class(es) {list(degenerate)}; correlations set to 0"
+            f" class(es) {degenerate}; correlations set to 0"
         )
         if strict:
             raise DegenerateClassError(msg)
@@ -100,25 +89,9 @@ def correlation_layer(means: ClassMeans, strict: bool = False) -> LayerCorrelati
     corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
     if degenerate:
-        idx = list(degenerate)
-        corr[idx, :] = 0.0
-        corr[:, idx] = 0.0
-    return LayerCorrelation(layer_name=means.layer_name, matrix=corr, degenerate=degenerate)
-
-
-def correlation_matrix(means: ClassMeans, strict: bool = False) -> np.ndarray:
-    return correlation_layer(means, strict=strict).matrix
-
-
-def correlation_stack(means_by_stage, strict: bool = False) -> CorrelationStack:
-    """Correlation matrices for a sequence of layers, given in stage order."""
-    layers = tuple(correlation_layer(m, strict=strict) for m in means_by_stage)
-    if not layers:
-        raise ValueError("no layers given")
-    sizes = {lc.matrix.shape[0] for lc in layers}
-    if len(sizes) != 1:
-        raise ValueError(f"layers disagree on the number of classes: {sorted(sizes)}")
-    return CorrelationStack(layers=layers, num_classes=layers[0].matrix.shape[0])
+        corr[degenerate, :] = 0.0
+        corr[:, degenerate] = 0.0
+    return LayerCorrelation(layer_name=means.layer_name, matrix=corr)
 
 
 def separation_tally(
@@ -157,7 +130,7 @@ def separation_tally(
 
 @dataclass(frozen=True, eq=False)
 class NetworkStatistics:
-    stack: CorrelationStack  # one matrix per block, in analysis (stage, name) order
+    layers: tuple[LayerCorrelation, ...]  # one per block, in the IR's (stage, name) order
     tallies: dict[str, SeparationTally]  # blocks that have a predecessor
 
 
@@ -177,8 +150,11 @@ def network_statistics(
     for b in ir.blocks:
         if b.name not in means_by_layer:
             raise ValueError(f"no class means supplied for block {b.name}")
-    stack = correlation_stack([means_by_layer[b.name] for b in ir.blocks], strict=strict)
-    matrix_of = {b.name: lc.matrix for b, lc in zip(ir.blocks, stack.layers)}
+    layers = tuple(correlation_layer(means_by_layer[b.name], strict=strict) for b in ir.blocks)
+    sizes = {lc.matrix.shape[0] for lc in layers}
+    if len(sizes) > 1:
+        raise ValueError(f"layers disagree on the number of classes: {sorted(sizes)}")
+    matrix_of = {b.name: lc.matrix for b, lc in zip(ir.blocks, layers)}
 
     tallies: dict[str, SeparationTally] = {}
     for b in ir.blocks:
@@ -197,7 +173,7 @@ def network_statistics(
         tallies[b.name] = separation_tally(
             prev_matrix, matrix_of[b.name], tie_tol=tie_tol, layer_name=b.name
         )
-    return NetworkStatistics(stack=stack, tallies=tallies)
+    return NetworkStatistics(layers=layers, tallies=tallies)
 
 
 def write_correlation_csv(path, matrix: np.ndarray) -> None:

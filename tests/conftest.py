@@ -1,11 +1,39 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from convrefine import featio
 from convrefine.netir import ConvBlock, auto_excluded, make_network
+from convrefine.planner import PlanEntry, RefinementPlan
 from convrefine.sepstats import SeparationTally
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def class_means(name, feats, labels, num_classes=None):
+    """Class means of in-memory pooled features, summed as a streamed dump is.
+
+    ``num_classes`` defaults to one more than the largest label, as in
+    ``load_manifest``.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    feats = np.asarray(feats, dtype=np.float64)
+    m = int(labels.max()) + 1 if num_classes is None else num_classes
+    return featio._class_means(name, labels, m, feats.shape[1], [(0, feats)])
+
+
+def identity_plan(ir, lam=0.25):
+    """A plan that leaves every block untouched."""
+    entries = {
+        b.name: PlanEntry(stretch=1.0, split=1, case="x" if b.excluded else "b")
+        for b in ir.blocks
+    }
+    return RefinementPlan(per_block=entries, lambda_used=lam, lambda_o=0.0)
+
+
+def is_identity(plan):
+    return all(e.stretch == 1.0 and e.split == 1 for e in plan.per_block.values())
 
 
 def chain_ir(widths, in0=3, kernel=3, bias=False, groups=None):

@@ -243,6 +243,18 @@ def test_iterate_round_count_mismatch(workdir, capsys):
     assert "2 round(s) requested but 1 manifest(s) given" in capsys.readouterr().err
 
 
+def test_manifest_without_a_blocks_dump_fails(workdir, capsys):
+    manifest = workdir / "dumps" / "partial.txt"
+    lines = (workdir / "dumps" / "manifest.txt").read_text().splitlines()
+    manifest.write_text("\n".join(line for line in lines if "conv3" not in line) + "\n")
+    rc = _run("analyze", "--ir", workdir / "net.ir", "--manifest", manifest,
+              "--out", workdir / "run")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {manifest}: manifest has no dumps for block(s) ['conv3']" in err
+    assert not (workdir / "run").exists()
+
+
 def test_empty_manifest_fails(workdir, capsys):
     bad = workdir / "empty.txt"
     bad.write_text("# nothing\n")
@@ -389,8 +401,16 @@ def test_synth_profile_missing_key_reported(tmp_path, capsys, drop, where):
         ((), {"layers": 5}, "", "layers"),
         (("layers", 0), {"width": [1]}, ": layers[0]", "width"),
         ((), {"num_classes": "abc"}, "", "num_classes"),
+        ((), {"noise": -1}, "", "noise"),
+        ((), {"noise": float("nan")}, "", "noise"),
+        ((), {"noise": float("inf")}, "", "noise"),
+        # 4 x 1e308 images: more than a labels file's u32 count can hold
+        ((), {"images_per_class": 1e308}, "", "images_per_class"),
+        (("layers", 1), {"name": "a b"}, ": layers[1]", "name"),
+        (("layers", 1), {"name": "conv0"}, ": layers[1]", "name"),
     ],
-    ids=["layers-int", "width-list", "num_classes-text"],
+    ids=["layers-int", "width-list", "num_classes-text", "noise-negative", "noise-nan",
+         "noise-inf", "images-beyond-u32", "name-not-a-block-name", "name-duplicate"],
 )
 def test_synth_profile_bad_type_reported(tmp_path, capsys, step, value, where, key):
     profile = json.loads(json.dumps(PROFILE))
@@ -404,3 +424,5 @@ def test_synth_profile_bad_type_reported(tmp_path, capsys, step, value, where, k
     assert rc == 1
     err = capsys.readouterr().err
     assert f"error: {path}{where}: bad value {value[key]!r} for {key!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "dumps").exists()

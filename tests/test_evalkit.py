@@ -16,10 +16,12 @@ from convrefine.evalkit import (
     write_activation_dumps,
     write_truth_file,
 )
-from convrefine.featio import TensorFormatError, class_means, load_manifest
+from convrefine.featio import TensorFormatError, load_manifest
 from convrefine.netir import parse_network
 from convrefine.planner import PlannerConfig, build_plan
-from convrefine.sepstats import correlation_matrix, network_statistics
+from convrefine.sepstats import correlation_layer, network_statistics
+
+from conftest import class_means
 
 
 def test_precision_perfect():
@@ -154,7 +156,7 @@ def test_synth_hits_targets():
     sets, labels = synth_activations(_profile([0.1, 0.55, -0.2]), seed=3)
     assert labels.size == 20
     for i, rho in enumerate([0.1, 0.55, -0.2]):
-        c = correlation_matrix(class_means(sets[f"conv{i}"]))
+        c = correlation_layer(class_means(f"conv{i}", sets[f"conv{i}"], labels)).matrix
         off = c[~np.eye(4, dtype=bool)]
         np.testing.assert_allclose(off, rho, atol=0.05)
         np.testing.assert_allclose(off, rho, atol=1e-9)  # construction is near-exact
@@ -180,7 +182,7 @@ def test_chunked_dumps_match_whole_tensor_reference(tmp_path, monkeypatch, chunk
     write_activation_dumps(tmp_path / "flat", sets, labels, spatial=None, seed=5)
     rng = np.random.default_rng(5)
     for name in sorted(sets):
-        feats = sets[name].features
+        feats = sets[name]
         n, c = feats.shape
         tiled = np.repeat(feats[:, :, None, None], 6, axis=2).reshape(n, c, 2, 3)
         jitter = rng.standard_normal(tiled.shape) * 0.01
@@ -216,7 +218,7 @@ def test_synth_identical_layers_tally_all_ties(tmp_path):
         ),
     )
     sets, labels = synth_activations(profile, seed=5)
-    means = {n: class_means(s) for n, s in sets.items()}
+    means = {n: class_means(n, s, labels) for n, s in sets.items()}
     t = network_statistics(ir, means, tie_tol=1e-6).tallies["conv1"]
     assert (t.n_plus, t.n_minus, t.n_ties) == (0, 0, 16)
 

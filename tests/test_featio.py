@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 from convrefine import featio
 from convrefine.evalkit import read_truth_file, write_truth_file
 from convrefine.featio import (
-    ActivationSet,
     ManifestError,
     TensorFormatError,
-    class_means,
     load_manifest,
     read_labels_file,
     read_tensor_file,
@@ -20,6 +18,8 @@ from convrefine.featio import (
     write_tensor_file,
 )
 from convrefine.netir import parse_network
+
+from conftest import class_means
 
 
 def test_tensor_header_layout_is_pinned(tmp_path):
@@ -119,30 +119,18 @@ def test_pool_preserves_means(n, c, h, w, seed):
 
 
 def test_class_means_hand_example():
-    a = ActivationSet(
-        layer_name="l",
-        features=np.array([[0.0, 2.0], [2.0, 0.0]]),
-        labels=np.array([0, 0]),
-        num_classes=1,
-    )
-    np.testing.assert_array_equal(class_means(a).means, [[1.0, 1.0]])
+    means = class_means("l", np.array([[0.0, 2.0], [2.0, 0.0]]), np.array([0, 0]))
+    np.testing.assert_array_equal(means.means, [[1.0, 1.0]])
 
 
 def test_class_means_single_image_per_class():
     feats = np.array([[1.0, 2.0], [3.0, 4.0]])
-    a = ActivationSet(layer_name="l", features=feats, labels=np.array([0, 1]), num_classes=2)
-    np.testing.assert_array_equal(class_means(a).means, feats)
+    np.testing.assert_array_equal(class_means("l", feats, np.array([0, 1])).means, feats)
 
 
 def test_class_means_missing_class():
-    a = ActivationSet(
-        layer_name="l",
-        features=np.zeros((2, 3)),
-        labels=np.array([0, 0]),
-        num_classes=2,
-    )
     with pytest.raises(ValueError, match="class 1 has no images"):
-        class_means(a)
+        class_means("l", np.zeros((2, 3)), np.array([0, 0]), num_classes=2)
 
 
 def test_class_means_permutation_invariant():
@@ -150,10 +138,12 @@ def test_class_means_permutation_invariant():
     feats = rng.standard_normal((12, 5))
     labels = rng.integers(0, 3, size=12)
     labels[:3] = [0, 1, 2]  # every class present
-    a = ActivationSet(layer_name="l", features=feats, labels=labels, num_classes=3)
     perm = rng.permutation(12)
-    b = ActivationSet(layer_name="l", features=feats[perm], labels=labels[perm], num_classes=3)
-    np.testing.assert_allclose(class_means(a).means, class_means(b).means, atol=1e-12)
+    np.testing.assert_allclose(
+        class_means("l", feats, labels).means,
+        class_means("l", feats[perm], labels[perm]).means,
+        atol=1e-12,
+    )
 
 
 def _write_dumps(tmp_path, feats_by_name, labels):
@@ -314,11 +304,14 @@ def test_chunked_write_checks_every_chunk(tmp_path):
         ([good, np.ones((2, 4))], "does not fit"),
         ([good], "hold 2 images"),
     ]:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as info:
             featio.write_tensor_chunks(path, (4, 3), chunks)
+        assert str(info.value).startswith(f"{path}: ")
         assert not path.exists()
-    with pytest.raises(ValueError, match="rank must be 2 or 4"):
+    with pytest.raises(ValueError, match="rank must be 2 or 4") as info:
         write_tensor_file(path, np.ones(3))
+    assert str(info.value).startswith(f"{path}: ")
+    assert not path.exists()
 
 
 def _valid_files(tmp):

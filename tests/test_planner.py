@@ -14,7 +14,6 @@ from convrefine.planner import (
     block_terms,
     build_plan,
     check_lambda,
-    identity_plan,
     parse_plan,
     psi,
     serialize_plan,
@@ -23,7 +22,7 @@ from convrefine.planner import (
 )
 from convrefine.sepstats import SeparationTally
 
-from conftest import chain_ir, random_chain_tallies
+from conftest import chain_ir, identity_plan, is_identity, random_chain_tallies
 
 
 def _tally(name, plus, minus, total):
@@ -164,7 +163,7 @@ def test_lambda_upper_bound_all_zero():
 def test_lambda_upper_bound_no_layers():
     plan = build_plan(chain_ir([16] * 2), {}, PlannerConfig())
     assert plan.lambda_o == 0.0
-    assert plan.is_identity()
+    assert is_identity(plan)
 
 
 def test_stage_ratios_average_within_stage(inception_text):
@@ -290,9 +289,9 @@ def test_lambda_o_closes_every_factor():
         bound = _rational_plan(per_layer, m, length, Fraction(1, 4))[1]
         assert plan.lambda_o == pytest.approx(float(bound), rel=1e-12)
         closed = build_plan(ir, tallies, PlannerConfig(lam=plan.lambda_o * (1 + 1e-9)))
-        assert closed.is_identity()
+        assert is_identity(closed)
         open_ = build_plan(ir, tallies, PlannerConfig(lam=plan.lambda_o * 0.999))
-        assert not open_.is_identity()
+        assert not is_identity(open_)
 
 
 def _rational_plan(per_layer, num_classes, num_layers, lam: Fraction):
@@ -354,4 +353,4 @@ def test_build_plan_matches_exact_rational_oracle():
 
 def test_identity_plan_is_identity():
     ir = chain_ir([8] * 4)
-    assert identity_plan(ir).is_identity()
+    assert is_identity(identity_plan(ir))

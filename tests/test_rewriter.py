@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from convrefine.netir import ConvBlock, make_network, param_count, parse_network, serialize_network
-from convrefine.planner import PlanEntry, RefinementPlan, identity_plan
+from convrefine.planner import PlanEntry, RefinementPlan
 from convrefine.rewriter import (
     RewriteError,
     SizeReport,
@@ -13,7 +13,7 @@ from convrefine.rewriter import (
     size_report_csv,
 )
 
-from conftest import chain_ir
+from conftest import chain_ir, identity_plan
 
 
 def _plan(ir, overrides, lam=0.25):
@@ -207,10 +207,23 @@ def test_report_rendering(tmp_path):
     ir = chain_ir([16, 16, 16])
     plan = _plan(ir, {"conv1": PlanEntry(1.0, 2, "a")})
     report = size_report(ir, apply_plan(ir, plan))
-    text = render_size_report(report, ir)
+    text = render_size_report(report)
     assert text.startswith("original_conv_params=")
     assert "block conv1 " in text
-    csv = size_report_csv(report, ir)
+    csv = size_report_csv(report)
     lines = csv.splitlines()
     assert lines[0] == "block,before,after,delta_pct"
     assert lines[-1].startswith("TOTAL,")
+
+
+def test_reports_list_blocks_in_stage_order():
+    # (stage, name) order is z, b, a; sorted names would give a, b, z
+    ir = parse_network(
+        "block a in=8 out=8 k=3x3 group=1 stage=2 prev=b\n"
+        "block z in=3 out=8 k=3x3 group=1 stage=0\n"
+        "block b in=8 out=8 k=3x3 group=1 stage=1 prev=z\n"
+    )
+    report = size_report(ir, apply_plan(ir, _plan(ir, {"b": PlanEntry(1.0, 2, "a")})))
+    text_names = [line.split()[1] for line in render_size_report(report).splitlines()[3:]]
+    csv_names = [line.split(",")[0] for line in size_report_csv(report).splitlines()[1:-1]]
+    assert text_names == csv_names == ["z", "b", "a"]
