@@ -97,8 +97,8 @@ def cmd_apply(args) -> int:
 
 def cmd_sweep(args) -> int:
     ir = _read_ir(args.ir)
-    tallies = _statistics(args, ir, args.manifest).tallies
-    probe = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=0.25))
+    terms = planner.block_terms(ir, _statistics(args, ir, args.manifest).tallies)
+    probe = planner.plan_from_terms(ir, terms, planner.PlannerConfig(lam=0.25))
     lo = args.sweep_min
     hi = args.sweep_max
     if hi is None:
@@ -114,8 +114,11 @@ def cmd_sweep(args) -> int:
         header.extend((f"{name}_stretch", f"{name}_split"))
     rows = [f"# lambda_o={probe.lambda_o!r}", ",".join(header)]
     for lam in grid:
-        plan = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=float(lam)))
-        refined = rewriter.apply_plan(ir, plan)
+        plan = planner.plan_from_terms(ir, terms, planner.PlannerConfig(lam=float(lam)))
+        try:
+            refined = rewriter.apply_plan(ir, plan)
+        except ValueError as exc:
+            raise ValueError(f"lambda={float(lam)!r}: {exc}") from None
         total = netir.param_count(refined).conv_total
         row = [repr(float(lam)), str(int(lam > probe.lambda_o)), str(total)]
         for name in names:

@@ -184,13 +184,17 @@ def block_terms(ir: NetworkIR, tallies) -> dict[str, BlockTerms]:
 
 
 def build_plan(ir: NetworkIR, tallies, cfg: PlannerConfig) -> RefinementPlan:
-    """Stretch/split factors for every block of the network.
+    """Stretch/split factors for every block of the network."""
+    return plan_from_terms(ir, block_terms(ir, tallies), cfg)
 
-    The factors and lambda_o all come from :func:`block_terms`: the split is
-    2**psi(x-), the case-b stretch 1 + lambda*psi(x+), and lambda_o the
-    largest term any block floors.
+
+def plan_from_terms(ir: NetworkIR, terms, cfg: PlannerConfig) -> RefinementPlan:
+    """The plan at ``cfg.lam`` from the :func:`block_terms` of ``ir``.
+
+    The split is 2**psi(x-), the case-b stretch 1 + lambda*psi(x+), and
+    lambda_o the largest term any block floors.  ``terms`` is only read, so
+    one result of :func:`block_terms` serves every lambda of a sweep.
     """
-    terms = block_terms(ir, tallies)
     entries: dict[str, PlanEntry] = {}
     for b in ir.blocks:
         t = terms.get(b.name)

@@ -177,10 +177,19 @@ def network_statistics(
 
 
 def write_correlation_csv(path, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=np.float64)
+    """One matrix row per line, cells joined by ``,``, ``\\n`` line ends.
+
+    Each cell is ``repr`` of the float64 value, Python's shortest text that
+    reads back to the same float.  Each distinct bit pattern is formatted
+    once (a correlation matrix is symmetric, so that halves the ``repr``
+    calls); bits rather than values keep ``-0.0`` apart from ``0.0``.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    bits, inverse = np.unique(matrix.view(np.uint64).ravel(), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     with open(path, "w") as fh:
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in inverse.reshape(matrix.shape):
+            fh.write(",".join(text[row].tolist()) + "\n")
 
 
 def write_correlation_pgm(path, matrix: np.ndarray) -> None:

@@ -23,6 +23,11 @@ def class_means(name, feats, labels, num_classes=None):
     return featio._class_means(name, labels, m, feats.shape[1], [(0, feats)])
 
 
+def reference_csv(rows) -> str:
+    """The correlation CSV format, one ``repr`` call per cell."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+
 def identity_plan(ir, lam=0.25):
     """A plan that leaves every block untouched."""
     entries = {

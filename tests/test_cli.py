@@ -11,10 +11,18 @@ import pytest
 import convrefine
 from convrefine.cli import main
 from convrefine.evalkit import write_truth_file
-from convrefine.featio import write_labels_file, write_tensor_file
+from convrefine.featio import (
+    load_manifest,
+    read_labels_file,
+    write_labels_file,
+    write_tensor_file,
+)
 from convrefine.netir import parse_network, serialize_network
 from convrefine.planner import parse_plan
-from convrefine.sepstats import DegenerateClassWarning
+from convrefine.rewriter import WidthRoundingWarning
+from convrefine.sepstats import DegenerateClassWarning, correlation_layer
+
+from conftest import FIXTURES, reference_csv
 
 CHAIN_IR = "\n".join(
     f"block conv{i} in={3 if i == 0 else 16} out=16 k=3x3 group=1 stage={i}"
@@ -49,13 +57,27 @@ def _run(*argv):
 
 
 def test_analyze_outputs(workdir, capsys):
+    # class 1 of conv4 gets a constant mean, so its row and column are zeros
+    manifest = workdir / "dumps" / "manifest.txt"
+    labels = read_labels_file(workdir / "dumps" / "labels.atlb")
+    feats = np.random.default_rng(5).standard_normal((labels.size, 16))
+    feats[labels == 1] = 3.25
+    write_tensor_file(workdir / "dumps" / "conv4.atns", feats)
     out = workdir / "run"
-    rc = _run("analyze", "--ir", workdir / "net.ir", "--manifest",
-              workdir / "dumps" / "manifest.txt", "--out", out)
+    with pytest.warns(DegenerateClassWarning, match=r"layer conv4: .* class\(es\) \[1\]"):
+        rc = _run("analyze", "--ir", workdir / "net.ir", "--manifest", manifest, "--out", out)
     assert rc == 0
+    means = load_manifest(manifest, parse_network(CHAIN_IR))
     for i in range(6):
-        assert (out / "analysis" / f"conv{i}.corr.csv").exists()
         assert (out / "analysis" / f"conv{i}.corr.pgm").exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateClassWarning)
+            matrix = correlation_layer(means[f"conv{i}"]).matrix
+        csv = (out / "analysis" / f"conv{i}.corr.csv").read_bytes()
+        assert csv == reference_csv(matrix).encode("ascii")
+    conv4_rows = (out / "analysis" / "conv4.corr.csv").read_text().splitlines()
+    assert conv4_rows[1] == "0.0,0.0,0.0,0.0"
+    assert all(row.split(",")[1] == "0.0" for row in conv4_rows)
     tallies = (out / "analysis" / "tallies.txt").read_text()
     assert tallies.count("\n") == 5  # one line per block with a predecessor
     assert "tally conv1 stage=1" in tallies
@@ -141,6 +163,29 @@ def test_sweep(workdir):
     # split columns fall monotonically as lambda grows
     for prev, cur in zip(rows, rows[1:]):
         assert all(int(c) <= int(p) for p, c in zip(prev[4::2], cur[4::2]))
+
+
+def test_sweep_u32_error_names_lambda(tmp_path, capsys):
+    # at lambda 0.001 conv1_1's stretch leaves the u32 bound of the IR grammar
+    blocks = parse_network((FIXTURES / "vgg11.ir").read_text()).blocks
+    rhos = [0.1, 0.3, 0.6, 0.4, 0.2, 0.05, 0.3, 0.1]
+    profile = dict(PROFILE, layers=[
+        {"name": b.name, "width": b.out_channels, "rho": r} for b, r in zip(blocks, rhos)
+    ])
+    (tmp_path / "vgg.json").write_text(json.dumps(profile))
+    assert _run("synth", "--profile", tmp_path / "vgg.json", "--seed", "7", "--flat",
+                "--out", tmp_path / "dumps") == 0
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WidthRoundingWarning)
+        rc = _run("sweep", "--ir", FIXTURES / "vgg11.ir", "--manifest",
+                  tmp_path / "dumps" / "manifest.txt", "--sweep-min", "0.001", "--out", out)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: lambda=0.001: block conv1_1: out_channels " in err
+    assert err.rstrip().endswith("does not fit in a u32")
+    assert "Traceback" not in err
+    assert not (out / "reports" / "sweep.csv").exists()
 
 
 def test_iterate_composes_groups(workdir):

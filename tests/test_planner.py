@@ -15,6 +15,7 @@ from convrefine.planner import (
     build_plan,
     check_lambda,
     parse_plan,
+    plan_from_terms,
     psi,
     serialize_plan,
     stage_plus_ratios,
@@ -22,7 +23,13 @@ from convrefine.planner import (
 )
 from convrefine.sepstats import SeparationTally
 
-from conftest import chain_ir, identity_plan, is_identity, random_chain_tallies
+from conftest import (
+    chain_ir,
+    identity_plan,
+    is_identity,
+    random_chain_tallies,
+    random_ir,
+)
 
 
 def _tally(name, plus, minus, total):
@@ -145,6 +152,28 @@ def test_factors_come_from_block_terms(seed, lam):
         entry = plan.per_block[name]
         assert entry.split == 1 << psi(t.x_minus, lam)
         assert entry.stretch == (1.0 if t.case == "a" else 1.0 + lam * psi(t.x_plus, lam))
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.01, 2), min_size=1, max_size=5))
+@settings(max_examples=50)
+def test_one_set_of_terms_serves_every_lambda(seed, lams):
+    # sweep computes block_terms once and plans every grid lambda from it
+    rng = np.random.default_rng(seed)
+    ir = random_ir(rng)
+    m = int(rng.integers(2, 7))
+    total, offdiag = m * m, m * m - m
+    tallies = {}
+    for b in ir.blocks:
+        plus = int(rng.integers(0, offdiag + 1))
+        minus = int(rng.integers(0, offdiag - plus + 1))
+        tallies[b.name] = _tally(b.name, plus, minus, total)
+    terms = block_terms(ir, tallies)
+    for lam in lams:
+        cfg = PlannerConfig(lam=lam)
+        got, want = plan_from_terms(ir, terms, cfg), build_plan(ir, tallies, cfg)
+        assert got.per_block == want.per_block
+        assert (got.lambda_used, got.lambda_o) == (want.lambda_used, want.lambda_o)
+    assert terms == block_terms(ir, tallies)
 
 
 def test_lambda_upper_bound_single_case_b_layer():

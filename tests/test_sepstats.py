@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convrefine.featio import ClassMeans
 from convrefine.netir import parse_network
@@ -13,6 +16,8 @@ from convrefine.sepstats import (
     write_correlation_csv,
     write_correlation_pgm,
 )
+
+from conftest import reference_csv
 
 
 def _means(rows, name="l"):
@@ -212,6 +217,40 @@ def test_csv_export_reparses(tmp_path):
         [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()]
     )
     np.testing.assert_array_equal(back, c)
+
+
+# signed zeros, infinities, NaN, subnormals and values whose shortest text
+# switches between positional and exponent notation
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5e-310,
+                  1e16, 1e-5, 1e-4, 9999999999999998.0, 0.1, 1.0, -1.0]
+
+
+@st.composite
+def csv_inputs(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    # a small pool makes repeated values, and so shared text, common
+    pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=6))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    matrix = np.array(cells, dtype=np.float64).reshape(rows, cols)
+    if rows == cols and draw(st.booleans()):
+        matrix = np.where(np.tri(rows, dtype=bool), matrix.T, matrix)  # mirror the bits
+    form = draw(st.sampled_from(["c", "fortran", "float32", "list"]))
+    if form == "fortran":
+        return np.asfortranarray(matrix)
+    if form == "float32":
+        with np.errstate(over="ignore"):
+            return matrix.astype(np.float32)
+    if form == "list":
+        return matrix.tolist()
+    return matrix
+
+
+@given(csv_inputs())
+@settings(max_examples=200)
+def test_csv_export_matches_per_cell_repr(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("csv") / "c.csv"
+    write_correlation_csv(path, matrix)
+    assert path.read_bytes() == reference_csv(matrix).encode("ascii")
 
 
 def test_pgm_export_mapping(tmp_path):
