@@ -9,7 +9,10 @@ to stderr, data goes to files under --out.
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +52,99 @@ def _tally_table(ir, tallies) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _write_share(dest, layers, k, shares):
+    """Write the maps of layers k, k+shares, ...; ``(index, exception)`` of the first failure."""
+    for i in range(k, len(layers), shares):
+        lc = layers[i]
+        try:
+            sepstats.write_correlation_csv(dest / f"{lc.layer_name}.corr.csv", lc.matrix)
+            sepstats.write_correlation_pgm(dest / f"{lc.layer_name}.corr.pgm", lc.matrix)
+        except Exception as exc:  # reported by the parent, lowest layer index first
+            return i, exc
+    return None
+
+
+def _report(failure) -> bytes:
+    """Pickled ``failure``; an exception that does not round-trip becomes its text."""
+    try:
+        blob = pickle.dumps(failure)
+        pickle.loads(blob)
+        return blob
+    except Exception:
+        i, exc = failure
+        return pickle.dumps((i, OSError(str(exc))))
+
+
+def _write_maps(dest, layers) -> None:
+    """Each layer's ``.corr.csv`` and ``.corr.pgm`` under ``dest``, one process per usable CPU.
+
+    Formatting the CSV cells holds the interpreter lock, so the layers are
+    dealt to forked children: child k writes layers k, k+shares, ... and this
+    process writes share 0.  The children share the matrices copy-on-write
+    and run no BLAS, only element-wise NumPy and file writes.  A child never
+    returns into the caller's code: it leaves through ``os._exit``, with no
+    atexit handlers and no flush of inherited stdio buffers, after sending
+    back through a pipe either nothing or its pickled first failure.  Every
+    child is reaped before this returns; the failure with the lowest layer
+    index is then raised, the one a serial loop would have met first.
+    """
+    shares = max(1, min(len(layers), _usable_cpus() if hasattr(os, "fork") else 1))
+    children = []
+    failures = []
+    try:
+        for k in range(1, shares):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    failure = _write_share(dest, layers, k, shares)
+                    with os.fdopen(w, "wb") as fh:
+                        if failure is not None:
+                            fh.write(_report(failure))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((k, pid, r))
+        failure = _write_share(dest, layers, 0, shares)
+        if failure is not None:
+            failures.append(failure)
+    finally:
+        for k, pid, r in children:
+            with os.fdopen(r, "rb") as fh:
+                blob = fh.read()
+            _, status = os.waitpid(pid, 0)
+            if status != 0:
+                names = [lc.layer_name for lc in layers[k::shares]]
+                failures.append((k, OSError(
+                    f"the process writing the maps of {names} ended without a report"
+                    f" (wait status {status})"
+                )))
+            elif blob:
+                failures.append(pickle.loads(blob))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+
+
 def cmd_analyze(args) -> int:
     ir = _read_ir(args.ir)
     stats = _statistics(args, ir, args.manifest)
     base = _outdirs(args.out, "analysis")
-    for lc in stats.layers:
-        sepstats.write_correlation_csv(base / "analysis" / f"{lc.layer_name}.corr.csv", lc.matrix)
-        sepstats.write_correlation_pgm(base / "analysis" / f"{lc.layer_name}.corr.pgm", lc.matrix)
+    _write_maps(base / "analysis", stats.layers)
     (base / "analysis" / "tallies.txt").write_text(_tally_table(ir, stats.tallies))
     print(
         f"analyzed {len(stats.layers)} layers, {len(stats.tallies)} tallies"
@@ -233,13 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import convrefine
+from convrefine import sepstats
 from convrefine.cli import main
 from convrefine.evalkit import write_truth_file
 from convrefine.featio import (
@@ -56,13 +58,18 @@ def _run(*argv):
     return main([str(a) for a in argv])
 
 
-def test_analyze_outputs(workdir, capsys):
-    # class 1 of conv4 gets a constant mean, so its row and column are zeros
-    manifest = workdir / "dumps" / "manifest.txt"
+def _degenerate_class_one(workdir):
+    """Overwrite conv4's dump so that class 1 has a constant mean."""
     labels = read_labels_file(workdir / "dumps" / "labels.atlb")
     feats = np.random.default_rng(5).standard_normal((labels.size, 16))
     feats[labels == 1] = 3.25
     write_tensor_file(workdir / "dumps" / "conv4.atns", feats)
+
+
+def test_analyze_outputs(workdir, capsys):
+    # class 1 of conv4 gets a constant mean, so its row and column are zeros
+    manifest = workdir / "dumps" / "manifest.txt"
+    _degenerate_class_one(workdir)
     out = workdir / "run"
     with pytest.warns(DegenerateClassWarning, match=r"layer conv4: .* class\(es\) \[1\]"):
         rc = _run("analyze", "--ir", workdir / "net.ir", "--manifest", manifest, "--out", out)
@@ -344,14 +351,21 @@ def test_precision_command(tmp_path, capsys):
     assert "precision_at_k=0.75" in capsys.readouterr().out
 
 
-def test_module_entry_point():
+def _run_module(*argv):
+    """``python -m convrefine`` in a fresh process, stdout and stderr on pipes."""
     # the child must import the same package as this test, however it was found
     src = str(Path(convrefine.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "convrefine", "--help"], capture_output=True, text=True, env=env
+    env.pop("PYTHONUNBUFFERED", None)  # stdout on a pipe stays block-buffered
+    return subprocess.run(
+        [sys.executable, "-m", "convrefine", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_module_entry_point():
+    proc = _run_module("--help")
     assert proc.returncode == 0
     assert "analyze" in proc.stdout and "precision" in proc.stdout
 
@@ -471,3 +485,195 @@ def test_synth_profile_bad_type_reported(tmp_path, capsys, step, value, where, k
     assert f"error: {path}{where}: bad value {value[key]!r} for {key!r}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "dumps").exists()
+
+
+def test_warning_lines_name_category_not_source(workdir):
+    # test_sweep's grid rounds widths; a degenerate class warns in analyze
+    common = ["--ir", workdir / "net.ir", "--manifest", workdir / "dumps" / "manifest.txt"]
+    sweep = _run_module("sweep", *common, "--sweep-min", "0.05", "--sweep-max", "0.8",
+                        "--sweep-steps", "6", "--out", workdir / "run")
+    _degenerate_class_one(workdir)
+    analyze = _run_module("analyze", *common, "--out", workdir / "run")
+    assert sweep.returncode == 0 and analyze.returncode == 0
+    for proc, prefix in [(sweep, "warning: WidthRoundingWarning: block "),
+                         (analyze, "warning: DegenerateClassWarning: layer ")]:
+        lines = proc.stderr.splitlines()
+        assert lines
+        assert all(line.startswith(prefix) for line in lines), proc.stderr
+        assert not any(".py:" in line for line in lines)
+    # the default format is back once main returns
+    formatwarning = warnings.formatwarning
+    with pytest.warns(DegenerateClassWarning):
+        assert _run("analyze", *common, "--out", workdir / "inproc") == 0
+    assert warnings.formatwarning is formatwarning
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _analyze(workdir, out):
+    return _run("analyze", "--ir", workdir / "net.ir", "--manifest",
+                workdir / "dumps" / "manifest.txt", "--out", out)
+
+
+def test_analyze_shares_write_the_same_bytes(workdir, capsys, monkeypatch):
+    pid = os.getpid()
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        child = fork()
+        if child:
+            forks.append(child)
+        return child
+
+    # each process appends the layers it writes; the children's memory is lost
+    log = workdir / "writers.txt"
+    write_csv = sepstats.write_correlation_csv
+
+    def logged_csv(path, matrix):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {Path(path).name}\n")
+        write_csv(path, matrix)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(sepstats, "write_correlation_csv", logged_csv)
+    trees = []
+    for n in (1, 2, 3):
+        _set_cpus(monkeypatch, n)
+        del forks[:]
+        log.write_text("")
+        assert _analyze(workdir, workdir / f"cpus{n}") == 0
+        assert len(forks) == n - 1
+        lines = log.read_text().splitlines()
+        writers = dict(reversed(line.split()) for line in lines)
+        assert len(lines) == 6  # each layer written once
+        assert sorted(writers) == [f"conv{i}.corr.csv" for i in range(6)]
+        # layer i goes to share i % n, share 0 being this process
+        assert [writers[f"conv{i}.corr.csv"] == str(pid) for i in range(6)] == [
+            i % n == 0 for i in range(6)
+        ]
+        assert len(set(writers.values())) == n
+        assert os.getpid() == pid
+        _no_child_left()
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("analyzed")] == [
+            f"analyzed 6 layers, 5 tallies -> {workdir / f'cpus{n}' / 'analysis'}"
+        ]
+        trees.append(_tree(workdir / f"cpus{n}" / "analysis"))
+    # a platform without fork writes every layer in this process
+    monkeypatch.delattr(os, "fork")
+    assert _analyze(workdir, workdir / "nofork") == 0
+    trees.append(_tree(workdir / "nofork" / "analysis"))
+    assert all(tree == trees[0] for tree in trees)
+    means = load_manifest(workdir / "dumps" / "manifest.txt", parse_network(CHAIN_IR))
+    for i in range(6):
+        expected = reference_csv(correlation_layer(means[f"conv{i}"]).matrix)
+        assert trees[0][f"conv{i}.corr.csv"] == expected.encode("ascii")
+    assert sorted(trees[0]) == sorted(
+        [f"conv{i}.corr.{ext}" for i in range(6) for ext in ("csv", "pgm")] + ["tallies.txt"]
+    )
+
+
+# with two CPUs this process writes conv0, conv2, conv4 and one child conv1, conv3, conv5
+@pytest.mark.parametrize(
+    "blocked, reported",
+    [(("conv3",), "conv3"), (("conv2",), "conv2"),
+     (("conv3", "conv4"), "conv3"), (("conv2", "conv5"), "conv2")],
+    ids=["child", "parent", "child-first", "parent-first"],
+)
+def test_analyze_share_failure_reports_lowest_layer(workdir, capsys, monkeypatch,
+                                                    blocked, reported):
+    errors = []
+    for n in (1, 2):
+        _set_cpus(monkeypatch, n)
+        analysis = workdir / f"cpus{n}" / "analysis"
+        for name in blocked:
+            (analysis / f"{name}.corr.csv").mkdir(parents=True)
+        assert _analyze(workdir, workdir / f"cpus{n}") == 1
+        _no_child_left()
+        err = capsys.readouterr().err
+        path = analysis / f"{reported}.corr.csv"
+        assert f"error: [Errno 21] Is a directory: '{path}'\n" in err
+        errors.append(err.replace(str(workdir / f"cpus{n}"), "<out>"))
+        assert not (analysis / "tallies.txt").exists()
+    assert errors[0] == errors[1]
+
+
+def test_analyze_child_without_report_names_its_layers(workdir, capsys, monkeypatch):
+    parent = os.getpid()
+    write_pgm = sepstats.write_correlation_pgm
+
+    def dying_pgm(path, matrix):
+        if os.getpid() != parent:
+            os._exit(3)
+        write_pgm(path, matrix)
+
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(sepstats, "write_correlation_pgm", dying_pgm)
+    assert _analyze(workdir, workdir / "run") == 1
+    _no_child_left()
+    err = capsys.readouterr().err
+    assert "error: the process writing the maps of ['conv1', 'conv3', 'conv5'] ended" in err
+    assert "(wait status " in err
+
+
+class TwoPartError(ValueError):
+    """Pickles, but its one-argument args cannot rebuild it."""
+
+    def __init__(self, layer, what):
+        super().__init__(f"{layer} {what}")
+
+
+@pytest.mark.parametrize("kind", ["unpicklable", "no-round-trip"])
+def test_analyze_child_failure_that_cannot_be_pickled(workdir, capsys, monkeypatch, kind):
+    if kind == "unpicklable":
+        class LocalError(ValueError):
+            pass
+
+        exc = LocalError("conv3 cannot be written")
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(exc)
+    else:
+        exc = TwoPartError("conv3", "cannot be written")
+        with pytest.raises(TypeError):
+            pickle.loads(pickle.dumps(exc))
+    write_csv = sepstats.write_correlation_csv
+
+    def failing_csv(path, matrix):
+        if Path(path).name == "conv3.corr.csv":
+            raise exc
+        write_csv(path, matrix)
+
+    monkeypatch.setattr(sepstats, "write_correlation_csv", failing_csv)
+    errors = []
+    for n in (1, 2):
+        _set_cpus(monkeypatch, n)
+        assert _analyze(workdir, workdir / f"cpus{n}") == 1
+        _no_child_left()
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: conv3 cannot be written\n"] * 2
+
+
+def test_analyze_fresh_process_matches_in_process(workdir, capsys):
+    # stdout on a pipe is block-buffered: a child that flushed it on exit
+    # would print the analyzed line twice
+    assert _analyze(workdir, workdir / "inproc") == 0
+    capsys.readouterr()
+    proc = _run_module("analyze", "--ir", workdir / "net.ir", "--manifest",
+                       workdir / "dumps" / "manifest.txt", "--out", workdir / "fresh")
+    assert proc.returncode == 0
+    assert proc.stdout == f"analyzed 6 layers, 5 tallies -> {workdir / 'fresh' / 'analysis'}\n"
+    assert _tree(workdir / "fresh") == _tree(workdir / "inproc")
