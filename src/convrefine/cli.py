@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import pickle
 import sys
 import warnings
 from pathlib import Path
@@ -20,8 +19,16 @@ import numpy as np
 from . import evalkit, featio, netir, planner, rewriter, sepstats
 
 
+def _parse_file(parse, path):
+    """``parse`` applied to the text of ``path``; a ``ValueError`` names the file."""
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_ir(path) -> netir.NetworkIR:
-    return netir.parse_network(Path(path).read_text())
+    return _parse_file(netir.parse_network, path)
 
 
 def _statistics(args, ir, manifest) -> sepstats.NetworkStatistics:
@@ -59,27 +66,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_share(dest, layers, k, shares):
-    """Write the maps of layers k, k+shares, ...; ``(index, exception)`` of the first failure."""
-    for i in range(k, len(layers), shares):
-        lc = layers[i]
-        try:
-            sepstats.write_correlation_csv(dest / f"{lc.layer_name}.corr.csv", lc.matrix)
-            sepstats.write_correlation_pgm(dest / f"{lc.layer_name}.corr.pgm", lc.matrix)
-        except Exception as exc:  # reported by the parent, lowest layer index first
-            return i, exc
-    return None
-
-
-def _report(failure) -> bytes:
-    """Pickled ``failure``; an exception that does not round-trip becomes its text."""
-    try:
-        blob = pickle.dumps(failure)
-        pickle.loads(blob)
-        return blob
-    except Exception:
-        i, exc = failure
-        return pickle.dumps((i, OSError(str(exc))))
+def _write_layer(dest, lc) -> None:
+    sepstats.write_correlation_csv(dest / f"{lc.layer_name}.corr.csv", lc.matrix)
+    sepstats.write_correlation_pgm(dest / f"{lc.layer_name}.corr.pgm", lc.matrix)
 
 
 def _write_maps(dest, layers) -> None:
@@ -90,54 +79,37 @@ def _write_maps(dest, layers) -> None:
     process writes share 0.  The children share the matrices copy-on-write
     and run no BLAS, only element-wise NumPy and file writes.  A child never
     returns into the caller's code: it leaves through ``os._exit``, with no
-    atexit handlers and no flush of inherited stdio buffers, after sending
-    back through a pipe either nothing or its pickled first failure.  Every
-    child is reaped before this returns; the failure with the lowest layer
-    index is then raised, the one a serial loop would have met first.
+    atexit handlers and no flush of inherited stdio buffers, and reports only
+    its exit status.  Every child is reaped before this returns.  If a share
+    or a fork failed, this process then writes every layer again in order:
+    a lasting failure raises the serial loop's first error, a passing one
+    leaves complete outputs.
     """
     shares = max(1, min(len(layers), _usable_cpus() if hasattr(os, "fork") else 1))
-    children = []
-    failures = []
+    pids = []
+    failed = False
     try:
         for k in range(1, shares):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
+            pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
-                    os.close(r)
-                    failure = _write_share(dest, layers, k, shares)
-                    with os.fdopen(w, "wb") as fh:
-                        if failure is not None:
-                            fh.write(_report(failure))
+                    for lc in layers[k::shares]:
+                        _write_layer(dest, lc)
                     status = 0
                 finally:
                     os._exit(status)
-            os.close(w)
-            children.append((k, pid, r))
-        failure = _write_share(dest, layers, 0, shares)
-        if failure is not None:
-            failures.append(failure)
+            pids.append(pid)
+        for lc in layers[::shares]:
+            _write_layer(dest, lc)
+    except Exception:  # this share or a fork failed: every layer is rewritten below
+        failed = True
     finally:
-        for k, pid, r in children:
-            with os.fdopen(r, "rb") as fh:
-                blob = fh.read()
-            _, status = os.waitpid(pid, 0)
-            if status != 0:
-                names = [lc.layer_name for lc in layers[k::shares]]
-                failures.append((k, OSError(
-                    f"the process writing the maps of {names} ended without a report"
-                    f" (wait status {status})"
-                )))
-            elif blob:
-                failures.append(pickle.loads(blob))
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        for pid in pids:
+            failed |= os.waitpid(pid, 0)[1] != 0
+    if failed:
+        for lc in layers:
+            _write_layer(dest, lc)
 
 
 def cmd_analyze(args) -> int:
@@ -154,9 +126,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    cfg = planner.PlannerConfig(lam=args.lam)
     ir = _read_ir(args.ir)
-    tallies = _statistics(args, ir, args.manifest).tallies
-    plan = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=args.lam))
+    plan = planner.build_plan(ir, _statistics(args, ir, args.manifest).tallies, cfg)
     base = _outdirs(args.out, "plans")
     path = base / "plans" / f"lambda_{plan.lambda_used!r}.plan"
     path.write_text(planner.serialize_plan(plan))
@@ -172,7 +144,7 @@ def cmd_plan(args) -> int:
 
 def cmd_apply(args) -> int:
     ir = _read_ir(args.ir)
-    plan = planner.parse_plan(Path(args.plan).read_text())
+    plan = _parse_file(planner.parse_plan, args.plan)
     refined = rewriter.apply_plan(ir, plan)
     report = rewriter.size_report(ir, refined)
     base = _outdirs(args.out, "refined", "reports")
@@ -185,18 +157,17 @@ def cmd_apply(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    lo = args.sweep_min
+    hi = args.sweep_max
+    if args.sweep_steps < 1:
+        raise ValueError("sweep needs at least one grid point")
+    planner.check_lambda(lo)
+    if hi is not None and hi < lo:
+        raise ValueError(f"sweep range is empty: [{lo}, {hi}]")
     ir = _read_ir(args.ir)
     terms = planner.block_terms(ir, _statistics(args, ir, args.manifest).tallies)
     probe = planner.plan_from_terms(ir, terms, planner.PlannerConfig(lam=0.25))
-    lo = args.sweep_min
-    hi = args.sweep_max
-    if hi is None:
-        hi = probe.lambda_o if probe.lambda_o > lo else lo
-    if hi < lo:
-        raise ValueError(f"sweep range is empty: [{lo}, {hi}]")
-    if args.sweep_steps < 1:
-        raise ValueError("sweep needs at least one grid point")
-    grid = np.linspace(lo, hi, args.sweep_steps)
+    grid = np.linspace(lo, max(lo, probe.lambda_o) if hi is None else hi, args.sweep_steps)
     names = [b.name for b in ir.blocks]
     header = ["lambda", "above_lambda_o", "conv_params"]
     for name in names:
@@ -227,11 +198,12 @@ def cmd_iterate(args) -> int:
     rounds = args.rounds if args.rounds is not None else len(manifests)
     if rounds != len(manifests):
         raise ValueError(f"{rounds} round(s) requested but {len(manifests)} manifest(s) given")
+    cfg = planner.PlannerConfig(lam=args.lam)
     ir = _read_ir(args.ir)
     base = _outdirs(args.out, "plans", "refined", "reports")
     for r, manifest in enumerate(manifests, start=1):
         tallies = _statistics(args, ir, manifest).tallies
-        plan = planner.build_plan(ir, tallies, planner.PlannerConfig(lam=args.lam))
+        plan = planner.build_plan(ir, tallies, cfg)
         refined = rewriter.apply_plan(ir, plan)
         report = rewriter.size_report(ir, refined)
         (base / "plans" / f"round_{r}.plan").write_text(planner.serialize_plan(plan))
@@ -255,10 +227,11 @@ def cmd_synth(args) -> int:
 
 def cmd_precision(args) -> int:
     scores = featio.read_tensor_file(args.scores)
-    if scores.ndim != 2:
-        raise ValueError("scores tensor must be rank 2 (images x classes)")
     truth = evalkit.read_truth_file(args.truth)
-    dump = evalkit.PredictionDump(scores=scores, truth=truth)
+    try:
+        dump = evalkit.PredictionDump(scores=scores, truth=truth)
+    except ValueError as exc:
+        raise ValueError(f"{args.scores}, {args.truth}: {exc}") from None
     print(f"precision_at_k={evalkit.precision_at_k(dump, args.k)!r}")
     return 0
 

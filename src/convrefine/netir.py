@@ -244,7 +244,8 @@ def parse_network(text: str) -> NetworkIR:
     structural rules of :func:`auto_excluded`; explicit flags can only add
     exclusions, never remove the structural ones.
     """
-    rows = []  # (line_no, name, fields dict, bias, excluded, prev list)
+    blocks = []
+    edges = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -299,11 +300,6 @@ def parse_network(text: str) -> NetworkIR:
             missing.insert(2, "k")
         if missing:
             raise IRSyntaxError(line_no, f"missing field(s): {', '.join(missing)}")
-        rows.append((line_no, name, fields, kernel, bias, excluded, prev))
-
-    blocks = []
-    edges = []
-    for line_no, name, fields, kernel, bias, excluded, prev in rows:
         blocks.append(
             ConvBlock(
                 name=name,

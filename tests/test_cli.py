@@ -391,12 +391,14 @@ def _write_plan(path, lam="0.25", lam_o="0.5", stretch="1.0", stretched=("conv2"
 @pytest.mark.parametrize(
     "values, message",
     [
-        ({"lam": "0"}, "error: line 1: lambda must be positive and finite, got 0.0"),
-        ({"lam": "-1"}, "error: line 1: lambda must be positive and finite, got -1.0"),
-        ({"lam": "abc"}, "error: line 1: lambda expects a number, got 'abc'"),
-        ({"lam_o": "nan"}, "error: line 2: lambda_o must be finite and non-negative, got nan"),
-        ({"stretch": "inf"}, "error: line 5: stretch must be finite, got inf"),
-        ({"stretch": "1e308"}, "error: block conv2: stretch 1e+308 is not 1 + k*lambda"),
+        # parse-time errors name the plan file, apply-time ones the block
+        ({"lam": "0"}, "error: {plan}: line 1: lambda must be positive and finite, got 0.0"),
+        ({"lam": "-1"}, "error: {plan}: line 1: lambda must be positive and finite, got -1.0"),
+        ({"lam": "abc"}, "error: {plan}: line 1: lambda expects a number, got 'abc'"),
+        ({"lam_o": "nan"},
+         "error: {plan}: line 2: lambda_o must be finite and non-negative, got nan"),
+        ({"stretch": "inf"}, "error: {plan}: line 5: stretch must be finite, got inf"),
+        ({"stretch": "1e308"}, "error: {plan}: block conv2: stretch 1e+308 is not 1 + k*lambda"),
         ({"stretch": "1e308", "lam": "1.0"},
          "error: block conv2: stretched width inf is not finite"),
         # finite but far past u32: one block used to print a huge negative
@@ -414,10 +416,68 @@ def test_apply_rejects_bad_plan_values(workdir, capsys, values, message):
     rc = _run("apply", "--ir", workdir / "net.ir", "--plan", plan_path, "--out", workdir / "run")
     assert rc == 1
     err = capsys.readouterr().err
-    assert message in err
+    assert message.format(plan=plan_path) in err
     if "out_channels" in message:
         assert err.rstrip().endswith("does not fit in a u32")
     assert not (workdir / "run" / "refined").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (CHAIN_IR.replace("stage=0", "stage=0 bogus").encode(),
+         "line 1: unexpected token 'bogus'"),
+        (b"block conv0 in=3 out=16 k=3x3 group=1 stage=0 \xff\n",
+         "'utf-8' codec can't decode byte 0xff in position 46"),
+    ],
+    ids=["bad-token", "not-utf8"],
+)
+def test_ir_errors_name_the_file(workdir, capsys, text, message):
+    ir = workdir / "bad.ir"
+    ir.write_bytes(text)
+    rc = _run("analyze", "--ir", ir, "--manifest", workdir / "dumps" / "manifest.txt",
+              "--out", workdir / "run")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ir}: {message}")
+    assert "Traceback" not in err
+    assert not (workdir / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "scores_shape, message",
+    [((2, 3), "scores (2, 3) and truth (2, 4) must match, rank 2"),
+     ((2, 4, 1, 1), "scores (2, 4, 1, 1) and truth (2, 4) must match, rank 2")],
+    ids=["shape", "rank"],
+)
+def test_precision_errors_name_both_files(tmp_path, capsys, scores_shape, message):
+    scores = tmp_path / "scores.atns"
+    truth = tmp_path / "truth.atmh"
+    write_tensor_file(scores, np.full(scores_shape, 0.5))
+    write_truth_file(truth, np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=np.uint8))
+    rc = _run("precision", "--scores", scores, "--truth", truth, "--k", "1")
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {scores}, {truth}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["plan", "--lambda", "0"], "lambda must be positive and finite, got 0.0"),
+        (["iterate", "--lambda", "nan"], "lambda must be positive and finite, got nan"),
+        (["sweep", "--sweep-steps", "0"], "sweep needs at least one grid point"),
+        (["sweep", "--sweep-min", "0"], "lambda must be positive and finite, got 0.0"),
+        (["sweep", "--sweep-min", "0.5", "--sweep-max", "0.25"],
+         "sweep range is empty: [0.5, 0.25]"),
+    ],
+    ids=["plan-lambda", "iterate-lambda", "sweep-steps", "sweep-min", "sweep-range"],
+)
+def test_arguments_checked_before_reading_dumps(workdir, capsys, argv, message):
+    rc = _run(*argv, "--ir", workdir / "net.ir", "--manifest", workdir / "missing.txt",
+              "--out", workdir / "run")
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "run").exists()
 
 
 def test_negative_tie_tol_reported(workdir, capsys):
@@ -612,22 +672,36 @@ def test_analyze_share_failure_reports_lowest_layer(workdir, capsys, monkeypatch
     assert errors[0] == errors[1]
 
 
-def test_analyze_child_without_report_names_its_layers(workdir, capsys, monkeypatch):
+# with two CPUs one child writes conv1, conv3, conv5; a failed share or fork
+# makes this process write every layer again
+@pytest.mark.parametrize("failure", ["child-exits", "child-raises", "fork-fails"])
+def test_analyze_failed_share_is_rewritten(workdir, capsys, monkeypatch, failure):
+    _set_cpus(monkeypatch, 1)
+    assert _analyze(workdir, workdir / "cpus1") == 0
+    capsys.readouterr()
     parent = os.getpid()
     write_pgm = sepstats.write_correlation_pgm
 
-    def dying_pgm(path, matrix):
+    def failing_pgm(path, matrix):
         if os.getpid() != parent:
-            os._exit(3)
+            if failure == "child-exits":
+                os._exit(3)
+            raise OSError(28, "No space left on device")
         write_pgm(path, matrix)
 
+    def failing_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
     _set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(sepstats, "write_correlation_pgm", dying_pgm)
-    assert _analyze(workdir, workdir / "run") == 1
+    monkeypatch.setattr(sepstats, "write_correlation_pgm", failing_pgm)
+    if failure == "fork-fails":
+        monkeypatch.setattr(os, "fork", failing_fork)
+    assert _analyze(workdir, workdir / "cpus2") == 0
     _no_child_left()
-    err = capsys.readouterr().err
-    assert "error: the process writing the maps of ['conv1', 'conv3', 'conv5'] ended" in err
-    assert "(wait status " in err
+    out, err = capsys.readouterr()
+    assert out == f"analyzed 6 layers, 5 tallies -> {workdir / 'cpus2' / 'analysis'}\n"
+    assert err == ""
+    assert _tree(workdir / "cpus2" / "analysis") == _tree(workdir / "cpus1" / "analysis")
 
 
 class TwoPartError(ValueError):
