@@ -9,6 +9,7 @@ to stderr, data goes to files under --out.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -19,20 +20,13 @@ import numpy as np
 from . import evalkit, featio, netir, planner, rewriter, sepstats
 
 
-def _parse_file(parse, path):
-    """``parse`` applied to the text of ``path``; a ``ValueError`` names the file."""
-    try:
-        return parse(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _read_ir(path) -> netir.NetworkIR:
-    return _parse_file(netir.parse_network, path)
+    return netir.parse_network(netir.read_text(path, netir.IRSyntaxError), path)
 
 
 def _statistics(args, ir, manifest) -> sepstats.NetworkStatistics:
     """Correlations and tallies of ``ir``'s blocks from ``manifest``'s dumps."""
+    sepstats.check_tie_tol(args.tie_tol)
     means = featio.load_manifest(manifest, ir)
     return sepstats.network_statistics(
         ir, means, tie_tol=args.tie_tol, strict=args.strict_degenerate
@@ -144,7 +138,7 @@ def cmd_plan(args) -> int:
 
 def cmd_apply(args) -> int:
     ir = _read_ir(args.ir)
-    plan = _parse_file(planner.parse_plan, args.plan)
+    plan = planner.parse_plan(netir.read_text(args.plan, planner.PlanError), args.plan)
     refined = rewriter.apply_plan(ir, plan)
     report = rewriter.size_report(ir, refined)
     base = _outdirs(args.out, "refined", "reports")
@@ -162,6 +156,8 @@ def cmd_sweep(args) -> int:
     if args.sweep_steps < 1:
         raise ValueError("sweep needs at least one grid point")
     planner.check_lambda(lo)
+    if hi is not None and not math.isfinite(hi):
+        raise ValueError(f"--sweep-max must be finite, got {hi}")
     if hi is not None and hi < lo:
         raise ValueError(f"sweep range is empty: [{lo}, {hi}]")
     ir = _read_ir(args.ir)

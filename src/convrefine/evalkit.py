@@ -27,7 +27,7 @@ from .featio import (
     write_labels_file,
     write_tensor_chunks,
 )
-from .netir import _NAME_RE, _U32_MAX
+from .netir import _NAME_RE, _U32_MAX, read_text
 
 TRUTH_FORMAT = BinaryFormat(b"ATMH", "truth", "II")  # N, M
 
@@ -247,10 +247,13 @@ def load_profile(path) -> SynthProfile:
     A missing or wrongly typed key raises ValueError naming the file and
     the key, as do a negative or non-finite noise, an M x n image count
     beyond the labels file's u32, and a layer name that is not a unique
-    block name.
+    block name.  Bytes that are not UTF-8 name the file; text that is not
+    JSON names the file and the line.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        raw = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
     m = _profile_field(raw, "num_classes", str(path), int)
     per_class = _profile_field(raw, "images_per_class", str(path), int)
     if m * per_class > _U32_MAX:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .netir import NetworkIR
+from .netir import NetworkIR, _read_records, read_text
 
 
 class TensorFormatError(ValueError):
@@ -267,27 +267,26 @@ def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, ClassMeans]:
     have a dump.
     """
     path = Path(path)
-    layer_paths: list[tuple[str, Path]] = []
+    layer_paths: dict[str, Path] = {}
     labels_path = None
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "layer":
-            if len(tokens) != 3:
-                raise ManifestError(f"{path}:{line_no}: expected 'layer <name> <path>'")
-            if any(name == tokens[1] for name, _ in layer_paths):
-                raise ManifestError(f"{path}:{line_no}: duplicate layer {tokens[1]!r}")
-            layer_paths.append((tokens[1], path.parent / tokens[2]))
-        elif tokens[0] == "labels":
-            if len(tokens) != 2:
-                raise ManifestError(f"{path}:{line_no}: expected 'labels <path>'")
-            if labels_path is not None:
-                raise ManifestError(f"{path}:{line_no}: duplicate labels line")
-            labels_path = path.parent / tokens[1]
-        else:
-            raise ManifestError(f"{path}:{line_no}: unknown directive {tokens[0]!r}")
+
+    def layer(tokens):
+        if len(tokens) != 3:
+            raise ValueError("expected 'layer <name> <path>'")
+        if tokens[1] in layer_paths:
+            raise ValueError(f"duplicate layer {tokens[1]!r}")
+        layer_paths[tokens[1]] = path.parent / tokens[2]
+
+    def labels(tokens):
+        nonlocal labels_path
+        if len(tokens) != 2:
+            raise ValueError("expected 'labels <path>'")
+        if labels_path is not None:
+            raise ValueError("duplicate labels line")
+        labels_path = path.parent / tokens[1]
+
+    text = read_text(path, ManifestError)
+    _read_records(text, path, ManifestError, {"layer": layer, "labels": labels})
     if not layer_paths:
         raise ManifestError(f"{path}: manifest lists no layers")
     if labels_path is None:
@@ -298,7 +297,7 @@ def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, ClassMeans]:
         raise ManifestError(f"{labels_path}: labels file is empty")
     num_classes = int(labels.max()) + 1
     means: dict[str, ClassMeans] = {}
-    for name, tensor_path in layer_paths:
+    for name, tensor_path in layer_paths.items():
         with open(tensor_path, "rb") as fh:
             dims, payload_off = _parse_tensor_header(
                 fh.read(24), os.fstat(fh.fileno()).st_size, tensor_path

@@ -18,14 +18,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 
 class IRSyntaxError(ValueError):
-    """Malformed IR text.  Carries the 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    """Malformed IR text, reported as ``<source>:<line>: <message>``."""
 
 
 class IRValidationError(ValueError):
@@ -33,8 +30,6 @@ class IRValidationError(ValueError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
-_KERNEL_RE = re.compile(r"(\d+)x(\d+)$")
-_UINT_RE = re.compile(r"\d+$")
 _U32_MAX = 2**32 - 1
 
 
@@ -231,14 +226,96 @@ def validate_network(ir: NetworkIR) -> None:
             )
 
 
-def _parse_uint(line_no: int, key: str, raw: str) -> int:
-    if not _UINT_RE.match(raw):
-        raise IRSyntaxError(line_no, f"{key} expects an unsigned integer, got {raw!r}")
+def read_text(path, error=ValueError) -> str:
+    """The UTF-8 text of ``path``; undecodable bytes raise ``error`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
+def _read_records(text: str, source, error, handlers) -> None:
+    """Hand the tokens of each line of ``text`` to ``handlers[key]``.
+
+    The key is the first token, or the ``key=`` that starts it; blank and
+    ``#`` lines are skipped.  An unknown key and a handler's ValueError raise
+    ``error`` reading ``<source>:<line>: <message>``.  Lines end at ``\n``
+    only, so a form feed or a Unicode line separator moves no line number.
+    """
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        key, eq, _ = tokens[0].partition("=")
+        try:
+            if key + eq not in handlers:
+                raise ValueError(f"unrecognized line {line.strip()!r}")
+            handlers[key + eq](tokens)
+        except ValueError as exc:
+            raise error(f"{source}:{line_no}: {exc}") from None
+
+
+def _parse_fields(tokens, fields, optional=()) -> dict:
+    """The ``key=value`` tokens and bare flags of one record, by key.
+
+    ``fields`` maps each key to the converter of its text value, or to None
+    for a bare flag, which reads as True.  Flags and ``optional`` keys may be
+    left out; the others are required.  Unknown, duplicate and missing keys
+    and refused values raise ValueError, a converter's message after its key.
+    """
+    values = {}
+    for tok in tokens:
+        key, eq, raw = tok.partition("=")
+        if key not in fields or (fields[key] is None) == bool(eq):
+            raise ValueError(f"unknown field {key!r}" if eq else f"unexpected token {tok!r}")
+        if key in values:
+            raise ValueError(f"duplicate {key!r}")
+        convert = fields[key]
+        try:
+            values[key] = True if convert is None else convert(raw)
+        except ValueError as exc:
+            raise ValueError(f"{key} {exc}") from None
+    missing = [k for k, c in fields.items() if c and k not in values and k not in optional]
+    if missing:
+        raise ValueError(f"missing field(s): {', '.join(missing)}")
+    return values
+
+
+def _block_name(tokens) -> str:
+    name = tokens[1] if len(tokens) > 1 else ""
+    if not _NAME_RE.match(name):
+        raise ValueError(f"invalid block name {name!r}")
+    return name
+
+
+def _uint(raw: str) -> int:
+    if not raw.isdecimal():
+        raise ValueError(f"expects an unsigned integer, got {raw!r}")
     return int(raw)
 
 
-def parse_network(text: str) -> NetworkIR:
-    """Parse IR text into a validated NetworkIR.
+def _kernel(raw: str) -> tuple[int, int]:
+    h, _, w = raw.partition("x")
+    if not (h.isdecimal() and w.isdecimal()):
+        raise ValueError(f"expects <u32>x<u32>, got {raw!r}")
+    return int(h), int(w)
+
+
+def _names(raw: str) -> list[str]:
+    names = raw.split(",")
+    if not all(_NAME_RE.match(n) for n in names):
+        raise ValueError(f"expects block names joined by ',', got {raw!r}")
+    return names
+
+
+_BLOCK_FIELDS = {
+    "in": _uint, "out": _uint, "k": _kernel, "group": _uint, "stage": _uint,
+    "bias": None, "excluded": None, "prev": _names,
+}
+
+
+def parse_network(text: str, source="<ir>") -> NetworkIR:
+    """Parse IR text into a validated NetworkIR; errors name ``source``.
 
     Exclusion flags are the union of explicit ``excluded`` tokens and the
     structural rules of :func:`auto_excluded`; explicit flags can only add
@@ -246,81 +323,21 @@ def parse_network(text: str) -> NetworkIR:
     """
     blocks = []
     edges = []
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] != "block":
-            raise IRSyntaxError(line_no, f"expected 'block', got {tokens[0]!r}")
-        if len(tokens) < 2:
-            raise IRSyntaxError(line_no, "missing block name")
-        name = tokens[1]
-        if not _NAME_RE.match(name):
-            raise IRSyntaxError(line_no, f"invalid block name {name!r}")
-        fields: dict[str, int] = {}
-        kernel = None
-        bias = False
-        excluded = False
-        prev: list[str] = []
-        for tok in tokens[2:]:
-            if tok == "bias":
-                if bias:
-                    raise IRSyntaxError(line_no, "duplicate 'bias' flag")
-                bias = True
-            elif tok == "excluded":
-                if excluded:
-                    raise IRSyntaxError(line_no, "duplicate 'excluded' flag")
-                excluded = True
-            elif "=" in tok:
-                key, _, value = tok.partition("=")
-                if key in ("in", "out", "group", "stage"):
-                    if key in fields:
-                        raise IRSyntaxError(line_no, f"duplicate field {key}=")
-                    fields[key] = _parse_uint(line_no, key, value)
-                elif key == "k":
-                    if kernel is not None:
-                        raise IRSyntaxError(line_no, "duplicate field k=")
-                    m = _KERNEL_RE.match(value)
-                    if not m:
-                        raise IRSyntaxError(line_no, f"k expects <u32>x<u32>, got {value!r}")
-                    kernel = (int(m.group(1)), int(m.group(2)))
-                elif key == "prev":
-                    if prev:
-                        raise IRSyntaxError(line_no, "duplicate field prev=")
-                    prev = value.split(",")
-                    if not all(_NAME_RE.match(p) for p in prev):
-                        raise IRSyntaxError(line_no, f"bad prev list {value!r}")
-                else:
-                    raise IRSyntaxError(line_no, f"unknown field {key!r}")
-            else:
-                raise IRSyntaxError(line_no, f"unexpected token {tok!r}")
-        missing = [k for k in ("in", "out", "group", "stage") if k not in fields]
-        if kernel is None:
-            missing.insert(2, "k")
-        if missing:
-            raise IRSyntaxError(line_no, f"missing field(s): {', '.join(missing)}")
-        blocks.append(
-            ConvBlock(
-                name=name,
-                in_channels=fields["in"],
-                out_channels=fields["out"],
-                kernel_h=kernel[0],
-                kernel_w=kernel[1],
-                group=fields["group"],
-                stage=fields["stage"],
-                has_bias=bias,
-                excluded=excluded,
-            )
-        )
-        edges.extend((p, name) for p in prev)
 
+    def block(tokens):
+        name = _block_name(tokens)
+        f = _parse_fields(tokens[2:], _BLOCK_FIELDS, optional=("prev",))
+        blocks.append(ConvBlock(name, f["in"], f["out"], *f["k"], f["group"], f["stage"],
+                                "bias" in f, "excluded" in f))
+        edges.extend((p, name) for p in f.get("prev", ()))
+
+    _read_records(text, source, IRSyntaxError, {"block": block})
     flagged = auto_excluded(blocks, edges)
-    blocks = [
-        b if (b.excluded or b.name not in flagged) else replace(b, excluded=True)
-        for b in blocks
-    ]
-    return make_network(blocks, edges)
+    blocks = [replace(b, excluded=True) if b.name in flagged else b for b in blocks]
+    try:
+        return make_network(blocks, edges)
+    except IRValidationError as exc:
+        raise IRValidationError(f"{source}: {exc}") from None
 
 
 def serialize_network(ir: NetworkIR) -> str:

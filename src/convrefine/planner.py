@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .netir import NetworkIR
+from .netir import NetworkIR, _block_name, _parse_fields, _read_records, _uint
 
 
 class PlanError(ValueError):
@@ -224,58 +224,47 @@ def serialize_plan(plan: RefinementPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_float(line_no: int, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise PlanError(f"line {line_no}: {key} expects a number, got {raw!r}") from None
+def _number(ok, rule):
+    """Converter of a float field whose value must pass ``ok``, as ``rule`` says."""
+    def convert(raw: str) -> float:
+        try:
+            x = float(raw)
+        except ValueError:
+            raise ValueError(f"expects a number, got {raw!r}") from None
+        if not ok(x):
+            raise ValueError(f"must be {rule}, got {x}")
+        return x
+    return convert
 
 
-def parse_plan(text: str) -> RefinementPlan:
-    lam = None
-    lam_o = None
+_HEADER_FIELDS = {
+    "lambda": _number(lambda x: x > 0 and math.isfinite(x), "positive and finite"),
+    "lambda_o": _number(lambda x: x >= 0 and math.isfinite(x), "finite and non-negative"),
+}
+_ENTRY_FIELDS = {"stretch": _number(math.isfinite, "finite"), "split": _uint, "case": str}
+
+
+def parse_plan(text: str, source="<plan>") -> RefinementPlan:
+    """The plan :func:`serialize_plan` wrote as ``text``; errors name ``source``."""
+    headers: dict[str, float] = {}
     entries: dict[str, PlanEntry] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("lambda_o="):
-            if lam_o is not None:
-                raise PlanError(f"line {line_no}: duplicate lambda_o")
-            lam_o = _parse_float(line_no, "lambda_o", line.partition("=")[2])
-            if not (lam_o >= 0 and math.isfinite(lam_o)):
-                raise PlanError(
-                    f"line {line_no}: lambda_o must be finite and non-negative, got {lam_o}"
-                )
-        elif line.startswith("lambda="):
-            if lam is not None:
-                raise PlanError(f"line {line_no}: duplicate lambda")
-            lam = _parse_float(line_no, "lambda", line.partition("=")[2])
-            try:
-                check_lambda(lam)
-            except PlanError as exc:
-                raise PlanError(f"line {line_no}: {exc}") from None
-        elif line.startswith("plan "):
-            tokens = line.split()
-            if len(tokens) != 5:
-                raise PlanError(f"line {line_no}: expected 'plan <block> stretch= split= case='")
-            name = tokens[1]
-            if name in entries:
-                raise PlanError(f"line {line_no}: duplicate plan entry for {name}")
-            fields = dict(tok.partition("=")[::2] for tok in tokens[2:])
-            if set(fields) != {"stretch", "split", "case"}:
-                raise PlanError(f"line {line_no}: bad fields {sorted(fields)}")
-            stretch = _parse_float(line_no, "stretch", fields["stretch"])
-            if not math.isfinite(stretch):
-                raise PlanError(f"line {line_no}: stretch must be finite, got {stretch}")
-            try:
-                split = int(fields["split"])
-            except ValueError as exc:
-                raise PlanError(f"line {line_no}: {exc}") from None
-            entries[name] = PlanEntry(stretch=stretch, split=split, case=fields["case"])
-        else:
-            raise PlanError(f"line {line_no}: unrecognized line {line!r}")
-    if lam is None or lam_o is None:
-        raise PlanError("plan file must carry lambda= and lambda_o= headers")
-    return RefinementPlan(per_block=entries, lambda_used=lam, lambda_o=lam_o)
 
+    def header(tokens):
+        key = tokens[0].partition("=")[0]
+        if key in headers:
+            raise ValueError(f"duplicate {key}")
+        headers.update(_parse_fields(tokens, {key: _HEADER_FIELDS[key]}))
+
+    def entry(tokens):
+        name = _block_name(tokens)
+        if name in entries:
+            raise ValueError(f"duplicate plan entry for {name}")
+        entries[name] = PlanEntry(**_parse_fields(tokens[2:], _ENTRY_FIELDS))
+
+    _read_records(text, source, PlanError, {"lambda=": header, "lambda_o=": header, "plan": entry})
+    if headers.keys() != _HEADER_FIELDS.keys():
+        raise PlanError(f"{source}: plan file must carry lambda= and lambda_o= headers")
+    try:
+        return RefinementPlan(entries, lambda_used=headers["lambda"], lambda_o=headers["lambda_o"])
+    except PlanError as exc:
+        raise PlanError(f"{source}: {exc}") from None

@@ -12,6 +12,7 @@ diagonal, so n_total = M^2; the diagonal never moves and always ties.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -94,6 +95,12 @@ def correlation_layer(means: ClassMeans, strict: bool = False) -> LayerCorrelati
     return LayerCorrelation(layer_name=means.layer_name, matrix=corr)
 
 
+def check_tie_tol(tie_tol: float) -> None:
+    """Raise ValueError unless the tie tolerance is finite and non-negative."""
+    if not (tie_tol >= 0 and math.isfinite(tie_tol)):
+        raise ValueError(f"tie_tol must be non-negative and finite, got {tie_tol}")
+
+
 def separation_tally(
     prev: np.ndarray,
     cur: np.ndarray,
@@ -111,8 +118,7 @@ def separation_tally(
     cur = np.asarray(cur, dtype=np.float64)
     if prev.shape != cur.shape or prev.ndim != 2 or prev.shape[0] != prev.shape[1]:
         raise ValueError(f"matrices must be square and same size, got {prev.shape} vs {cur.shape}")
-    if tie_tol < 0:
-        raise ValueError("tie_tol must be non-negative")
+    check_tie_tol(tie_tol)
     m = prev.shape[0]
     diff = cur - prev
     mask = ~np.eye(m, dtype=bool)

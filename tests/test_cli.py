@@ -392,12 +392,12 @@ def _write_plan(path, lam="0.25", lam_o="0.5", stretch="1.0", stretched=("conv2"
     "values, message",
     [
         # parse-time errors name the plan file, apply-time ones the block
-        ({"lam": "0"}, "error: {plan}: line 1: lambda must be positive and finite, got 0.0"),
-        ({"lam": "-1"}, "error: {plan}: line 1: lambda must be positive and finite, got -1.0"),
-        ({"lam": "abc"}, "error: {plan}: line 1: lambda expects a number, got 'abc'"),
+        ({"lam": "0"}, "error: {plan}:1: lambda must be positive and finite, got 0.0"),
+        ({"lam": "-1"}, "error: {plan}:1: lambda must be positive and finite, got -1.0"),
+        ({"lam": "abc"}, "error: {plan}:1: lambda expects a number, got 'abc'"),
         ({"lam_o": "nan"},
-         "error: {plan}: line 2: lambda_o must be finite and non-negative, got nan"),
-        ({"stretch": "inf"}, "error: {plan}: line 5: stretch must be finite, got inf"),
+         "error: {plan}:2: lambda_o must be finite and non-negative, got nan"),
+        ({"stretch": "inf"}, "error: {plan}:5: stretch must be finite, got inf"),
         ({"stretch": "1e308"}, "error: {plan}: block conv2: stretch 1e+308 is not 1 + k*lambda"),
         ({"stretch": "1e308", "lam": "1.0"},
          "error: block conv2: stretched width inf is not finite"),
@@ -426,9 +426,9 @@ def test_apply_rejects_bad_plan_values(workdir, capsys, values, message):
     "text, message",
     [
         (CHAIN_IR.replace("stage=0", "stage=0 bogus").encode(),
-         "line 1: unexpected token 'bogus'"),
+         ":1: unexpected token 'bogus'"),
         (b"block conv0 in=3 out=16 k=3x3 group=1 stage=0 \xff\n",
-         "'utf-8' codec can't decode byte 0xff in position 46"),
+         ": 'utf-8' codec can't decode byte 0xff in position 46"),
     ],
     ids=["bad-token", "not-utf8"],
 )
@@ -439,8 +439,42 @@ def test_ir_errors_name_the_file(workdir, capsys, text, message):
               "--out", workdir / "run")
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {ir}: {message}")
+    assert err.startswith(f"error: {ir}{message}")
     assert "Traceback" not in err
+    assert not (workdir / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, text, form",
+    [
+        ("ir", CHAIN_IR.replace("stage=1", "stage=one").encode(),
+         ":2: stage expects an unsigned integer, got 'one'"),
+        ("plan", b"lambda=0.25\nlambda_o=x\n", ":2: lambda_o expects a number, got 'x'"),
+        ("manifest", b"labels labels.atlb\nlayer conv0\n", ":2: expected 'layer <name> <path>'"),
+        ("profile", b'{"num_classes": 4,\n "images_per_class": }\n', ":2: Expecting value"),
+        ("manifest", b"labels labels.atlb\nlayer conv0 \xff\n",
+         ": 'utf-8' codec can't decode byte 0xff in position 31"),
+        ("profile", b'{"num_classes": 4,\n "\xff": 1}\n',
+         ": 'utf-8' codec can't decode byte 0xff in position 21"),
+    ],
+    ids=["ir", "plan", "manifest", "profile", "manifest-not-utf8", "profile-not-utf8"],
+)
+def test_text_input_errors_name_file_and_line(workdir, capsys, kind, text, form):
+    bad = workdir / "dumps" / f"bad.{kind}"
+    bad.write_bytes(text)
+    inputs = ["--ir", workdir / "net.ir", "--manifest", workdir / "dumps" / "manifest.txt"]
+    inputs[1 if kind == "ir" else 3] = bad
+    argv = {
+        "ir": ["analyze", *inputs],
+        "manifest": ["analyze", *inputs],
+        "plan": ["apply", "--ir", workdir / "net.ir", "--plan", bad],
+        "profile": ["synth", "--profile", bad],
+    }[kind]
+    rc = _run(*argv, "--out", workdir / "run")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}{form}")
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not (workdir / "run").exists()
 
 
@@ -469,8 +503,15 @@ def test_precision_errors_name_both_files(tmp_path, capsys, scores_shape, messag
         (["sweep", "--sweep-min", "0"], "lambda must be positive and finite, got 0.0"),
         (["sweep", "--sweep-min", "0.5", "--sweep-max", "0.25"],
          "sweep range is empty: [0.5, 0.25]"),
+        (["sweep", "--sweep-max", "nan"], "--sweep-max must be finite, got nan"),
+        (["sweep", "--sweep-max", "inf"], "--sweep-max must be finite, got inf"),
+        (["analyze", "--tie-tol", "nan"], "tie_tol must be non-negative and finite, got nan"),
+        (["sweep", "--tie-tol", "inf"], "tie_tol must be non-negative and finite, got inf"),
+        (["plan", "--tie-tol", "-1"], "tie_tol must be non-negative and finite, got -1.0"),
     ],
-    ids=["plan-lambda", "iterate-lambda", "sweep-steps", "sweep-min", "sweep-range"],
+    ids=["plan-lambda", "iterate-lambda", "sweep-steps", "sweep-min", "sweep-range",
+         "sweep-max-nan", "sweep-max-inf", "analyze-tie-tol-nan", "sweep-tie-tol-inf",
+         "plan-tie-tol-negative"],
 )
 def test_arguments_checked_before_reading_dumps(workdir, capsys, argv, message):
     rc = _run(*argv, "--ir", workdir / "net.ir", "--manifest", workdir / "missing.txt",

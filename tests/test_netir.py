@@ -86,8 +86,11 @@ def test_serialize_byte_stable(vgg11_text):
 
 
 def test_parse_syntax_errors_carry_line_numbers():
-    with pytest.raises(IRSyntaxError, match="line 2"):
+    with pytest.raises(IRSyntaxError, match="^<ir>:2: "):
         parse_network("# fine\nnode conv1 in=3 out=4 k=1x1 group=1 stage=0\n")
+    # a form feed or a line separator inside a line starts no new line
+    with pytest.raises(IRSyntaxError, match="^<ir>:3: "):
+        parse_network("# page\fbreak \u2028 here\n\nnode conv1 in=3 out=4 k=1x1 group=1 stage=0\n")
     with pytest.raises(IRSyntaxError, match="missing field"):
         parse_network("block conv1 in=3 out=4 k=1x1 stage=0\n")
     with pytest.raises(IRSyntaxError, match="unknown field"):

@@ -251,7 +251,7 @@ def test_lambda_must_be_positive_and_finite(lam):
         check_lambda(lam)
     with pytest.raises(PlanError, match="lambda must be positive and finite"):
         PlannerConfig(lam=lam)
-    with pytest.raises(PlanError, match="line 1: lambda must be positive and finite"):
+    with pytest.raises(PlanError, match="<plan>:1: lambda must be positive and finite"):
         parse_plan(f"lambda={lam!r}\nlambda_o=0.5\nplan a stretch=1.0 split=1 case=b\n")
 
 
@@ -272,7 +272,9 @@ def test_lambda_must_be_positive_and_finite(lam):
     ],
 )
 def test_parse_plan_rejects_bad_values_with_line(text, message):
-    with pytest.raises(PlanError, match=re.escape(message)):
+    # each case reads "line N: <message>"; the error must read "<plan>:N: <message>"
+    line_no, _, rest = message.removeprefix("line ").partition(": ")
+    with pytest.raises(PlanError, match="^" + re.escape(f"<plan>:{line_no}: {rest}")):
         parse_plan(text)
 
 

@@ -125,6 +125,12 @@ def test_tally_no_change():
     assert (t.n_plus, t.n_minus, t.n_ties) == (0, 0, 4)
 
 
+@pytest.mark.parametrize("tie_tol", [-1.0, math.nan, math.inf])
+def test_tie_tol_must_be_finite_and_non_negative(tie_tol):
+    with pytest.raises(ValueError, match="tie_tol must be non-negative and finite"):
+        separation_tally(np.eye(2), np.eye(2), tie_tol=tie_tol)
+
+
 def test_tally_boundary_is_tie():
     # dyadic values keep the +/- tie_tol comparison exact
     prev = np.array([[1.0, 0.5], [0.5, 1.0]])
