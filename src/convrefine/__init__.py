@@ -1,7 +1,6 @@
 """convrefine: class-separation analysis and architecture refinement for conv nets."""
 
 from .featio import (
-    ClassMeans,
     load_manifest,
     read_labels_file,
     read_tensor_file,
@@ -13,7 +12,6 @@ from .netir import (
     IRSyntaxError,
     IRValidationError,
     NetworkIR,
-    make_network,
     param_count,
     parse_network,
     serialize_network,
@@ -21,7 +19,6 @@ from .netir import (
 from .planner import (
     BlockTerms,
     PlanEntry,
-    PlannerConfig,
     RefinementPlan,
     block_terms,
     build_plan,

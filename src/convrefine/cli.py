@@ -24,8 +24,8 @@ def _read_ir(path) -> netir.NetworkIR:
     return netir.parse_network(netir.read_text(path, netir.IRSyntaxError), path)
 
 
-def _statistics(args, ir, manifest) -> sepstats.NetworkStatistics:
-    """Correlations and tallies of ``ir``'s blocks from ``manifest``'s dumps."""
+def _statistics(args, ir, manifest) -> tuple[dict, dict]:
+    """Correlation matrices and tallies of ``ir``'s blocks from ``manifest``'s dumps."""
     sepstats.check_tie_tol(args.tie_tol)
     means = featio.load_manifest(manifest, ir)
     return sepstats.network_statistics(
@@ -60,21 +60,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_layer(dest, lc) -> None:
-    sepstats.write_correlation_csv(dest / f"{lc.layer_name}.corr.csv", lc.matrix)
-    sepstats.write_correlation_pgm(dest / f"{lc.layer_name}.corr.pgm", lc.matrix)
+def _write_layer(dest, name, matrix) -> None:
+    sepstats.write_correlation_csv(dest / f"{name}.corr.csv", matrix)
+    sepstats.write_correlation_pgm(dest / f"{name}.corr.pgm", matrix)
 
 
 def _write_maps(dest, layers) -> None:
     """Each layer's ``.corr.csv`` and ``.corr.pgm`` under ``dest``, one process per usable CPU.
 
-    Formatting the CSV cells holds the interpreter lock, so the layers are
-    dealt to forked children: child k writes layers k, k+shares, ... and this
-    process writes share 0.  The children share the matrices copy-on-write
-    and run no BLAS, only element-wise NumPy and file writes.  A child never
-    returns into the caller's code: it leaves through ``os._exit``, with no
-    atexit handlers and no flush of inherited stdio buffers, and reports only
-    its exit status.  Every child is reaped before this returns.  If a share
+    ``layers`` lists (name, matrix) pairs.  Formatting the CSV cells holds
+    the interpreter lock, so the layers are dealt to forked children: child
+    k writes layers k, k+shares, ... and this process writes share 0.  The
+    children share the matrices copy-on-write and run no BLAS, only
+    element-wise NumPy and file writes.  A child never returns into the
+    caller's code: it leaves through ``os._exit``, with no atexit handlers
+    and no flush of inherited stdio buffers, and reports only its exit
+    status.  Every child is reaped before this returns.  If a share
     or a fork failed, this process then writes every layer again in order:
     a lasting failure raises the serial loop's first error, a passing one
     leaves complete outputs.
@@ -88,41 +89,41 @@ def _write_maps(dest, layers) -> None:
             if pid == 0:
                 status = 1
                 try:
-                    for lc in layers[k::shares]:
-                        _write_layer(dest, lc)
+                    for layer in layers[k::shares]:
+                        _write_layer(dest, *layer)
                     status = 0
                 finally:
                     os._exit(status)
             pids.append(pid)
-        for lc in layers[::shares]:
-            _write_layer(dest, lc)
+        for layer in layers[::shares]:
+            _write_layer(dest, *layer)
     except Exception:  # this share or a fork failed: every layer is rewritten below
         failed = True
     finally:
         for pid in pids:
             failed |= os.waitpid(pid, 0)[1] != 0
     if failed:
-        for lc in layers:
-            _write_layer(dest, lc)
+        for layer in layers:
+            _write_layer(dest, *layer)
 
 
 def cmd_analyze(args) -> int:
     ir = _read_ir(args.ir)
-    stats = _statistics(args, ir, args.manifest)
+    matrices, tallies = _statistics(args, ir, args.manifest)
     base = _outdirs(args.out, "analysis")
-    _write_maps(base / "analysis", stats.layers)
-    (base / "analysis" / "tallies.txt").write_text(_tally_table(ir, stats.tallies))
+    _write_maps(base / "analysis", list(matrices.items()))
+    (base / "analysis" / "tallies.txt").write_text(_tally_table(ir, tallies))
     print(
-        f"analyzed {len(stats.layers)} layers, {len(stats.tallies)} tallies"
+        f"analyzed {len(matrices)} layers, {len(tallies)} tallies"
         f" -> {base / 'analysis'}"
     )
     return 0
 
 
 def cmd_plan(args) -> int:
-    cfg = planner.PlannerConfig(lam=args.lam)
+    planner.check_lambda(args.lam)
     ir = _read_ir(args.ir)
-    plan = planner.build_plan(ir, _statistics(args, ir, args.manifest).tallies, cfg)
+    plan = planner.build_plan(ir, _statistics(args, ir, args.manifest)[1], args.lam)
     base = _outdirs(args.out, "plans")
     path = base / "plans" / f"lambda_{plan.lambda_used!r}.plan"
     path.write_text(planner.serialize_plan(plan))
@@ -161,8 +162,8 @@ def cmd_sweep(args) -> int:
     if hi is not None and hi < lo:
         raise ValueError(f"sweep range is empty: [{lo}, {hi}]")
     ir = _read_ir(args.ir)
-    terms = planner.block_terms(ir, _statistics(args, ir, args.manifest).tallies)
-    probe = planner.plan_from_terms(ir, terms, planner.PlannerConfig(lam=0.25))
+    terms = planner.block_terms(ir, _statistics(args, ir, args.manifest)[1])
+    probe = planner.plan_from_terms(ir, terms, 0.25)
     grid = np.linspace(lo, max(lo, probe.lambda_o) if hi is None else hi, args.sweep_steps)
     names = [b.name for b in ir.blocks]
     header = ["lambda", "above_lambda_o", "conv_params"]
@@ -170,12 +171,12 @@ def cmd_sweep(args) -> int:
         header.extend((f"{name}_stretch", f"{name}_split"))
     rows = [f"# lambda_o={probe.lambda_o!r}", ",".join(header)]
     for lam in grid:
-        plan = planner.plan_from_terms(ir, terms, planner.PlannerConfig(lam=float(lam)))
+        plan = planner.plan_from_terms(ir, terms, float(lam))
         try:
             refined = rewriter.apply_plan(ir, plan)
         except ValueError as exc:
             raise ValueError(f"lambda={float(lam)!r}: {exc}") from None
-        total = netir.param_count(refined).conv_total
+        total = sum(netir.param_count(refined).values())
         row = [repr(float(lam)), str(int(lam > probe.lambda_o)), str(total)]
         for name in names:
             e = plan.per_block[name]
@@ -190,16 +191,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_iterate(args) -> int:
-    manifests = args.manifest
-    rounds = args.rounds if args.rounds is not None else len(manifests)
-    if rounds != len(manifests):
-        raise ValueError(f"{rounds} round(s) requested but {len(manifests)} manifest(s) given")
-    cfg = planner.PlannerConfig(lam=args.lam)
+    planner.check_lambda(args.lam)
     ir = _read_ir(args.ir)
     base = _outdirs(args.out, "plans", "refined", "reports")
-    for r, manifest in enumerate(manifests, start=1):
-        tallies = _statistics(args, ir, manifest).tallies
-        plan = planner.build_plan(ir, tallies, cfg)
+    for r, manifest in enumerate(args.manifest, start=1):
+        plan = planner.build_plan(ir, _statistics(args, ir, manifest)[1], args.lam)
         refined = rewriter.apply_plan(ir, plan)
         report = rewriter.size_report(ir, refined)
         (base / "plans" / f"round_{r}.plan").write_text(planner.serialize_plan(plan))
@@ -272,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iterate", help="re-refine across rounds of retraining dumps")
     _add_common_inputs(p, manifest_action="append")
     p.add_argument("--lambda", type=float, default=0.25, dest="lam")
-    p.add_argument("--rounds", type=int, default=None)
     p.set_defaults(fn=cmd_iterate)
 
     p = sub.add_parser("synth", help="generate synthetic activation dumps")

@@ -239,23 +239,37 @@ def _profile_field(obj, key: str, where: str, kind=None):
         raise ValueError(f"{where}: bad value {obj[key]!r} for {key!r}: {exc}") from None
 
 
+def _int_at_least(low: int, rule: str):
+    """Converter of an integer field that must be at least ``low``, as ``rule`` says."""
+    def convert(value) -> int:
+        n = int(value)
+        if n < low:
+            raise ValueError(rule)
+        return n
+    return convert
+
+
 def load_profile(path) -> SynthProfile:
     """Parse the JSON profile the CLI synth command takes.
 
     Schema: {"num_classes": M, "images_per_class": n, "noise": optional,
     "layers": [{"name": ..., "width": ..., "rho": r | "matrix": [[...]]}]}.
     A missing or wrongly typed key raises ValueError naming the file and
-    the key, as do a negative or non-finite noise, an M x n image count
-    beyond the labels file's u32, and a layer name that is not a unique
-    block name.  Bytes that are not UTF-8 name the file; text that is not
-    JSON names the file and the line.
+    the key, as do fewer than 2 classes or 1 image per class, a width not
+    above M, a negative or non-finite noise, an M x n image count beyond
+    the labels file's u32, and a layer name that is not a unique block
+    name.  Nothing of size M x M is built before M is checked.  Bytes that
+    are not UTF-8 name the file; text that is not JSON names the file and
+    the line.
     """
     try:
         raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
-    m = _profile_field(raw, "num_classes", str(path), int)
-    per_class = _profile_field(raw, "images_per_class", str(path), int)
+    m = _profile_field(raw, "num_classes", str(path), _int_at_least(2, "need at least 2 classes"))
+    per_class = _profile_field(
+        raw, "images_per_class", str(path), _int_at_least(1, "need at least 1 image per class")
+    )
     if m * per_class > _U32_MAX:
         raise ValueError(
             f"{path}: bad value {raw['images_per_class']!r} for 'images_per_class':"
@@ -270,7 +284,8 @@ def load_profile(path) -> SynthProfile:
         name = _profile_field(entry, "name", where)
         if not isinstance(name, str) or not _NAME_RE.fullmatch(name) or name in layers:
             raise ValueError(f"{where}: bad value {name!r} for 'name': expected a new block name")
-        width = _profile_field(entry, "width", where, int)
+        width = _profile_field(entry, "width", where, _int_at_least(
+            m + 1, f"too small for {m} classes, need at least {m + 1}"))
         if "matrix" in entry:
             target = _profile_field(
                 entry, "matrix", where, lambda v: np.asarray(v, dtype=np.float64)

@@ -46,14 +46,6 @@ FORMAT_VERSION = 1
 CHUNK_VALUES = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class ClassMeans:
-    """Row m is the mean feature vector of the images labelled m."""
-
-    layer_name: str
-    means: np.ndarray  # (M, h) float64
-
-
 def _unpack(head: bytes, offset: int, codes: str, path, what: str):
     """Unpack little-endian ``codes`` at ``offset``; returns (values, end offset)."""
     end = offset + struct.calcsize("<" + codes)
@@ -170,15 +162,17 @@ def _pooled_chunks(fh, path, dims: tuple[int, ...], payload_off: int):
 
 
 def _class_means(layer_name: str, labels: np.ndarray, num_classes: int, width: int,
-                 chunks) -> ClassMeans:
+                 chunks) -> np.ndarray:
     """Per-class means of pooled feature rows, summed chunk by chunk.
 
-    ``chunks`` yields (first image, rows) for consecutive images.
-    ``np.add.at`` adds into each entry of a class's sum the rows of that
-    class one at a time in image order: the same order, and so the same
-    float64 result, as ``rows.mean(axis=0)`` over that class's rows.  Every
-    class 0..M-1 must be represented; an empty class is an error because its
-    mean (and every correlation involving it) is undefined.
+    Row m of the (M, width) float64 result is the mean feature vector of
+    the images labelled m.  ``chunks`` yields (first image, rows) for
+    consecutive images.  ``np.add.at`` adds into each entry of a class's
+    sum the rows of that class one at a time in image order: the same
+    order, and so the same float64 result, as ``rows.mean(axis=0)`` over
+    that class's rows.  Every class 0..M-1 must be represented; an empty
+    class is an error because its mean (and every correlation involving
+    it) is undefined.
     """
     # Labels lie in 0..num_classes-1, so every class has images exactly
     # when there are num_classes distinct labels.  Nothing of size
@@ -197,7 +191,7 @@ def _class_means(layer_name: str, labels: np.ndarray, num_classes: int, width: i
         flat = labels[lo : lo + rows.shape[0], None] * width + columns
         np.add.at(sums.reshape(-1), flat.reshape(-1), rows.reshape(-1))
     sums /= counts[:, None]
-    return ClassMeans(layer_name=layer_name, means=sums)
+    return sums
 
 
 def write_tensor_chunks(path, shape, chunks) -> None:
@@ -257,8 +251,8 @@ def write_labels_file(path, labels) -> None:
         fh.write(np.ascontiguousarray(labels, dtype="<u4").tobytes())
 
 
-def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, ClassMeans]:
-    """Resolve a manifest into the class means of every listed layer.
+def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, np.ndarray]:
+    """Resolve a manifest into the (M, h) class means of every listed layer.
 
     The number of classes is one more than the largest label.  All layers
     must share the labels file's image count, and every class must have
@@ -296,7 +290,7 @@ def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, ClassMeans]:
     if labels.size == 0:
         raise ManifestError(f"{labels_path}: labels file is empty")
     num_classes = int(labels.max()) + 1
-    means: dict[str, ClassMeans] = {}
+    means: dict[str, np.ndarray] = {}
     for name, tensor_path in layer_paths.items():
         with open(tensor_path, "rb") as fh:
             dims, payload_off = _parse_tensor_header(

@@ -55,48 +55,38 @@ class ConvBlock:
 
 @dataclass(frozen=True)
 class NetworkIR:
-    """A validated-on-demand DAG of conv blocks.
+    """A validated DAG of conv blocks.
 
-    Blocks are kept in canonical (stage, name) order; edges are kept grouped
-    by consumer, preserving the per-consumer predecessor order because that
-    order defines how input channels concatenate.  The lookup index is built
-    once from the canonical blocks and edges and takes no part in equality,
-    hashing or repr.
+    Construction raises IRValidationError naming the first invariant the
+    blocks and edges violate.  Blocks are kept in canonical (stage, name)
+    order; edges are kept grouped by consumer, preserving the per-consumer
+    predecessor order because that order defines how input channels
+    concatenate.  The lookup index is built once from the canonical blocks
+    and edges and takes no part in equality, hashing or repr.
     """
 
     blocks: tuple[ConvBlock, ...]
     edges: tuple[tuple[str, str], ...]
-    num_stages: int
     _by_name: dict = field(init=False, repr=False, compare=False)
     _preds: dict = field(init=False, repr=False, compare=False)
     _consumers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(sorted(self.blocks, key=lambda b: (b.stage, b.name)))
-        by_name: dict[str, ConvBlock] = {}
-        for b in blocks:
-            by_name.setdefault(b.name, b)  # a scan finds the first of a duplicated name
-        grouped: dict[str, list[str]] = {}
-        for producer, consumer in self.edges:
-            grouped.setdefault(consumer, []).append(producer)
-        edges = tuple(
-            (p, b.name) for b in blocks for p in grouped.get(b.name, ())
-        )
-        # any edge whose consumer is unknown would be silently dropped above;
-        # keep it so validation can reject it
-        edges += tuple(e for e in self.edges if e[1] not in by_name)
-        # index the canonical edges themselves, so lookups return exactly
-        # what a scan of them would, stray and repeated edges included
-        preds: dict[str, list[str]] = {}
+        preds = validate_network(blocks, tuple(self.edges))
+        edges = tuple((p, b.name) for b in blocks for p in preds.get(b.name, ()))
         consumers: dict[str, list[str]] = {}
         for producer, consumer in edges:
-            preds.setdefault(consumer, []).append(producer)
             consumers.setdefault(producer, []).append(consumer)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_preds", {k: tuple(v) for k, v in preds.items()})
+        object.__setattr__(self, "_by_name", {b.name: b for b in blocks})
+        object.__setattr__(self, "_preds", preds)
         object.__setattr__(self, "_consumers", {k: tuple(v) for k, v in consumers.items()})
+
+    @property
+    def num_stages(self) -> int:
+        return self.blocks[-1].stage + 1
 
     def block(self, name: str) -> ConvBlock:
         return self._by_name[name]
@@ -106,21 +96,6 @@ class NetworkIR:
 
     def consumers(self, name: str) -> tuple[str, ...]:
         return self._consumers.get(name, ())
-
-
-@dataclass(frozen=True, eq=False)
-class ParamCount:
-    per_block: dict[str, int]
-    conv_total: int
-
-
-def make_network(blocks, edges) -> NetworkIR:
-    """Assemble and validate a NetworkIR, computing num_stages."""
-    blocks = tuple(blocks)
-    num_stages = max((b.stage for b in blocks), default=-1) + 1
-    ir = NetworkIR(blocks, tuple(edges), num_stages)
-    validate_network(ir)
-    return ir
 
 
 def auto_excluded(blocks, edges) -> set[str]:
@@ -133,9 +108,7 @@ def auto_excluded(blocks, edges) -> set[str]:
     """
     consumers = {c for _, c in edges}
     out = {b.name for b in blocks if b.name not in consumers}
-    if not blocks:
-        return out
-    last = max(b.stage for b in blocks)
+    last = max((b.stage for b in blocks), default=0)
     by_stage: dict[int, list] = {}
     for b in blocks:
         by_stage.setdefault(b.stage, []).append(b)
@@ -145,16 +118,20 @@ def auto_excluded(blocks, edges) -> set[str]:
     return out
 
 
-def validate_network(ir: NetworkIR) -> None:
-    """Raise IRValidationError naming the first violated invariant."""
-    if not ir.blocks:
+def validate_network(blocks, edges) -> dict[str, tuple[str, ...]]:
+    """Raise IRValidationError naming the first violated invariant.
+
+    ``blocks`` are in (stage, name) order.  Returns the predecessors of each
+    block that has any, in the order ``edges`` lists them.
+    """
+    if not blocks:
         raise IRValidationError("network has no blocks")
     by_name: dict[str, ConvBlock] = {}
-    for b in ir.blocks:
+    for b in blocks:
         if b.name in by_name:
             raise IRValidationError(f"duplicate block name {b.name!r}")
         by_name[b.name] = b
-    for b in ir.blocks:
+    for b in blocks:
         if not _NAME_RE.match(b.name):
             raise IRValidationError(f"invalid block name {b.name!r}")
         for label, v in (
@@ -172,12 +149,14 @@ def validate_network(ir: NetworkIR) -> None:
             raise IRValidationError(f"block {b.name}: stage must be non-negative")
 
     seen_edges = set()
-    for producer, consumer in ir.edges:
+    grouped: dict[str, list[str]] = {}
+    for producer, consumer in edges:
         if producer not in by_name or consumer not in by_name:
             raise IRValidationError(f"edge ({producer}, {consumer}) names an unknown block")
         if (producer, consumer) in seen_edges:
             raise IRValidationError(f"duplicate edge ({producer}, {consumer})")
         seen_edges.add((producer, consumer))
+        grouped.setdefault(consumer, []).append(producer)
         # stage strictly increases along every edge, so the graph is acyclic
         if by_name[producer].stage >= by_name[consumer].stage:
             raise IRValidationError(
@@ -185,17 +164,16 @@ def validate_network(ir: NetworkIR) -> None:
                 f" ({by_name[producer].stage} -> {by_name[consumer].stage})"
             )
 
-    stages = {b.stage for b in ir.blocks}
-    if stages != set(range(ir.num_stages)):
-        missing = sorted(set(range(ir.num_stages)) - stages)
-        extra = sorted(stages - set(range(ir.num_stages)))
+    # stages are non-negative, so none lies beyond the last block's
+    missing = sorted(set(range(blocks[-1].stage)) - {b.stage for b in blocks})
+    if missing:
         raise IRValidationError(
-            f"stage indices must cover 0..{ir.num_stages - 1} exactly"
-            f" (missing {missing}, out of range {extra})"
+            f"stage indices must cover 0..{blocks[-1].stage} exactly"
+            f" (missing {missing}, out of range [])"
         )
 
-    for b in ir.blocks:
-        preds = [by_name[p] for p in ir.predecessors(b.name)]
+    for b in blocks:
+        preds = [by_name[p] for p in grouped.get(b.name, ())]
         if preds:
             fed = sum(p.out_channels for p in preds)
             if b.in_channels != fed:
@@ -218,12 +196,12 @@ def validate_network(ir: NetworkIR) -> None:
                     f" {p.out_channels} of predecessor {p.name}"
                 )
 
-    must_exclude = auto_excluded(ir.blocks, ir.edges)
-    for name in sorted(must_exclude):
+    for name in sorted(auto_excluded(blocks, edges)):
         if not by_name[name].excluded:
             raise IRValidationError(
                 f"block {name} is terminal or input-fed and must carry the excluded flag"
             )
+    return {k: tuple(v) for k, v in grouped.items()}
 
 
 def read_text(path, error=ValueError) -> str:
@@ -335,7 +313,7 @@ def parse_network(text: str, source="<ir>") -> NetworkIR:
     flagged = auto_excluded(blocks, edges)
     blocks = [replace(b, excluded=True) if b.name in flagged else b for b in blocks]
     try:
-        return make_network(blocks, edges)
+        return NetworkIR(blocks, edges)
     except IRValidationError as exc:
         raise IRValidationError(f"{source}: {exc}") from None
 
@@ -384,6 +362,6 @@ def block_params(block: ConvBlock) -> int:
     return n
 
 
-def param_count(ir: NetworkIR) -> ParamCount:
-    per_block = {b.name: block_params(b) for b in ir.blocks}
-    return ParamCount(per_block=per_block, conv_total=sum(per_block.values()))
+def param_count(ir: NetworkIR) -> dict[str, int]:
+    """Weights (plus bias terms) of every block, by name in (stage, name) order."""
+    return {b.name: block_params(b) for b in ir.blocks}

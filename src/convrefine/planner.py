@@ -46,14 +46,6 @@ def check_lambda(lam: float) -> None:
 
 
 @dataclass(frozen=True)
-class PlannerConfig:
-    lam: float = 0.25
-
-    def __post_init__(self):
-        check_lambda(self.lam)
-
-
-@dataclass(frozen=True)
 class PlanEntry:
     stretch: float
     split: int
@@ -183,31 +175,30 @@ def block_terms(ir: NetworkIR, tallies) -> dict[str, BlockTerms]:
     return terms
 
 
-def build_plan(ir: NetworkIR, tallies, cfg: PlannerConfig) -> RefinementPlan:
-    """Stretch/split factors for every block of the network."""
-    return plan_from_terms(ir, block_terms(ir, tallies), cfg)
+def build_plan(ir: NetworkIR, tallies, lam: float) -> RefinementPlan:
+    """Stretch/split factors at ``lam`` for every block of the network."""
+    return plan_from_terms(ir, block_terms(ir, tallies), lam)
 
 
-def plan_from_terms(ir: NetworkIR, terms, cfg: PlannerConfig) -> RefinementPlan:
-    """The plan at ``cfg.lam`` from the :func:`block_terms` of ``ir``.
+def plan_from_terms(ir: NetworkIR, terms, lam: float) -> RefinementPlan:
+    """The plan at ``lam`` from the :func:`block_terms` of ``ir``.
 
     The split is 2**psi(x-), the case-b stretch 1 + lambda*psi(x+), and
     lambda_o the largest term any block floors.  ``terms`` is only read, so
     one result of :func:`block_terms` serves every lambda of a sweep.
     """
+    check_lambda(lam)
     entries: dict[str, PlanEntry] = {}
     for b in ir.blocks:
         t = terms.get(b.name)
         if t is None:
             entries[b.name] = PlanEntry(stretch=1.0, split=1, case="x")
             continue
-        stretch = 1.0 if t.case == "a" else 1.0 + cfg.lam * psi(t.x_plus, cfg.lam)
-        entries[b.name] = PlanEntry(
-            stretch=stretch, split=1 << psi(t.x_minus, cfg.lam), case=t.case
-        )
+        stretch = 1.0 if t.case == "a" else 1.0 + lam * psi(t.x_plus, lam)
+        entries[b.name] = PlanEntry(stretch=stretch, split=1 << psi(t.x_minus, lam), case=t.case)
     return RefinementPlan(
         per_block=entries,
-        lambda_used=cfg.lam,
+        lambda_used=lam,
         lambda_o=max((x for t in terms.values() for x in t.floored), default=0.0),
     )
 

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .netir import NetworkIR, make_network, param_count
+from .netir import NetworkIR, param_count
 from .planner import RefinementPlan
 
 
@@ -100,24 +100,22 @@ def apply_plan(ir: NetworkIR, plan: RefinementPlan) -> NetworkIR:
         blocks.append(
             replace(b, in_channels=new_in, out_channels=new_out[b.name], group=new_group[b.name])
         )
-    return make_network(blocks, ir.edges)
+    return NetworkIR(blocks, ir.edges)
 
 
 def size_report(before: NetworkIR, after: NetworkIR) -> SizeReport:
     """Convolutional parameter totals of two IRs and the reduction between them."""
     counts_before = param_count(before)
     counts_after = param_count(after)
-    if counts_before.per_block.keys() != counts_after.per_block.keys():
+    if counts_before.keys() != counts_after.keys():
         raise ValueError("IRs do not share a block set; cannot compare sizes")
-    per_block = {
-        name: (counts_before.per_block[name], counts_after.per_block[name])
-        for name in counts_before.per_block
-    }
+    total_before = sum(counts_before.values())
+    total_after = sum(counts_after.values())
     return SizeReport(
-        original_conv_params=counts_before.conv_total,
-        refined_conv_params=counts_after.conv_total,
-        reduction_pct=100.0 * (1.0 - counts_after.conv_total / counts_before.conv_total),
-        per_block=per_block,
+        original_conv_params=total_before,
+        refined_conv_params=total_after,
+        reduction_pct=100.0 * (1.0 - total_after / total_before),
+        per_block={name: (n, counts_after[name]) for name, n in counts_before.items()},
     )
 
 

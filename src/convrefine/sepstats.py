@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featio import ClassMeans
 from .netir import NetworkIR
 
 
@@ -28,12 +27,6 @@ class DegenerateClassError(ValueError):
 
 class DegenerateClassWarning(UserWarning):
     pass
-
-
-@dataclass(frozen=True, eq=False)
-class LayerCorrelation:
-    layer_name: str
-    matrix: np.ndarray  # (M, M) float64
 
 
 @dataclass(frozen=True)
@@ -57,20 +50,22 @@ class SeparationTally:
             )
 
 
-def correlation_layer(means: ClassMeans, strict: bool = False) -> LayerCorrelation:
-    """Pearson correlation of every ordered pair of class-mean vectors.
+def correlation_layer(name: str, means, strict: bool = False) -> np.ndarray:
+    """(M, M) Pearson correlation of every ordered pair of rows of ``means``.
 
-    A constant (zero-variance) mean vector has no defined correlation; its
-    row and column are set to 0 and a warning names the class (strict mode
-    raises instead).  Non-degenerate diagonal entries are exactly 1 and the
-    matrix is exactly symmetric with entries in [-1, 1].
+    Row m of ``means`` is the mean feature vector of class m in layer
+    ``name``, which messages name.  A constant (zero-variance) mean vector
+    has no defined correlation; its row and column are set to 0 and a
+    warning names the class (strict mode raises instead).  Non-degenerate
+    diagonal entries are exactly 1 and the matrix is exactly symmetric with
+    entries in [-1, 1].
     """
-    g = np.asarray(means.means, dtype=np.float64)
+    g = np.asarray(means, dtype=np.float64)
     if g.ndim != 2:
-        raise ValueError(f"layer {means.layer_name}: class means must be rank 2")
+        raise ValueError(f"layer {name}: class means must be rank 2")
     if g.shape[1] < 2:
         raise ValueError(
-            f"layer {means.layer_name}: need at least 2 hidden units for correlation,"
+            f"layer {name}: need at least 2 hidden units for correlation,"
             f" got {g.shape[1]}"
         )
     centered = g - g.mean(axis=1, keepdims=True)
@@ -78,7 +73,7 @@ def correlation_layer(means: ClassMeans, strict: bool = False) -> LayerCorrelati
     degenerate = [int(i) for i in np.flatnonzero(norms == 0.0)]
     if degenerate:
         msg = (
-            f"layer {means.layer_name}: constant class mean vector(s) for"
+            f"layer {name}: constant class mean vector(s) for"
             f" class(es) {degenerate}; correlations set to 0"
         )
         if strict:
@@ -92,7 +87,7 @@ def correlation_layer(means: ClassMeans, strict: bool = False) -> LayerCorrelati
     if degenerate:
         corr[degenerate, :] = 0.0
         corr[:, degenerate] = 0.0
-    return LayerCorrelation(layer_name=means.layer_name, matrix=corr)
+    return corr
 
 
 def check_tie_tol(tie_tol: float) -> None:
@@ -134,21 +129,13 @@ def separation_tally(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class NetworkStatistics:
-    layers: tuple[LayerCorrelation, ...]  # one per block, in the IR's (stage, name) order
-    tallies: dict[str, SeparationTally]  # blocks that have a predecessor
-
-
-def network_statistics(
-    ir: NetworkIR,
-    means_by_layer,
-    tie_tol: float = 1e-6,
-    strict: bool = False,
-) -> NetworkStatistics:
+def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
+                       strict: bool = False) -> tuple[dict, dict]:
     """Per-block correlation matrices and tallies, each matrix computed once.
 
-    A block is compared against the correlation matrix of its direct
+    Returns ({block: (M, M) matrix} in the IR's (stage, name) order,
+    {block: SeparationTally} for the blocks that have a predecessor).  A
+    block is compared against the correlation matrix of its direct
     predecessor; when a block consumes several producers, the predecessor
     statistics come from the concatenation of their class-mean features, in
     edge order, which is exactly the channel stack the block sees.
@@ -156,11 +143,11 @@ def network_statistics(
     for b in ir.blocks:
         if b.name not in means_by_layer:
             raise ValueError(f"no class means supplied for block {b.name}")
-    layers = tuple(correlation_layer(means_by_layer[b.name], strict=strict) for b in ir.blocks)
-    sizes = {lc.matrix.shape[0] for lc in layers}
+    matrix_of = {b.name: correlation_layer(b.name, means_by_layer[b.name], strict)
+                 for b in ir.blocks}
+    sizes = {m.shape[0] for m in matrix_of.values()}
     if len(sizes) > 1:
         raise ValueError(f"layers disagree on the number of classes: {sorted(sizes)}")
-    matrix_of = {b.name: lc.matrix for b, lc in zip(ir.blocks, layers)}
 
     tallies: dict[str, SeparationTally] = {}
     for b in ir.blocks:
@@ -170,16 +157,12 @@ def network_statistics(
         if len(preds) == 1:
             prev_matrix = matrix_of[preds[0]]
         else:
-            stacked = np.concatenate(
-                [means_by_layer[p].means for p in preds], axis=1
-            )
-            prev_matrix = correlation_layer(
-                ClassMeans(layer_name="+".join(preds), means=stacked), strict=strict
-            ).matrix
+            stacked = np.concatenate([means_by_layer[p] for p in preds], axis=1)
+            prev_matrix = correlation_layer("+".join(preds), stacked, strict)
         tallies[b.name] = separation_tally(
             prev_matrix, matrix_of[b.name], tie_tol=tie_tol, layer_name=b.name
         )
-    return NetworkStatistics(layers=layers, tallies=tallies)
+    return matrix_of, tallies
 
 
 def write_correlation_csv(path, matrix: np.ndarray) -> None:

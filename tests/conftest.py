@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convrefine import featio
-from convrefine.netir import ConvBlock, auto_excluded, make_network
+from convrefine.netir import ConvBlock, NetworkIR, auto_excluded
 from convrefine.planner import PlanEntry, RefinementPlan
 from convrefine.sepstats import SeparationTally
 
@@ -65,7 +65,7 @@ def chain_ir(widths, in0=3, kernel=3, bias=False, groups=None):
         if i:
             edges.append((f"conv{i - 1}", f"conv{i}"))
         prev_out = w
-    return make_network(blocks, edges)
+    return NetworkIR(blocks, edges)
 
 
 def random_chain_tallies(rng, num_classes, num_stages):
@@ -160,7 +160,7 @@ def random_ir(rng):
                        b.group, b.stage, b.has_bias, True)
         for b in blocks
     ]
-    return make_network(blocks, edges)
+    return NetworkIR(blocks, edges)
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from convrefine.featio import (
     write_tensor_file,
 )
 from convrefine.netir import ConvBlock, block_params, param_count, parse_network, serialize_network
-from convrefine.planner import PlanEntry, PlannerConfig, build_plan
+from convrefine.planner import PlanEntry, build_plan
 from convrefine.rewriter import apply_plan
 from convrefine.sepstats import (
     SeparationTally,
@@ -38,7 +38,6 @@ from convrefine.sepstats import (
     network_statistics,
     separation_tally,
 )
-from convrefine.featio import ClassMeans
 
 from conftest import (
     chain_ir,
@@ -80,7 +79,7 @@ def test_criterion_1_equivalence_point():
             "conv3": _tally("conv3", 12, 0, 16),
             "conv4": _tally("conv4", 8, 0, 16),
         }
-        plan = build_plan(ir, tallies, PlannerConfig(lam=0.25))
+        plan = build_plan(ir, tallies, 0.25)
         entry = plan.per_block["conv1"]
         assert entry.case == "b"
         assert entry.split == 2
@@ -97,13 +96,13 @@ def test_criterion_2_lambda_o_bound():
             seq = random_chain_tallies(rng, m, length)
             tallies = {t.layer_name: t for t in seq if t is not None}
             ir = chain_ir([m * 8] * length)
-            probe = build_plan(ir, tallies, PlannerConfig(lam=0.25))
+            probe = build_plan(ir, tallies, 0.25)
             if probe.lambda_o <= 0:
                 continue
             done += 1
-            closed = build_plan(ir, tallies, PlannerConfig(lam=probe.lambda_o * (1 + 1e-9)))
+            closed = build_plan(ir, tallies, probe.lambda_o * (1 + 1e-9))
             assert is_identity(closed)
-            opened = build_plan(ir, tallies, PlannerConfig(lam=probe.lambda_o * 0.999))
+            opened = build_plan(ir, tallies, probe.lambda_o * 0.999)
             assert not is_identity(opened)
 
 
@@ -113,7 +112,7 @@ def test_criterion_3_group_arithmetic_anchor():
             "block conv_1 in=3 out=96 k=11x11 group=1 stage=0\n"
             "block conv_2 in=96 out=256 k=11x11 group=1 stage=1 prev=conv_1\n"
         )
-        assert param_count(ir).per_block["conv_2"] == 2_973_696
+        assert param_count(ir)["conv_2"] == 2_973_696
 
         # independent oracle: enumerate every connected channel pair
         def enumerate_weights(in_ch, out_ch, group, k):
@@ -136,7 +135,7 @@ def test_criterion_3_group_arithmetic_anchor():
             lambda_o=0.0,
         )
         refined = apply_plan(ir, plan)
-        assert param_count(refined).per_block["conv_2"] == 1_486_848
+        assert param_count(refined)["conv_2"] == 1_486_848
         assert block_params(refined.block("conv_2")) * 2 == block_params(ir.block("conv_2"))
 
 
@@ -176,7 +175,7 @@ def test_criterion_4_exact_rational_oracle():
             lam = lam_grid[int(rng.integers(0, len(lam_grid)))]
             ir = chain_ir([m * 8] * length)
             tallies = {t.layer_name: t for t in seq if t is not None}
-            plan = build_plan(ir, tallies, PlannerConfig(lam=float(lam)))
+            plan = build_plan(ir, tallies, float(lam))
             reference, bound = _rational_reference(per_layer, m, length, lam)
             for layer, (stretch, split, case) in reference.items():
                 entry = plan.per_block[f"conv{layer - 1}"]
@@ -206,7 +205,7 @@ def test_criterion_5_end_to_end_case_discrimination(tmp_path):
         sets, labels = synth_activations(profile, seed=7)
         manifest = write_activation_dumps(tmp_path, sets, labels, spatial=(2, 2), seed=7)
         means = load_manifest(manifest, ir)
-        plan = build_plan(ir, network_statistics(ir, means).tallies, PlannerConfig(lam=0.25))
+        plan = build_plan(ir, network_statistics(ir, means)[1], 0.25)
         rise = plan.per_block["conv2"]  # correlations rose: separation dropped
         assert (rise.case, rise.stretch) == ("a", 1.0)
         assert rise.split >= 2
@@ -217,7 +216,7 @@ def test_criterion_5_end_to_end_case_discrimination(tmp_path):
         # determinism: a second synthesis with the same seed gives the same plan
         sets2, labels2 = synth_activations(profile, seed=7)
         means2 = {n: class_means(n, s, labels2) for n, s in sets2.items()}
-        plan2 = build_plan(ir, network_statistics(ir, means2).tallies, PlannerConfig(lam=0.25))
+        plan2 = build_plan(ir, network_statistics(ir, means2)[1], 0.25)
         assert plan2.per_block == plan.per_block
 
 
@@ -227,12 +226,8 @@ def test_criterion_6_statistics_invariants():
         for _ in range(1000):
             m = int(rng.integers(2, 7))
             h = int(rng.integers(2, 17))
-            prev = correlation_layer(
-                ClassMeans(layer_name="p", means=rng.standard_normal((m, h)))
-            ).matrix
-            cur = correlation_layer(
-                ClassMeans(layer_name="c", means=rng.standard_normal((m, h)))
-            ).matrix
+            prev = correlation_layer("p", rng.standard_normal((m, h)))
+            cur = correlation_layer("c", rng.standard_normal((m, h)))
             for c in (prev, cur):
                 assert np.abs(c - c.T).max() <= 1e-12
                 assert np.all(np.diag(c) == 1.0)
@@ -254,16 +249,16 @@ def test_criterion_7_split_monotonicity_and_size():
             seq = random_chain_tallies(rng, m, length)
             tallies = {t.layer_name: t for t in seq if t is not None}
             ir = chain_ir([m * 8] * length)
-            probe = build_plan(ir, tallies, PlannerConfig(lam=0.25))
+            probe = build_plan(ir, tallies, 0.25)
             hi = max(probe.lambda_o * 1.2, 0.3)
             grid = np.linspace(0.02, hi, 50)
             prev_plan = prev_params = prev_widths = None
             for lam in grid:
-                plan = build_plan(ir, tallies, PlannerConfig(lam=float(lam)))
+                plan = build_plan(ir, tallies, float(lam))
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     refined = apply_plan(ir, plan)
-                params = param_count(refined).conv_total
+                params = sum(param_count(refined).values())
                 widths = [b.out_channels for b in refined.blocks]
                 if prev_plan is not None:
                     for name, entry in plan.per_block.items():
@@ -285,18 +280,18 @@ def test_criterion_7_split_monotonicity_and_size():
             seq = random_split_only_tallies(rng, m, length)
             tallies = {t.layer_name: t for t in seq if t is not None}
             ir = chain_ir([1024] * length)
-            probe = build_plan(ir, tallies, PlannerConfig(lam=0.25))
+            probe = build_plan(ir, tallies, 0.25)
             if probe.lambda_o <= 0:
                 continue
             done += 1
             grid = np.linspace(probe.lambda_o / 8, probe.lambda_o * 1.2, 50)
             prev_plan = prev_params = None
             for lam in grid:
-                plan = build_plan(ir, tallies, PlannerConfig(lam=float(lam)))
+                plan = build_plan(ir, tallies, float(lam))
                 assert all(e.stretch == 1.0 for e in plan.per_block.values())
                 refined = apply_plan(ir, plan)
                 assert [b.out_channels for b in refined.blocks] == [1024] * length
-                params = param_count(refined).conv_total
+                params = sum(param_count(refined).values())
                 if prev_plan is not None:
                     for name, entry in plan.per_block.items():
                         assert entry.split <= prev_plan.per_block[name].split

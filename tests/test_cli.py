@@ -79,7 +79,7 @@ def test_analyze_outputs(workdir, capsys):
         assert (out / "analysis" / f"conv{i}.corr.pgm").exists()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateClassWarning)
-            matrix = correlation_layer(means[f"conv{i}"]).matrix
+            matrix = correlation_layer(f"conv{i}", means[f"conv{i}"])
         csv = (out / "analysis" / f"conv{i}.corr.csv").read_bytes()
         assert csv == reference_csv(matrix).encode("ascii")
     conv4_rows = (out / "analysis" / "conv4.corr.csv").read_text().splitlines()
@@ -258,7 +258,7 @@ def test_iterate_single_round_equals_plan_apply(workdir):
     manifest = workdir / "dumps" / "manifest.txt"
     it_out = workdir / "it"
     assert _run("iterate", "--ir", workdir / "net.ir", "--manifest", manifest,
-                "--rounds", "1", "--out", it_out) == 0
+                "--out", it_out) == 0
     pl_out = workdir / "pl"
     assert _run("plan", "--ir", workdir / "net.ir", "--manifest", manifest,
                 "--out", pl_out) == 0
@@ -285,14 +285,6 @@ def test_iterate_identity_tallies_fixed_point(workdir):
     base = serialize_network(parse_network(CHAIN_IR))
     assert (out / "refined" / "round_1.ir").read_text() == base
     assert (out / "refined" / "round_2.ir").read_text() == base
-
-
-def test_iterate_round_count_mismatch(workdir, capsys):
-    rc = _run("iterate", "--ir", workdir / "net.ir", "--manifest",
-              workdir / "dumps" / "manifest.txt", "--rounds", "2",
-              "--out", workdir / "run")
-    assert rc == 1
-    assert "2 round(s) requested but 1 manifest(s) given" in capsys.readouterr().err
 
 
 def test_manifest_without_a_blocks_dump_fails(workdir, capsys):
@@ -456,8 +448,16 @@ def test_ir_errors_name_the_file(workdir, capsys, text, message):
          ": 'utf-8' codec can't decode byte 0xff in position 31"),
         ("profile", b'{"num_classes": 4,\n "\xff": 1}\n',
          ": 'utf-8' codec can't decode byte 0xff in position 21"),
+        ("profile", b'{"num_classes": 1, "images_per_class": 2, "layers": []}',
+         ": bad value 1 for 'num_classes': need at least 2 classes\n"),
+        ("profile", b'{"num_classes": 2, "images_per_class": 0, "layers": []}',
+         ": bad value 0 for 'images_per_class': need at least 1 image per class\n"),
+        ("profile", b'{"num_classes": 3, "images_per_class": 1,'
+                    b' "layers": [{"name": "a", "width": 3, "rho": 0.1}]}',
+         ": layers[0]: bad value 3 for 'width': too small for 3 classes, need at least 4\n"),
     ],
-    ids=["ir", "plan", "manifest", "profile", "manifest-not-utf8", "profile-not-utf8"],
+    ids=["ir", "plan", "manifest", "profile", "manifest-not-utf8", "profile-not-utf8",
+         "profile-one-class", "profile-no-images", "profile-narrow-layer"],
 )
 def test_text_input_errors_name_file_and_line(workdir, capsys, kind, text, form):
     bad = workdir / "dumps" / f"bad.{kind}"
@@ -681,7 +681,7 @@ def test_analyze_shares_write_the_same_bytes(workdir, capsys, monkeypatch):
     assert all(tree == trees[0] for tree in trees)
     means = load_manifest(workdir / "dumps" / "manifest.txt", parse_network(CHAIN_IR))
     for i in range(6):
-        expected = reference_csv(correlation_layer(means[f"conv{i}"]).matrix)
+        expected = reference_csv(correlation_layer(f"conv{i}", means[f"conv{i}"]))
         assert trees[0][f"conv{i}.corr.csv"] == expected.encode("ascii")
     assert sorted(trees[0]) == sorted(
         [f"conv{i}.corr.{ext}" for i in range(6) for ext in ("csv", "pgm")] + ["tallies.txt"]

@@ -18,7 +18,7 @@ from convrefine.evalkit import (
 )
 from convrefine.featio import TensorFormatError, load_manifest
 from convrefine.netir import parse_network
-from convrefine.planner import PlannerConfig, build_plan
+from convrefine.planner import build_plan
 from convrefine.sepstats import correlation_layer, network_statistics
 
 from conftest import class_means
@@ -156,7 +156,7 @@ def test_synth_hits_targets():
     sets, labels = synth_activations(_profile([0.1, 0.55, -0.2]), seed=3)
     assert labels.size == 20
     for i, rho in enumerate([0.1, 0.55, -0.2]):
-        c = correlation_layer(class_means(f"conv{i}", sets[f"conv{i}"], labels)).matrix
+        c = correlation_layer(f"conv{i}", class_means(f"conv{i}", sets[f"conv{i}"], labels))
         off = c[~np.eye(4, dtype=bool)]
         np.testing.assert_allclose(off, rho, atol=0.05)
         np.testing.assert_allclose(off, rho, atol=1e-9)  # construction is near-exact
@@ -219,7 +219,7 @@ def test_synth_identical_layers_tally_all_ties(tmp_path):
     )
     sets, labels = synth_activations(profile, seed=5)
     means = {n: class_means(n, s, labels) for n, s in sets.items()}
-    t = network_statistics(ir, means, tie_tol=1e-6).tallies["conv1"]
+    t = network_statistics(ir, means, tie_tol=1e-6)[1]["conv1"]
     assert (t.n_plus, t.n_minus, t.n_ties) == (0, 0, 16)
 
 
@@ -234,8 +234,8 @@ def test_synth_forces_cases_through_file_roundtrip(tmp_path):
     # correlations rise at conv2 (case a there) then fall (case b after)
     sets, labels = synth_activations(_profile([0.1, 0.3, 0.6, 0.4, 0.2, 0.05], m=4), seed=7)
     manifest = write_activation_dumps(tmp_path, sets, labels, spatial=(2, 2), seed=7)
-    tallies = network_statistics(ir, load_manifest(manifest, ir)).tallies
-    plan = build_plan(ir, tallies, PlannerConfig(lam=0.25))
+    tallies = network_statistics(ir, load_manifest(manifest, ir))[1]
+    plan = build_plan(ir, tallies, 0.25)
     assert plan.per_block["conv2"].case == "a"
     assert plan.per_block["conv2"].split >= 2
     assert plan.per_block["conv2"].stretch == 1.0

@@ -94,7 +94,7 @@ def _pooled(tensor):
         write_tensor_file(tmp / "t.atns", tensor)
         write_labels_file(tmp / "labels.atlb", np.arange(tensor.shape[0]))
         (tmp / "m.txt").write_text("layer t t.atns\nlabels labels.atlb\n")
-        return load_manifest(tmp / "m.txt")["t"].means
+        return load_manifest(tmp / "m.txt")["t"]
 
 
 def test_pool_hand_example():
@@ -120,12 +120,12 @@ def test_pool_preserves_means(n, c, h, w, seed):
 
 def test_class_means_hand_example():
     means = class_means("l", np.array([[0.0, 2.0], [2.0, 0.0]]), np.array([0, 0]))
-    np.testing.assert_array_equal(means.means, [[1.0, 1.0]])
+    np.testing.assert_array_equal(means, [[1.0, 1.0]])
 
 
 def test_class_means_single_image_per_class():
     feats = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(class_means("l", feats, np.array([0, 1])).means, feats)
+    np.testing.assert_array_equal(class_means("l", feats, np.array([0, 1])), feats)
 
 
 def test_class_means_missing_class():
@@ -140,8 +140,8 @@ def test_class_means_permutation_invariant():
     labels[:3] = [0, 1, 2]  # every class present
     perm = rng.permutation(12)
     np.testing.assert_allclose(
-        class_means("l", feats, labels).means,
-        class_means("l", feats[perm], labels[perm]).means,
+        class_means("l", feats, labels),
+        class_means("l", feats[perm], labels[perm]),
         atol=1e-12,
     )
 
@@ -167,9 +167,8 @@ def test_manifest_two_layers(tmp_path):
     )
     means = load_manifest(manifest)
     assert sorted(means) == ["a", "b"]
-    assert means["a"].means.shape == (2, 8)
-    assert means["b"].means.shape == (2, 6)  # pooled from rank 4
-    assert means["b"].layer_name == "b"
+    assert means["a"].shape == (2, 8)
+    assert means["b"].shape == (2, 6)  # pooled from rank 4
 
 
 def test_manifest_count_mismatch(tmp_path):
@@ -246,8 +245,7 @@ def test_streamed_means_equal_row_means(tmp_path, monkeypatch, chunk_values, sha
     labels[:3] = [0, 1, 2]
     manifest = _write_dumps(tmp_path, {"a": tensor}, labels)
     got = load_manifest(manifest)["a"]
-    assert got.layer_name == "a"
-    np.testing.assert_array_equal(got.means, _reference_means(tensor, labels, 3))
+    np.testing.assert_array_equal(got, _reference_means(tensor, labels, 3))
 
 
 @pytest.mark.parametrize("shape", [(30, 4), (30, 2, 3, 3)])

@@ -12,11 +12,9 @@ from convrefine.netir import (
     NetworkIR,
     auto_excluded,
     block_params,
-    make_network,
     param_count,
     parse_network,
     serialize_network,
-    validate_network,
 )
 
 from conftest import chain_ir
@@ -117,7 +115,7 @@ def test_validation_errors():
             "block b in=8 out=4 k=1x1 group=1 stage=1 prev=a\n"
         )
     with pytest.raises(IRValidationError, match="advance the stage order"):
-        make_network(
+        NetworkIR(
             [
                 ConvBlock("a", 3, 4, 1, 1, stage=0, excluded=True),
                 ConvBlock("b", 4, 4, 1, 1, stage=0, excluded=True),
@@ -147,14 +145,14 @@ def test_stage_gap_rejected():
 
 def test_programmatic_construction_requires_exclusion_flags():
     with pytest.raises(IRValidationError, match="excluded flag"):
-        make_network([ConvBlock("a", 3, 4, 1, 1, stage=0, excluded=False)], [])
+        NetworkIR([ConvBlock("a", 3, 4, 1, 1, stage=0, excluded=False)], [])
 
 
 def test_analysis_sequence_linear_chain():
     ir = chain_ir([8] * 8)
     assert [(b.stage, b.name) for b in ir.blocks] == [(i, f"conv{i}") for i in range(8)]
     # blocks come out in (stage, name) order whatever order they are given in
-    assert make_network(reversed(ir.blocks), ir.edges).blocks == ir.blocks
+    assert NetworkIR(tuple(reversed(ir.blocks)), ir.edges).blocks == ir.blocks
 
 
 def test_analysis_sequence_inception(inception_text):
@@ -204,8 +202,8 @@ def test_param_count_bias():
 def test_param_count_totals(vgg11_text):
     ir = parse_network(vgg11_text)
     counts = param_count(ir)
-    assert counts.conv_total == sum(counts.per_block.values())
-    assert counts.per_block["conv1_1"] == 3 * 64 * 9 + 64
+    assert list(counts) == [b.name for b in ir.blocks]
+    assert counts["conv1_1"] == 3 * 64 * 9 + 64
 
 
 @given(
@@ -238,7 +236,7 @@ def test_fuzzed_roundtrip():
 
 
 # Reference lookups: a plain scan of the canonical tuples, which the index
-# must reproduce exactly (order, repeats and stray edges included).
+# must reproduce exactly, order included.
 def _scan_block(ir, name):
     for b in ir.blocks:
         if b.name == name:
@@ -296,7 +294,7 @@ def valid_dags(draw):
         dataclasses.replace(b, excluded=b.name in flagged or draw(st.booleans()))
         for b in blocks
     ]
-    return make_network(draw(st.permutations(blocks)), draw(st.permutations(edges)))
+    return NetworkIR(draw(st.permutations(blocks)), draw(st.permutations(edges)))
 
 
 @given(valid_dags())
@@ -320,7 +318,7 @@ def test_index_matches_scan_on_fixtures(fixture, request):
             [("a", "b"), ("b", "ghost"), ("a", "ghost")],
             "edge (b, ghost) names an unknown block",
         ),
-        # the same name twice; a scan finds the stage-0 block first
+        # the same name twice
         (
             [ConvBlock("a", 3, 4, 1, 1, stage=1, excluded=True),
              ConvBlock("a", 3, 8, 1, 1, stage=0, excluded=True)],
@@ -337,10 +335,17 @@ def test_index_matches_scan_on_fixtures(fixture, request):
     ],
 )
 def test_invalid_irs_index_like_a_scan_and_are_rejected(blocks, edges, message):
-    ir = NetworkIR(tuple(blocks), tuple(edges), 2)
-    _assert_lookups_match_scan(ir, ["a", "b", "ghost"])
+    # an invalid IR is rejected when it is built, so it is never indexed
     with pytest.raises(IRValidationError, match=re.escape(message)):
-        validate_network(ir)
+        NetworkIR(blocks, edges)
+
+
+def test_replace_validates_the_new_ir():
+    ir = chain_ir([8, 8, 8])
+    with pytest.raises(IRValidationError, match=re.escape(
+        "edge (conv2, conv0) does not advance the stage order (2 -> 0)"
+    )):
+        dataclasses.replace(ir, edges=ir.edges + (("conv2", "conv0"),))
 
 
 def test_replace_builds_a_fresh_index():

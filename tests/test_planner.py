@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from convrefine.planner import (
     PlanEntry,
     PlanError,
-    PlannerConfig,
     RefinementPlan,
     block_terms,
     build_plan,
@@ -83,7 +82,7 @@ def _plan_for(plus, minus, subsequent_ratio=0.625, lam=0.25):
         "conv3": _tally("conv3", sub, 0, n),
         "conv4": _tally("conv4", 0, 0, n),
     }
-    return build_plan(ir, tallies, PlannerConfig(lam=lam))
+    return build_plan(ir, tallies, lam)
 
 
 def test_build_plan_case_a():
@@ -108,14 +107,14 @@ def test_build_plan_tally_mismatch():
     ir = chain_ir([16] * 4)
     tallies = {"conv1": _tally("conv1", 0, 0, 16)}
     with pytest.raises(PlanError, match="no tally for block conv2"):
-        build_plan(ir, tallies, PlannerConfig())
+        build_plan(ir, tallies, 0.25)
     tallies = {
         "conv1": _tally("conv1", 0, 0, 16),
         "conv2": _tally("conv2", 0, 0, 16),
         "ghost": _tally("ghost", 0, 0, 16),
     }
     with pytest.raises(PlanError, match="unknown block 'ghost'"):
-        build_plan(ir, tallies, PlannerConfig())
+        build_plan(ir, tallies, 0.25)
 
 
 def test_split_factor_examples():
@@ -141,7 +140,7 @@ def test_factors_come_from_block_terms(seed, lam):
     tallies = {t.layer_name: t for t in random_chain_tallies(rng, m, length) if t is not None}
     ratios = stage_plus_ratios(ir, tallies)
     terms = block_terms(ir, tallies)
-    plan = build_plan(ir, tallies, PlannerConfig(lam=lam))
+    plan = build_plan(ir, tallies, lam)
     assert list(terms) == [b.name for b in ir.blocks if not b.excluded]
     for name, t in terms.items():
         tally = tallies[name]
@@ -169,8 +168,7 @@ def test_one_set_of_terms_serves_every_lambda(seed, lams):
         tallies[b.name] = _tally(b.name, plus, minus, total)
     terms = block_terms(ir, tallies)
     for lam in lams:
-        cfg = PlannerConfig(lam=lam)
-        got, want = plan_from_terms(ir, terms, cfg), build_plan(ir, tallies, cfg)
+        got, want = plan_from_terms(ir, terms, lam), build_plan(ir, tallies, lam)
         assert got.per_block == want.per_block
         assert (got.lambda_used, got.lambda_o) == (want.lambda_used, want.lambda_o)
     assert terms == block_terms(ir, tallies)
@@ -180,24 +178,24 @@ def test_lambda_upper_bound_single_case_b_layer():
     # conv1 is case b with terms 0.3 (plus) and 0.1 (minus); conv2, which
     # provides its xi, sits in the final window position and has xi 0
     tallies = {"conv1": _tally("conv1", 60, 20, 100), "conv2": _tally("conv2", 50, 0, 100)}
-    plan = build_plan(chain_ir([16] * 4), tallies, PlannerConfig())
+    plan = build_plan(chain_ir([16] * 4), tallies, 0.25)
     assert plan.lambda_o == pytest.approx(0.3)
 
 
 def test_lambda_upper_bound_all_zero():
     tallies = {f"conv{i}": _tally(f"conv{i}", 0, 0, 16) for i in range(1, 4)}
-    assert build_plan(chain_ir([16] * 5), tallies, PlannerConfig()).lambda_o == 0.0
+    assert build_plan(chain_ir([16] * 5), tallies, 0.25).lambda_o == 0.0
 
 
 def test_lambda_upper_bound_no_layers():
-    plan = build_plan(chain_ir([16] * 2), {}, PlannerConfig())
+    plan = build_plan(chain_ir([16] * 2), {}, 0.25)
     assert plan.lambda_o == 0.0
     assert is_identity(plan)
 
 
 def test_stage_ratios_average_within_stage(inception_text):
     # two analyzed blocks in one stage average their ratios
-    from convrefine.netir import ConvBlock, make_network
+    from convrefine.netir import ConvBlock, NetworkIR
 
     blocks = [
         ConvBlock("in0", 3, 8, 1, 1, stage=0, excluded=True),
@@ -205,7 +203,7 @@ def test_stage_ratios_average_within_stage(inception_text):
         ConvBlock("m2", 8, 8, 1, 1, stage=1),
         ConvBlock("t1", 16, 8, 1, 1, stage=2, excluded=True),
     ]
-    ir = make_network(blocks, [("in0", "m1"), ("in0", "m2"), ("m1", "t1"), ("m2", "t1")])
+    ir = NetworkIR(blocks, [("in0", "m1"), ("in0", "m2"), ("m1", "t1"), ("m2", "t1")])
     tallies = {
         "m1": _tally("m1", 8, 0, 16),
         "m2": _tally("m2", 4, 0, 16),
@@ -250,7 +248,7 @@ def test_lambda_must_be_positive_and_finite(lam):
     with pytest.raises(PlanError, match="lambda must be positive and finite"):
         check_lambda(lam)
     with pytest.raises(PlanError, match="lambda must be positive and finite"):
-        PlannerConfig(lam=lam)
+        plan_from_terms(chain_ir([16] * 2), {}, lam)
     with pytest.raises(PlanError, match="<plan>:1: lambda must be positive and finite"):
         parse_plan(f"lambda={lam!r}\nlambda_o=0.5\nplan a stretch=1.0 split=1 case=b\n")
 
@@ -296,7 +294,7 @@ def test_split_factors_non_increasing_in_lambda():
         grid = np.linspace(0.02, 1.0, 25)
         prev_splits = None
         for lam in grid:
-            plan = build_plan(ir, tallies, PlannerConfig(lam=float(lam)))
+            plan = build_plan(ir, tallies, float(lam))
             splits = [plan.per_block[b].split for b in sorted(plan.per_block)]
             if prev_splits is not None:
                 assert all(s <= p for s, p in zip(splits, prev_splits))
@@ -312,16 +310,16 @@ def test_lambda_o_closes_every_factor():
         seq = random_chain_tallies(rng, m, length)
         tallies = {t.layer_name: t for t in seq if t is not None}
         ir = chain_ir([m * 8] * length)
-        plan = build_plan(ir, tallies, PlannerConfig(lam=0.25))
+        plan = build_plan(ir, tallies, 0.25)
         if plan.lambda_o <= 0:
             continue
         done += 1
         per_layer = {i + 1: (t.n_plus, t.n_minus) for i, t in enumerate(seq) if t is not None}
         bound = _rational_plan(per_layer, m, length, Fraction(1, 4))[1]
         assert plan.lambda_o == pytest.approx(float(bound), rel=1e-12)
-        closed = build_plan(ir, tallies, PlannerConfig(lam=plan.lambda_o * (1 + 1e-9)))
+        closed = build_plan(ir, tallies, plan.lambda_o * (1 + 1e-9))
         assert is_identity(closed)
-        open_ = build_plan(ir, tallies, PlannerConfig(lam=plan.lambda_o * 0.999))
+        open_ = build_plan(ir, tallies, plan.lambda_o * 0.999)
         assert not is_identity(open_)
 
 
@@ -371,7 +369,7 @@ def test_build_plan_matches_exact_rational_oracle():
         lam = lam_grid[int(rng.integers(0, len(lam_grid)))]
         ir = chain_ir([m * 8] * length)
         tallies = {t.layer_name: t for t in seq if t is not None}
-        plan = build_plan(ir, tallies, PlannerConfig(lam=float(lam)))
+        plan = build_plan(ir, tallies, float(lam))
         oracle, bound = _rational_plan(per_layer, m, length, lam)
         for layer_1based, (stretch, split, case) in oracle.items():
             entry = plan.per_block[f"conv{layer_1based - 1}"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convrefine.netir import ConvBlock, make_network, param_count, parse_network, serialize_network
+from convrefine.netir import ConvBlock, param_count, parse_network, serialize_network
 from convrefine.planner import PlanEntry, RefinementPlan
 from convrefine.rewriter import (
     RewriteError,
@@ -42,8 +42,8 @@ def test_split_halves_params():
     plan = _plan(ir, {"conv_2": PlanEntry(1.0, 2, "a")})
     refined = apply_plan(ir, plan)
     assert refined.block("conv_2").group == 2
-    before = param_count(ir).per_block["conv_2"]
-    after = param_count(refined).per_block["conv_2"]
+    before = param_count(ir)["conv_2"]
+    after = param_count(refined)["conv_2"]
     assert (before, after) == (2_973_696, 1_486_848)
 
 
@@ -186,9 +186,9 @@ def test_exact_multiple_stretch_matches_enumeration():
         refined = apply_plan(ir, plan)
         b = refined.block("conv1")
         if stretch * w1 == b.out_channels:  # no divisibility rounding kicked in
-            expected = param_count(ir).per_block["conv1"] * stretch / split
-            assert param_count(refined).per_block["conv1"] == expected
-        assert param_count(refined).per_block["conv1"] == _connection_params(
+            expected = param_count(ir)["conv1"] * stretch / split
+            assert param_count(refined)["conv1"] == expected
+        assert param_count(refined)["conv1"] == _connection_params(
             b.in_channels, b.out_channels, b.group, b.kernel_h, b.kernel_w
         )
 

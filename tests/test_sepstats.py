@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convrefine.featio import ClassMeans
 from convrefine.netir import parse_network
 from convrefine.sepstats import (
     DegenerateClassError,
@@ -20,10 +19,6 @@ from convrefine.sepstats import (
 from conftest import reference_csv
 
 
-def _means(rows, name="l"):
-    return ClassMeans(layer_name=name, means=np.asarray(rows, dtype=np.float64))
-
-
 TWO_BLOCKS = parse_network(
     "block l0 in=3 out=6 k=1x1 group=1 stage=0\n"
     "block l1 in=6 out=6 k=1x1 group=1 stage=1 prev=l0\n"
@@ -31,27 +26,27 @@ TWO_BLOCKS = parse_network(
 
 
 def test_identical_vectors_correlate_fully():
-    c = correlation_layer(_means([[1, 2, 3], [1, 2, 3]])).matrix
+    c = correlation_layer("l", [[1, 2, 3], [1, 2, 3]])
     assert c[0, 1] == pytest.approx(1.0, abs=1e-12)
     assert c[0, 0] == 1.0
 
 
 def test_hand_pearson_anticorrelated():
     # centered rows are (0.5, -0.5) and (-0.5, 0.5)
-    c = correlation_layer(_means([[1.0, 0.0], [0.0, 1.0]])).matrix
+    c = correlation_layer("l", [[1.0, 0.0], [0.0, 1.0]])
     assert c[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_degenerate_class_convention():
     with pytest.warns(DegenerateClassWarning, match=r"class\(es\) \[0\]"):
-        lc = correlation_layer(_means([[2.0, 2.0, 2.0], [1.0, 2.0, 3.0]]))
-    assert not lc.matrix[0].any() and not lc.matrix[:, 0].any()
-    assert lc.matrix[1, 1] == 1.0
+        c = correlation_layer("l", [[2.0, 2.0, 2.0], [1.0, 2.0, 3.0]])
+    assert not c[0].any() and not c[:, 0].any()
+    assert c[1, 1] == 1.0
 
 
 def test_degenerate_strict_mode():
     with pytest.raises(DegenerateClassError, match="layer l"):
-        correlation_layer(_means([[2.0, 2.0, 2.0], [1.0, 2.0, 3.0]]), strict=True)
+        correlation_layer("l", [[2.0, 2.0, 2.0], [1.0, 2.0, 3.0]], strict=True)
 
 
 def test_matrix_invariants_random():
@@ -59,7 +54,7 @@ def test_matrix_invariants_random():
     for _ in range(100):
         m = int(rng.integers(2, 7))
         h = int(rng.integers(2, 33))
-        c = correlation_layer(_means(rng.standard_normal((m, h)))).matrix
+        c = correlation_layer("l", rng.standard_normal((m, h)))
         assert np.array_equal(c, c.T)
         assert np.all(np.abs(c - c.T) <= 1e-12)
         assert np.all(np.diag(c) == 1.0)
@@ -68,27 +63,27 @@ def test_matrix_invariants_random():
 
 def test_needs_two_hidden_units():
     with pytest.raises(ValueError, match="at least 2 hidden units"):
-        correlation_layer(_means([[1.0], [2.0]]))
+        correlation_layer("l", [[1.0], [2.0]])
 
 
 def test_stack_two_layers():
     rng = np.random.default_rng(2)
     # given in reverse, the layers still come back in the IR's block order
-    means = {f"l{i}": _means(rng.standard_normal((2, 6)), name=f"l{i}") for i in (1, 0)}
-    stats = network_statistics(TWO_BLOCKS, means)
-    assert [lc.layer_name for lc in stats.layers] == ["l0", "l1"]
-    assert all(lc.matrix.shape == (2, 2) for lc in stats.layers)
+    means = {f"l{i}": rng.standard_normal((2, 6)) for i in (1, 0)}
+    matrices, _ = network_statistics(TWO_BLOCKS, means)
+    assert list(matrices) == ["l0", "l1"]
+    assert all(c.shape == (2, 2) for c in matrices.values())
 
 
 def test_stack_single_layer():
     ir = parse_network("block a in=3 out=2 k=1x1 group=1 stage=0\n")
-    stats = network_statistics(ir, {"a": _means([[1.0, 2.0], [2.0, 1.0]], name="a")})
-    assert len(stats.layers) == 1
-    assert stats.tallies == {}
+    matrices, tallies = network_statistics(ir, {"a": [[1.0, 2.0], [2.0, 1.0]]})
+    assert len(matrices) == 1
+    assert tallies == {}
 
 
 def test_stack_class_count_mismatch():
-    means = {"l0": _means(np.eye(2, 6), "l0"), "l1": _means(np.eye(3, 6), "l1")}
+    means = {"l0": np.eye(2, 6), "l1": np.eye(3, 6)}
     with pytest.raises(ValueError, match=r"disagree on the number of classes: \[2, 3\]"):
         network_statistics(TWO_BLOCKS, means)
 
@@ -97,18 +92,18 @@ def test_permuting_classes_permutes_matrix():
     rng = np.random.default_rng(7)
     g = rng.standard_normal((5, 9))
     perm = rng.permutation(5)
-    c = correlation_layer(_means(g)).matrix
-    cp = correlation_layer(_means(g[perm])).matrix
+    c = correlation_layer("l", g)
+    cp = correlation_layer("l", g[perm])
     np.testing.assert_allclose(cp, c[np.ix_(perm, perm)], atol=1e-12)
 
 
 def test_scale_invariance_after_centering():
     rng = np.random.default_rng(9)
     g = rng.standard_normal((4, 12))
-    c = correlation_layer(_means(g)).matrix
+    c = correlation_layer("l", g)
     g2 = g.copy()
     g2[1] = g[1].mean() + 7.5 * (g[1] - g[1].mean())
-    c2 = correlation_layer(_means(g2)).matrix
+    c2 = correlation_layer("l", g2)
     assert np.abs(c2 - c).max() <= 1e-9
 
 
@@ -164,8 +159,8 @@ def test_tally_matches_exhaustive_oracle():
     rng = np.random.default_rng(21)
     for _ in range(200):
         m = int(rng.integers(2, 7))
-        prev = correlation_layer(_means(rng.standard_normal((m, 8)))).matrix
-        cur = correlation_layer(_means(rng.standard_normal((m, 8)))).matrix
+        prev = correlation_layer("l", rng.standard_normal((m, 8)))
+        cur = correlation_layer("l", rng.standard_normal((m, 8)))
         t = separation_tally(prev, cur, tie_tol=1e-6)
         assert (t.n_plus, t.n_minus, t.n_ties) == _tally_oracle(prev, cur, 1e-6)
         assert t.n_plus <= m * m - m and t.n_minus <= m * m - m
@@ -185,18 +180,18 @@ def test_network_tallies_concatenates_predecessors():
     )
     rng = np.random.default_rng(31)
     means = {
-        "a": _means(rng.standard_normal((3, 4)), "a"),
-        "b": _means(rng.standard_normal((3, 4)), "b"),
-        "c": _means(rng.standard_normal((3, 6)), "c"),
+        "a": rng.standard_normal((3, 4)),
+        "b": rng.standard_normal((3, 4)),
+        "c": rng.standard_normal((3, 6)),
     }
-    stats = network_statistics(ir, means)
-    for name, lc in zip("abc", stats.layers):
-        np.testing.assert_array_equal(lc.matrix, correlation_layer(means[name]).matrix)
-    tallies = stats.tallies
+    matrices, tallies = network_statistics(ir, means)
+    assert list(matrices) == ["a", "b", "c"]
+    for name, c in matrices.items():
+        np.testing.assert_array_equal(c, correlation_layer(name, means[name]))
     assert list(tallies) == ["c"]
-    stacked = _means(np.concatenate([means["a"].means, means["b"].means], axis=1))
+    stacked = np.concatenate([means["a"], means["b"]], axis=1)
     expected = separation_tally(
-        correlation_layer(stacked).matrix, correlation_layer(means["c"]).matrix, tie_tol=1e-6
+        correlation_layer("a+b", stacked), correlation_layer("c", means["c"]), tie_tol=1e-6
     )
     got = tallies["c"]
     assert (got.n_plus, got.n_minus, got.n_ties) == (
@@ -212,11 +207,11 @@ def test_network_tallies_missing_means():
         "block b in=4 out=4 k=1x1 group=1 stage=1 prev=a\n"
     )
     with pytest.raises(ValueError, match="no class means supplied for block b"):
-        network_statistics(ir, {"a": _means(np.random.default_rng(0).standard_normal((2, 4)))})
+        network_statistics(ir, {"a": np.random.default_rng(0).standard_normal((2, 4))})
 
 
 def test_csv_export_reparses(tmp_path):
-    c = correlation_layer(_means(np.random.default_rng(4).standard_normal((3, 7)))).matrix
+    c = correlation_layer("l", np.random.default_rng(4).standard_normal((3, 7)))
     path = tmp_path / "c.csv"
     write_correlation_csv(path, c)
     back = np.array(
