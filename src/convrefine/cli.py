@@ -163,13 +163,13 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"sweep range is empty: [{lo}, {hi}]")
     ir = _read_ir(args.ir)
     terms = planner.block_terms(ir, _statistics(args, ir, args.manifest)[1])
-    probe = planner.plan_from_terms(ir, terms, 0.25)
-    grid = np.linspace(lo, max(lo, probe.lambda_o) if hi is None else hi, args.sweep_steps)
+    lam_o = planner.lambda_o(terms)
+    grid = np.linspace(lo, max(lo, lam_o) if hi is None else hi, args.sweep_steps)
     names = [b.name for b in ir.blocks]
     header = ["lambda", "above_lambda_o", "conv_params"]
     for name in names:
         header.extend((f"{name}_stretch", f"{name}_split"))
-    rows = [f"# lambda_o={probe.lambda_o!r}", ",".join(header)]
+    rows = [f"# lambda_o={lam_o!r}", ",".join(header)]
     for lam in grid:
         plan = planner.plan_from_terms(ir, terms, float(lam))
         try:
@@ -177,7 +177,7 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise ValueError(f"lambda={float(lam)!r}: {exc}") from None
         total = sum(netir.param_count(refined).values())
-        row = [repr(float(lam)), str(int(lam > probe.lambda_o)), str(total)]
+        row = [repr(float(lam)), str(int(lam > lam_o)), str(total)]
         for name in names:
             e = plan.per_block[name]
             row.extend((repr(e.stretch), str(e.split)))
@@ -185,7 +185,7 @@ def cmd_sweep(args) -> int:
     base = _outdirs(args.out, "reports")
     path = base / "reports" / "sweep.csv"
     path.write_text("\n".join(rows) + "\n")
-    print(f"lambda_o={probe.lambda_o!r}")
+    print(f"lambda_o={lam_o!r}")
     print(f"sweep -> {path}")
     return 0
 

@@ -161,29 +161,35 @@ def _pooled_chunks(fh, path, dims: tuple[int, ...], payload_off: int):
         yield lo, pooled
 
 
-def _class_means(layer_name: str, labels: np.ndarray, num_classes: int, width: int,
-                 chunks) -> np.ndarray:
-    """Per-class means of pooled feature rows, summed chunk by chunk.
+def _class_counts(layer_name: str, labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Images per class 0..M-1 of ``labels``, which lie in 0..M-1.
 
-    Row m of the (M, width) float64 result is the mean feature vector of
-    the images labelled m.  ``chunks`` yields (first image, rows) for
-    consecutive images.  ``np.add.at`` adds into each entry of a class's
-    sum the rows of that class one at a time in image order: the same
-    order, and so the same float64 result, as ``rows.mean(axis=0)`` over
-    that class's rows.  Every class 0..M-1 must be represented; an empty
-    class is an error because its mean (and every correlation involving
-    it) is undefined.
+    Every class must be represented; an empty class is an error naming
+    ``layer_name``, because its mean (and every correlation involving it)
+    is undefined.
     """
-    # Labels lie in 0..num_classes-1, so every class has images exactly
-    # when there are num_classes distinct labels.  Nothing of size
-    # num_classes is allocated before that holds: a label read from a
-    # file can be near 2^32.
+    # Every class has images exactly when there are num_classes distinct
+    # labels.  Nothing of size num_classes is allocated before that holds:
+    # a label read from a file can be near 2^32.
     present, counts = np.unique(labels, return_counts=True)
     if present.size < num_classes:
         gaps = np.flatnonzero(present != np.arange(present.size))
         empty = int(gaps[0]) if gaps.size else present.size
         raise ValueError(f"layer {layer_name}: class {empty} has no images")
-    sums = np.zeros((num_classes, width), dtype=np.float64)
+    return counts
+
+
+def _class_means(labels: np.ndarray, counts: np.ndarray, width: int, chunks) -> np.ndarray:
+    """Per-class means of pooled feature rows, summed chunk by chunk.
+
+    Row m of the (M, width) float64 result is the mean feature vector of
+    the ``counts[m]`` images labelled m, as :func:`_class_counts` gives
+    them.  ``chunks`` yields (first image, rows) for consecutive images.
+    ``np.add.at`` adds into each entry of a class's sum the rows of that
+    class one at a time in image order: the same order, and so the same
+    float64 result, as ``rows.mean(axis=0)`` over that class's rows.
+    """
+    sums = np.zeros((counts.size, width), dtype=np.float64)
     columns = np.arange(width)
     for lo, rows in chunks:
         # One flat index per value keeps the image order of every entry's
@@ -289,7 +295,7 @@ def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, np.ndarray]:
     labels = read_labels_file(labels_path)
     if labels.size == 0:
         raise ManifestError(f"{labels_path}: labels file is empty")
-    num_classes = int(labels.max()) + 1
+    counts = None  # images per class, counted at the first layer
     means: dict[str, np.ndarray] = {}
     for name, tensor_path in layer_paths.items():
         with open(tensor_path, "rb") as fh:
@@ -311,9 +317,10 @@ def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, np.ndarray]:
                         f"layer {name}: {dims[1]} hidden units in dump,"
                         f" block declares {block.out_channels}"
                     )
+            if counts is None:
+                counts = _class_counts(name, labels, int(labels.max()) + 1)
             means[name] = _class_means(
-                name, labels, num_classes, dims[1],
-                _pooled_chunks(fh, tensor_path, dims, payload_off),
+                labels, counts, dims[1], _pooled_chunks(fh, tensor_path, dims, payload_off)
             )
     if ir is not None:
         missing = sorted({b.name for b in ir.blocks} - means.keys())

@@ -52,6 +52,10 @@ class PlanEntry:
     case: str  # "a", "b" or "x" (excluded)
 
 
+# The entry of every excluded block; PlanEntry is immutable, so plans share it.
+_EXCLUDED = PlanEntry(stretch=1.0, split=1, case="x")
+
+
 @dataclass(frozen=True, eq=False)
 class RefinementPlan:
     per_block: dict[str, PlanEntry]
@@ -175,6 +179,15 @@ def block_terms(ir: NetworkIR, tallies) -> dict[str, BlockTerms]:
     return terms
 
 
+def lambda_o(terms) -> float:
+    """The smallest lambda at which every factor is identity.
+
+    That is the largest term any block of ``terms`` (a :func:`block_terms`
+    result) floors, or 0 when there is none.
+    """
+    return max((x for t in terms.values() for x in t.floored), default=0.0)
+
+
 def build_plan(ir: NetworkIR, tallies, lam: float) -> RefinementPlan:
     """Stretch/split factors at ``lam`` for every block of the network."""
     return plan_from_terms(ir, block_terms(ir, tallies), lam)
@@ -184,7 +197,7 @@ def plan_from_terms(ir: NetworkIR, terms, lam: float) -> RefinementPlan:
     """The plan at ``lam`` from the :func:`block_terms` of ``ir``.
 
     The split is 2**psi(x-), the case-b stretch 1 + lambda*psi(x+), and
-    lambda_o the largest term any block floors.  ``terms`` is only read, so
+    lambda_o is :func:`lambda_o` of ``terms``.  ``terms`` is only read, so
     one result of :func:`block_terms` serves every lambda of a sweep.
     """
     check_lambda(lam)
@@ -192,15 +205,11 @@ def plan_from_terms(ir: NetworkIR, terms, lam: float) -> RefinementPlan:
     for b in ir.blocks:
         t = terms.get(b.name)
         if t is None:
-            entries[b.name] = PlanEntry(stretch=1.0, split=1, case="x")
+            entries[b.name] = _EXCLUDED
             continue
         stretch = 1.0 if t.case == "a" else 1.0 + lam * psi(t.x_plus, lam)
         entries[b.name] = PlanEntry(stretch=stretch, split=1 << psi(t.x_minus, lam), case=t.case)
-    return RefinementPlan(
-        per_block=entries,
-        lambda_used=lam,
-        lambda_o=max((x for t in terms.values() for x in t.floored), default=0.0),
-    )
+    return RefinementPlan(per_block=entries, lambda_used=lam, lambda_o=lambda_o(terms))
 
 
 def serialize_plan(plan: RefinementPlan) -> str:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .netir import NetworkIR, param_count
+from .netir import ConvBlock, NetworkIR, param_count
 from .planner import RefinementPlan
 
 
@@ -55,7 +55,9 @@ def apply_plan(ir: NetworkIR, plan: RefinementPlan) -> NetworkIR:
 
     The plan must carry an entry for every block.  Widths of input-fed
     blocks are fixed by the data, so a split whose group cannot divide such
-    a block's in_channels is unrepairable and raises.
+    a block's in_channels is unrepairable and raises.  A plan changes only
+    widths and groups, so the refined IR is built with ``ir``'s structure
+    and only its widths are checked again.
     """
     names = {b.name for b in ir.blocks}
     missing = sorted(names - plan.per_block.keys())
@@ -97,10 +99,9 @@ def apply_plan(ir: NetworkIR, plan: RefinementPlan) -> NetworkIR:
                     f"block {b.name}: cannot split input-fed block, group"
                     f" {new_group[b.name]} does not divide in_channels {new_in}"
                 )
-        blocks.append(
-            replace(b, in_channels=new_in, out_channels=new_out[b.name], group=new_group[b.name])
-        )
-    return NetworkIR(blocks, ir.edges)
+        blocks.append(ConvBlock(b.name, new_in, new_out[b.name], b.kernel_h, b.kernel_w,
+                                new_group[b.name], b.stage, b.has_bias, b.excluded))
+    return ir._with_widths(blocks)
 
 
 def size_report(before: NetworkIR, after: NetworkIR) -> SizeReport:

@@ -138,7 +138,8 @@ def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
     block is compared against the correlation matrix of its direct
     predecessor; when a block consumes several producers, the predecessor
     statistics come from the concatenation of their class-mean features, in
-    edge order, which is exactly the channel stack the block sees.
+    edge order, which is exactly the channel stack the block sees.  Blocks
+    fed by the same concatenation share its matrix.
     """
     for b in ir.blocks:
         if b.name not in means_by_layer:
@@ -149,6 +150,9 @@ def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
     if len(sizes) > 1:
         raise ValueError(f"layers disagree on the number of classes: {sorted(sizes)}")
 
+    # A shared concatenation warns once, as the default warning filter shows
+    # a repeated warning from one line once.
+    stacked_of: dict[tuple[str, ...], np.ndarray] = {}
     tallies: dict[str, SeparationTally] = {}
     for b in ir.blocks:
         preds = ir.predecessors(b.name)
@@ -156,9 +160,11 @@ def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
             continue
         if len(preds) == 1:
             prev_matrix = matrix_of[preds[0]]
+        elif preds in stacked_of:
+            prev_matrix = stacked_of[preds]
         else:
             stacked = np.concatenate([means_by_layer[p] for p in preds], axis=1)
-            prev_matrix = correlation_layer("+".join(preds), stacked, strict)
+            prev_matrix = stacked_of[preds] = correlation_layer("+".join(preds), stacked, strict)
         tallies[b.name] = separation_tally(
             prev_matrix, matrix_of[b.name], tie_tol=tie_tol, layer_name=b.name
         )

@@ -20,7 +20,8 @@ def class_means(name, feats, labels, num_classes=None):
     labels = np.asarray(labels, dtype=np.int64)
     feats = np.asarray(feats, dtype=np.float64)
     m = int(labels.max()) + 1 if num_classes is None else num_classes
-    return featio._class_means(name, labels, m, feats.shape[1], [(0, feats)])
+    counts = featio._class_counts(name, labels, m)
+    return featio._class_means(labels, counts, feats.shape[1], [(0, feats)])
 
 
 def reference_csv(rows) -> str:

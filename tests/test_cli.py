@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import convrefine
-from convrefine import sepstats
+from convrefine import netir, sepstats
 from convrefine.cli import main
 from convrefine.evalkit import write_truth_file
 from convrefine.featio import (
@@ -252,6 +252,47 @@ def test_sweep_single_point_equals_plan(workdir):
     for i in range(6):
         assert float(row[header.index(f"conv{i}_stretch")]) == plan.per_block[f"conv{i}"].stretch
         assert int(row[header.index(f"conv{i}_split")]) == plan.per_block[f"conv{i}"].split
+
+
+# c and d read the same concatenation of a and b
+SHARED_PREV_IR = """\
+block a in=3 out=8 k=1x1 group=1 stage=0
+block b in=3 out=8 k=1x1 group=1 stage=0
+block c in=16 out=8 k=1x1 group=1 stage=1 prev=a,b
+block d in=16 out=8 k=3x3 group=1 stage=1 prev=a,b
+block e in=16 out=8 k=1x1 group=1 stage=2 prev=c,d
+block f in=8 out=8 k=1x1 group=1 stage=3 prev=e
+"""
+
+
+@pytest.mark.filterwarnings("ignore::convrefine.rewriter.WidthRoundingWarning")
+def test_sweep_checks_structure_once_and_shares_stacked_correlations(tmp_path, monkeypatch):
+    (tmp_path / "net.ir").write_text(SHARED_PREV_IR)
+    profile = dict(PROFILE, layers=[
+        {"name": n, "width": 8, "rho": r} for n, r in zip("abcdef", [0.1, 0.3, 0.6, 0.4, 0.2, 0.05])
+    ])
+    (tmp_path / "profile.json").write_text(json.dumps(profile))
+    assert _run("synth", "--profile", tmp_path / "profile.json", "--seed", "7",
+                "--out", tmp_path / "dumps") == 0
+    structural, correlated = [], []
+
+    def counted(record, fn):
+        def wrapper(*args, **kwargs):
+            record.append(args[0])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(netir, "validate_network", counted(structural, netir.validate_network))
+    monkeypatch.setattr(sepstats, "correlation_layer",
+                        counted(correlated, sepstats.correlation_layer))
+    assert _run("sweep", "--ir", tmp_path / "net.ir", "--manifest",
+                tmp_path / "dumps" / "manifest.txt", "--sweep-steps", "20",
+                "--out", tmp_path / "run") == 0
+    assert len((tmp_path / "run" / "reports" / "sweep.csv").read_text().splitlines()) == 22
+    # the parse checks the structure; the 20 refined IRs keep it
+    assert len(structural) == 1
+    # one matrix per block, then one per distinct concatenation
+    assert correlated == [*"abcdef", "a+b", "c+d"]
 
 
 def test_iterate_single_round_equals_plan_apply(workdir):

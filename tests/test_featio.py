@@ -278,6 +278,22 @@ def test_streamed_empty_class_names_layer(tmp_path):
         load_manifest(manifest)
 
 
+def test_classes_counted_once_per_manifest(tmp_path, monkeypatch):
+    labels = np.array([0, 1, 2, 0, 1, 2])
+    feats = {name: np.arange(12.0).reshape(6, 2) + i for i, name in enumerate("abc")}
+    calls = []
+    count = featio._class_counts
+    monkeypatch.setattr(featio, "_class_counts",
+                        lambda name, *args: calls.append(name) or count(name, *args))
+    means = load_manifest(_write_dumps(tmp_path, feats, labels))
+    assert list(means) == ["a", "b", "c"]
+    assert calls == ["a"]
+    # the first layer's image count is checked before the classes are counted
+    feats["a"] = np.ones((5, 2))
+    with pytest.raises(ValueError, match="layer a: 5 images in .* but 6 labels"):
+        load_manifest(_write_dumps(tmp_path, feats, np.array([0, 2, 0, 2, 0, 2])))
+
+
 def test_header_sizes_do_not_wrap(tmp_path):
     # 65536**4 float32 values: a 64-bit element count wraps to 0, which an
     # empty payload would match.

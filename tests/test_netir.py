@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from convrefine.netir import (
     parse_network,
     serialize_network,
 )
+from convrefine.planner import PlanEntry, RefinementPlan
+from convrefine.rewriter import apply_plan
 
 from conftest import chain_ir
 
@@ -375,3 +378,53 @@ def test_fields_beyond_u32_rejected(field, label):
         IRValidationError, match=f"block a: {label} 4294967296 does not fit in a u32"
     ):
         parse_network(line.format(**{**ones, field: 2**32}))
+
+
+@st.composite
+def plans_for(draw, ir):
+    """A plan for ``ir``: power-of-two splits, stretches 1 + k*lambda.
+
+    Now and then a split or a stretch is large enough to leave the u32
+    bound of the refined IR.
+    """
+    lam = draw(st.sampled_from([0.125, 0.25, 0.5, 1.0]))
+    entries = {}
+    for b in ir.blocks:
+        if b.excluded:
+            entries[b.name] = PlanEntry(1.0, 1, "x")
+            continue
+        split = 1 << draw(st.integers(0, 3) | st.just(33))
+        case = draw(st.sampled_from("ab"))
+        k = 0 if case == "a" else draw(st.integers(0, 6) | st.integers(2**32, 2**34))
+        entries[b.name] = PlanEntry(1.0 + k * lam, split, case)
+    return RefinementPlan(entries, lambda_used=lam, lambda_o=0.0)
+
+
+def _outcome(ir, plan):
+    try:
+        return apply_plan(ir, plan)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("ignore::convrefine.rewriter.WidthRoundingWarning")
+@given(st.data())
+def test_apply_plan_builds_what_full_construction_builds(data):
+    # apply_plan re-checks only the widths of the refined IR; building the
+    # same blocks through the full constructor must agree, result or error
+    ir = data.draw(valid_dags())
+    plan = data.draw(plans_for(ir))
+    got = _outcome(ir, plan)
+    with mock.patch.object(NetworkIR, "_with_widths",
+                           lambda self, blocks: NetworkIR(blocks, self.edges)):
+        want = _outcome(ir, plan)
+    assert got == want
+    if isinstance(want, tuple):  # both raised the same error
+        return
+    assert got.edges == ir.edges
+    names = [b.name for b in ir.blocks] + ["ghost"]
+    _assert_lookups_match_scan(got, names)
+    for name in names[:-1]:
+        assert got.block(name) == want.block(name)
+        assert got.predecessors(name) == want.predecessors(name)
+        assert got.consumers(name) == want.consumers(name)

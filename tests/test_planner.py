@@ -13,6 +13,7 @@ from convrefine.planner import (
     block_terms,
     build_plan,
     check_lambda,
+    lambda_o,
     parse_plan,
     plan_from_terms,
     psi,
@@ -171,6 +172,8 @@ def test_one_set_of_terms_serves_every_lambda(seed, lams):
         got, want = plan_from_terms(ir, terms, lam), build_plan(ir, tallies, lam)
         assert got.per_block == want.per_block
         assert (got.lambda_used, got.lambda_o) == (want.lambda_used, want.lambda_o)
+        # sweep takes lambda_o from the terms alone, with no plan
+        assert want.lambda_o == lambda_o(terms)
     assert terms == block_terms(ir, tallies)
 
 
