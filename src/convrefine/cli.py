@@ -151,6 +151,39 @@ def cmd_apply(args) -> int:
     return 0
 
 
+def _sweep_rows(ir, terms, grid, lam_o):
+    """The sweep.csv rows of the lambdas of ``grid``, in order.
+
+    Every lambda is evaluated at once, in object arrays of Python ints.  A
+    lambda that passes every check of a plan and of its refined IR gives
+    its row and its rounding warnings from the arrays.  The first one that
+    does not is evaluated again on its own by plan_from_terms and
+    apply_plan, which raise its error.
+    """
+    kernel_h = np.array([b.kernel_h for b in ir.blocks], dtype=object)[:, None]
+    kernel_w = np.array([b.kernel_w for b in ir.blocks], dtype=object)[:, None]
+    bias = np.array([b.has_bias for b in ir.blocks])[:, None]
+    stretches, exponents = planner.factor_grid(ir, terms, grid)
+    # a split of 2**32 already leaves the u32 bound, as any larger one does
+    splits = np.exp2(np.minimum(exponents, 32)).astype(np.int64).astype(object)
+    w = rewriter.refine_widths(ir, splits, stretches)
+    ok = rewriter.passing_columns(ir, w) & planner.whole_steps(stretches, grid).all(axis=0)
+    totals = netir.conv_params(w.in_widths, w.widths, kernel_h, kernel_w, w.groups, bias).sum(axis=0)
+    for j, lam in enumerate(grid.tolist()):
+        if not ok[j]:
+            plan = planner.plan_from_terms(ir, terms, lam)
+            try:
+                rewriter.apply_plan(ir, plan)
+            except ValueError as exc:
+                raise ValueError(f"lambda={lam!r}: {exc}") from None
+            raise RuntimeError(f"lambda={lam!r}: apply_plan accepts the plan the grid rejects")
+        for i in np.flatnonzero(w.widths[:, j] != w.raw[:, j]).tolist():
+            rewriter.warn_rounding(ir.blocks[i].name, w.raw[i, j], w.widths[i, j])
+        factors = zip(stretches[:, j].tolist(), splits[:, j].tolist())
+        yield ",".join([repr(lam), str(int(lam > lam_o)), str(totals[j]),
+                        *(f"{stretch!r},{split}" for stretch, split in factors)])
+
+
 def cmd_sweep(args) -> int:
     lo = args.sweep_min
     hi = args.sweep_max
@@ -165,23 +198,10 @@ def cmd_sweep(args) -> int:
     terms = planner.block_terms(ir, _statistics(args, ir, args.manifest)[1])
     lam_o = planner.lambda_o(terms)
     grid = np.linspace(lo, max(lo, lam_o) if hi is None else hi, args.sweep_steps)
-    names = [b.name for b in ir.blocks]
     header = ["lambda", "above_lambda_o", "conv_params"]
-    for name in names:
-        header.extend((f"{name}_stretch", f"{name}_split"))
-    rows = [f"# lambda_o={lam_o!r}", ",".join(header)]
-    for lam in grid:
-        plan = planner.plan_from_terms(ir, terms, float(lam))
-        try:
-            refined = rewriter.apply_plan(ir, plan)
-        except ValueError as exc:
-            raise ValueError(f"lambda={float(lam)!r}: {exc}") from None
-        total = sum(netir.param_count(refined).values())
-        row = [repr(float(lam)), str(int(lam > lam_o)), str(total)]
-        for name in names:
-            e = plan.per_block[name]
-            row.extend((repr(e.stretch), str(e.split)))
-        rows.append(",".join(row))
+    for b in ir.blocks:
+        header.extend((f"{b.name}_stretch", f"{b.name}_split"))
+    rows = [f"# lambda_o={lam_o!r}", ",".join(header), *_sweep_rows(ir, terms, grid, lam_o)]
     base = _outdirs(args.out, "reports")
     path = base / "reports" / "sweep.csv"
     path.write_text("\n".join(rows) + "\n")

@@ -398,10 +398,17 @@ def block_params(block: ConvBlock) -> int:
             f"block {block.name}: group {block.group} does not divide"
             f" in_channels {block.in_channels}"
         )
-    n = (block.in_channels // block.group) * block.kernel_h * block.kernel_w * block.out_channels
-    if block.has_bias:
-        n += block.out_channels
-    return n
+    return conv_params(block.in_channels, block.out_channels, block.kernel_h, block.kernel_w,
+                       block.group, block.has_bias)
+
+
+def conv_params(in_channels, out_channels, kernel_h, kernel_w, group, has_bias):
+    """Weights plus bias terms of a conv of these sizes whose group divides in_channels.
+
+    Works elementwise on NumPy object arrays of Python ints, so that many
+    refined sizes are counted at once and no count can wrap.
+    """
+    return (in_channels // group) * kernel_h * kernel_w * out_channels + has_bias * out_channels
 
 
 def param_count(ir: NetworkIR) -> dict[str, int]:

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .netir import NetworkIR, _block_name, _parse_fields, _read_records, _uint
 
 
@@ -43,6 +45,13 @@ def check_lambda(lam: float) -> None:
     """Raise PlanError unless lambda is a positive finite number."""
     if not (lam > 0 and math.isfinite(lam)):
         raise PlanError(f"lambda must be positive and finite, got {lam}")
+
+
+def whole_steps(stretch, lam):
+    """Whether ``stretch`` is 1 + k*lambda for a whole k, to 1e-9 steps; elementwise."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        steps = (stretch - 1.0) / lam
+        return np.isfinite(steps) & (np.abs(steps - np.round(steps)) <= 1e-9)
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,9 @@ class RefinementPlan:
     lambda_o: float
 
     def __post_init__(self):
-        for name, entry in self.per_block.items():
+        stretches = np.array([e.stretch for e in self.per_block.values()], dtype=float)
+        steps_ok = whole_steps(stretches, self.lambda_used)
+        for (name, entry), whole in zip(self.per_block.items(), steps_ok):
             if entry.case not in ("a", "b", "x"):
                 raise PlanError(f"block {name}: unknown case {entry.case!r}")
             if entry.split < 1 or entry.split & (entry.split - 1):
@@ -74,25 +85,35 @@ class RefinementPlan:
                 raise PlanError(f"block {name}: case {entry.case} forbids stretching")
             if entry.case == "x" and entry.split != 1:
                 raise PlanError(f"block {name}: excluded blocks cannot split")
-            steps = (entry.stretch - 1.0) / self.lambda_used
-            if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
+            if not whole:
                 raise PlanError(
                     f"block {name}: stretch {entry.stretch} is not 1 + k*lambda"
                     f" for lambda={self.lambda_used}"
                 )
 
 
-def psi(x: float, lam: float) -> int:
-    """floor(x / lambda) with a snap against float noise at the boundary."""
-    if x < 0:
-        raise PlanError(f"psi expects x >= 0, got {x}")
-    if not lam > 0:
-        raise PlanError(f"lambda must be positive, got {lam}")
-    q = x / lam
-    nearest = round(q)
-    if abs(q - nearest) <= _FLOOR_SNAP * max(1.0, abs(q)):
-        return nearest
-    return math.floor(q)
+def psi(x, lam):
+    """floor(x / lambda) with a snap against float noise at the boundary.
+
+    Works elementwise, broadcasting ``x`` against ``lam``: on arrays it
+    returns the floors as a float64 array, on two numbers an int.  A
+    negative x or a lambda that is not positive raises the PlanError that
+    the first such element raises on its own.
+    """
+    x, lam = np.asarray(x, dtype=float), np.asarray(lam, dtype=float)
+    bad = (x < 0) | ~(lam > 0)
+    if bad.any():
+        first = np.argmax(bad)
+        xb, lb = (np.broadcast_to(v, bad.shape).flat[first] for v in (x, lam))
+        if xb < 0:
+            raise PlanError(f"psi expects x >= 0, got {xb}")
+        raise PlanError(f"lambda must be positive, got {lb}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = x / lam
+        nearest = np.round(q)
+        k = np.where(np.abs(q - nearest) <= _FLOOR_SNAP * np.maximum(1.0, np.abs(q)),
+                     nearest, np.floor(q))
+    return int(k) if k.ndim == 0 else k
 
 
 def xi(plus_ratios, index: int) -> float:
@@ -196,20 +217,39 @@ def build_plan(ir: NetworkIR, tallies, lam: float) -> RefinementPlan:
 def plan_from_terms(ir: NetworkIR, terms, lam: float) -> RefinementPlan:
     """The plan at ``lam`` from the :func:`block_terms` of ``ir``.
 
-    The split is 2**psi(x-), the case-b stretch 1 + lambda*psi(x+), and
-    lambda_o is :func:`lambda_o` of ``terms``.  ``terms`` is only read, so
-    one result of :func:`block_terms` serves every lambda of a sweep.
+    The factors are :func:`factor_grid`'s at the one lambda, and lambda_o
+    is :func:`lambda_o` of ``terms``.  ``terms`` is only read, so one result
+    of :func:`block_terms` serves every lambda of a sweep.
     """
     check_lambda(lam)
+    stretches, exponents = factor_grid(ir, terms, np.array([lam]))
     entries: dict[str, PlanEntry] = {}
-    for b in ir.blocks:
+    for b, stretch, exponent in zip(ir.blocks, stretches[:, 0].tolist(), exponents[:, 0]):
         t = terms.get(b.name)
-        if t is None:
-            entries[b.name] = _EXCLUDED
-            continue
-        stretch = 1.0 if t.case == "a" else 1.0 + lam * psi(t.x_plus, lam)
-        entries[b.name] = PlanEntry(stretch=stretch, split=1 << psi(t.x_minus, lam), case=t.case)
+        entries[b.name] = _EXCLUDED if t is None else PlanEntry(stretch, 1 << int(exponent), t.case)
     return RefinementPlan(per_block=entries, lambda_used=lam, lambda_o=lambda_o(terms))
+
+
+def factor_grid(ir: NetworkIR, terms, lams):
+    """Stretches and split exponents of ``ir``'s blocks at each lambda of ``lams``.
+
+    Rows follow ``ir.blocks``, columns ``lams``.  The split is
+    2**psi(x-) and the case-b stretch 1 + lambda*psi(x+); case-a and
+    excluded blocks keep stretch 1.0, and excluded blocks split by 1.  Every
+    term of ``terms`` (a :func:`block_terms` result) is floored at every
+    lambda in one :func:`psi` call.  Exponents are float64 whole numbers,
+    so none can wrap.
+    """
+    x = np.zeros((len(ir.blocks), 2, 1))
+    stretched = np.zeros((len(ir.blocks), 1), dtype=bool)
+    for i, b in enumerate(ir.blocks):
+        t = terms.get(b.name)
+        if t is not None:  # case a floors only x-
+            stretched[i] = t.case == "b"
+            x[i, :, 0] = t.x_plus if t.case == "b" else 0.0, t.x_minus
+    lams = np.asarray(lams, dtype=float)
+    floors = psi(x, lams)
+    return np.where(stretched, 1.0 + lams * floors[:, 0], 1.0), floors[:, 1]
 
 
 def serialize_plan(plan: RefinementPlan) -> str:

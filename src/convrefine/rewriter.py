@@ -13,8 +13,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .netir import ConvBlock, NetworkIR, param_count
+import numpy as np
+
+from .netir import _U32_MAX, ConvBlock, NetworkIR, param_count
 from .planner import RefinementPlan
 
 
@@ -46,8 +49,78 @@ class SizeReport:
             raise ValueError("per-block after counts do not sum to the refined total")
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
+class Widths(NamedTuple):
+    """Refined sizes of an IR's blocks: (blocks, plans) arrays, rows in block order."""
+
+    groups: np.ndarray  # group factor times split
+    stretched: np.ndarray  # out_channels times stretch, float64
+    raw: np.ndarray  # stretched rounded half up; 1 where stretched is not finite
+    widths: np.ndarray  # raw rounded up to a multiple of every group that must divide it
+    in_widths: np.ndarray  # concatenated producer widths, or in_channels if input-fed
+
+
+def refine_widths(ir: NetworkIR, splits, stretches) -> Widths:
+    """The refined groups and widths of ``ir`` under a stack of plans.
+
+    Column j of ``splits`` (an object array of Python ints) and
+    ``stretches`` holds one plan's factors, rows in ``ir.blocks`` order, so
+    every size is exact and none can wrap.  A block's width must stay
+    divisible by its own refined group and by each consumer's.
+    """
+    blocks = ir.blocks
+
+    def column(values):
+        return np.array(values, dtype=object)[:, None]
+
+    groups = column([b.group for b in blocks]) * splits
+    with np.errstate(over="ignore"):
+        stretched = np.array([b.out_channels for b in blocks], dtype=float)[:, None] * stretches
+    raw = np.frompyfunc(int, 1, 1)(np.floor(np.where(np.isfinite(stretched), stretched, 1.0) + 0.5))
+
+    row = {b.name: i for i, b in enumerate(blocks)}
+    consumers = [[row[c] for c in ir.consumers(b.name)] for b in blocks]
+    divisors = groups.copy()
+    for k in range(max(map(len, consumers))):  # the k-th consumer of every producer at once
+        producers = [i for i, cs in enumerate(consumers) if len(cs) > k]
+        a, b = divisors[producers], groups[[consumers[i][k] for i in producers]]
+        divisors[producers] = a // np.gcd(a, b) * b
+    widths = -(-raw // divisors) * divisors
+
+    in_widths = np.repeat(column([b.in_channels for b in blocks]), widths.shape[1], axis=1)
+    for i, b in enumerate(blocks):
+        preds = [row[p] for p in ir.predecessors(b.name)]
+        if preds:
+            in_widths[i] = widths[preds].sum(axis=0)
+    return Widths(groups, stretched, raw, widths, in_widths)
+
+
+def passing_columns(ir: NetworkIR, w: Widths):
+    """Which plans (columns of ``w``) :func:`apply_plan` turns into a valid IR.
+
+    These are apply_plan's own checks (finite widths, input-fed blocks'
+    groups dividing in_channels) and those of ``ConvBlock._check_fields``
+    and :func:`check_widths`, on every block at once.  In-widths are the
+    concatenated widths by construction.
+    """
+    ok = np.isfinite(w.stretched) & (w.in_widths % w.groups == 0) & (w.widths % w.groups == 0)
+    for v in (w.groups, w.widths, w.in_widths):
+        ok &= (v >= 1) & (v <= _U32_MAX)
+    row = {b.name: i for i, b in enumerate(ir.blocks)}
+    producers = [row[p] for p, _ in ir.edges]
+    consumers = [row[c] for _, c in ir.edges]
+    feeds = w.widths[producers] % w.groups[consumers] == 0
+    return ok.all(axis=0) & feeds.all(axis=0)
+
+
+def warn_rounding(name: str, raw: int, width: int) -> None:
+    """Warn that block ``name``'s width ``raw`` grew to ``width`` to stay divisible.
+
+    Every such warning is issued from this one line, so Python's default
+    filter prints each distinct message once per process, whichever command
+    or grid lambda raised it.
+    """
+    warnings.warn(f"block {name}: width {raw} rounded up to {width} so every group factor"
+                  f" keeps dividing it", WidthRoundingWarning)
 
 
 def apply_plan(ir: NetworkIR, plan: RefinementPlan) -> NetworkIR:
@@ -55,9 +128,10 @@ def apply_plan(ir: NetworkIR, plan: RefinementPlan) -> NetworkIR:
 
     The plan must carry an entry for every block.  Widths of input-fed
     blocks are fixed by the data, so a split whose group cannot divide such
-    a block's in_channels is unrepairable and raises.  A plan changes only
-    widths and groups, so the refined IR is built with ``ir``'s structure
-    and only its widths are checked again.
+    a block's in_channels is unrepairable and raises.  The sizes come from
+    :func:`refine_widths` in exact integers.  A plan changes only widths
+    and groups, so the refined IR is built with ``ir``'s structure and only
+    its widths are checked again.
     """
     names = {b.name for b in ir.blocks}
     missing = sorted(names - plan.per_block.keys())
@@ -67,40 +141,25 @@ def apply_plan(ir: NetworkIR, plan: RefinementPlan) -> NetworkIR:
     if unknown:
         raise RewriteError(f"plan names unknown block(s) {unknown}")
 
-    new_group = {
-        b.name: b.group * plan.per_block[b.name].split for b in ir.blocks
-    }
-    new_out: dict[str, int] = {}
-    for b in ir.blocks:
-        width = b.out_channels * plan.per_block[b.name].stretch
+    entries = [plan.per_block[b.name] for b in ir.blocks]
+    w = refine_widths(ir, np.array([[e.split] for e in entries], dtype=object),
+                      np.array([[e.stretch] for e in entries], dtype=float))
+    groups, stretched, raw, widths, in_widths = (v[:, 0].tolist() for v in w)
+    for b, width, r, rounded in zip(ir.blocks, stretched, raw, widths):
         if not math.isfinite(width):
             raise RewriteError(f"block {b.name}: stretched width {width} is not finite")
-        raw = _round_half_up(width)
-        divisor = math.lcm(new_group[b.name], *(new_group[c] for c in ir.consumers(b.name)))
-        rounded = -(-raw // divisor) * divisor
-        if rounded != raw:
-            warnings.warn(
-                f"block {b.name}: width {raw} rounded up to {rounded} so every"
-                f" group factor keeps dividing it",
-                WidthRoundingWarning,
-                stacklevel=2,
-            )
-        new_out[b.name] = rounded
+        if rounded != r:
+            warn_rounding(b.name, r, rounded)
 
     blocks = []
-    for b in ir.blocks:
-        preds = ir.predecessors(b.name)
-        if preds:
-            new_in = sum(new_out[p] for p in preds)
-        else:
-            new_in = b.in_channels
-            if new_in % new_group[b.name]:
-                raise RewriteError(
-                    f"block {b.name}: cannot split input-fed block, group"
-                    f" {new_group[b.name]} does not divide in_channels {new_in}"
-                )
-        blocks.append(ConvBlock(b.name, new_in, new_out[b.name], b.kernel_h, b.kernel_w,
-                                new_group[b.name], b.stage, b.has_bias, b.excluded))
+    for b, group, width, in_width in zip(ir.blocks, groups, widths, in_widths):
+        if not ir.predecessors(b.name) and b.in_channels % group:
+            raise RewriteError(
+                f"block {b.name}: cannot split input-fed block, group"
+                f" {group} does not divide in_channels {b.in_channels}"
+            )
+        blocks.append(ConvBlock(b.name, in_width, width, b.kernel_h, b.kernel_w,
+                                group, b.stage, b.has_bias, b.excluded))
     return ir._with_widths(blocks)
 
 

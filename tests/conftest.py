@@ -1,3 +1,5 @@
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from convrefine import featio
 from convrefine.netir import ConvBlock, NetworkIR, auto_excluded
-from convrefine.planner import PlanEntry, RefinementPlan
+from convrefine.planner import _FLOOR_SNAP, PlanEntry, RefinementPlan
 from convrefine.sepstats import SeparationTally
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -27,6 +29,15 @@ def class_means(name, feats, labels, num_classes=None):
 def reference_csv(rows) -> str:
     """The correlation CSV format, one ``repr`` call per cell."""
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+
+def snapped_floor(x: float, lam: float) -> int:
+    """floor(x / lam) in exact arithmetic, snapped as the planner snaps."""
+    q = Fraction(x) / Fraction(lam)
+    nearest = round(q)
+    if abs(q - nearest) <= Fraction(_FLOOR_SNAP) * max(1, abs(q)):
+        return nearest
+    return math.floor(q)
 
 
 def identity_plan(ir, lam=0.25):

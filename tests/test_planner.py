@@ -29,6 +29,7 @@ from conftest import (
     is_identity,
     random_chain_tallies,
     random_ir,
+    snapped_floor,
 )
 
 
@@ -70,6 +71,67 @@ def test_psi_rejects_bad_inputs():
         psi(-0.1, 0.25)
     with pytest.raises(PlanError):
         psi(0.1, 0.0)
+
+
+# lambdas and terms around snapped boundaries: x = k*lambda, nudged by a few ulps
+_lams = st.floats(1e-3, 4.0) | st.sampled_from([0.1, 0.25, 0.3, 1 / 3])
+_ks = st.integers(0, 40)
+
+
+@st.composite
+def _boundary_terms(draw):
+    lam, k = draw(_lams), draw(_ks)
+    x = k * lam
+    for _ in range(draw(st.integers(0, 3))):
+        x = math.nextafter(x, draw(st.sampled_from([0.0, math.inf])))
+    return draw(st.sampled_from([x, x * (1 + 1e-13), x * (1 - 1e-11), draw(st.floats(0, 10))])), lam
+
+
+@given(st.lists(_boundary_terms(), min_size=1, max_size=12))
+def test_psi_is_the_exact_snapped_floor_elementwise(pairs):
+    xs, lams = (np.array(v) for v in zip(*pairs))
+    floors = psi(xs, lams)
+    assert floors.dtype == np.float64 and floors.shape == xs.shape
+    want = [snapped_floor(x, lam) for x, lam in pairs]
+    assert floors.tolist() == want
+    assert [psi(x, lam) for x, lam in pairs] == want
+    # broadcasting a column of terms against a row of lambdas
+    grid = psi(xs[:, None], lams[None, :])
+    assert grid.tolist() == [[snapped_floor(x, lam) for lam in lams.tolist()] for x in xs.tolist()]
+
+
+def _first_scalar_error(xs, lams):
+    for x, lam in zip(xs, lams):
+        try:
+            psi(x, lam)
+        except PlanError as exc:
+            return str(exc)
+    return None
+
+
+@given(st.lists(st.tuples(st.floats(-2.0, 2.0),
+                          st.sampled_from([0.25, 0.5, 1e-3, 0.0, -0.0, -0.25, math.nan])),
+                min_size=1, max_size=8))
+def test_psi_on_arrays_raises_the_first_bad_element_error(pairs):
+    xs, lams = ([p[i] for p in pairs] for i in (0, 1))
+    want = _first_scalar_error(xs, lams)
+    if want is None:
+        assert psi(np.array(xs), np.array(lams)).tolist() == [psi(x, lam) for x, lam in pairs]
+        return
+    with pytest.raises(PlanError) as err:
+        psi(np.array(xs), np.array(lams))
+    assert str(err.value) == want
+
+
+def test_psi_on_arrays_raises_for_one_bad_element_anywhere():
+    xs = np.array([[0.5, 0.25], [0.75, -0.125]])
+    with pytest.raises(PlanError, match=r"^psi expects x >= 0, got -0\.125$"):
+        psi(xs, 0.25)
+    with pytest.raises(PlanError, match=r"^lambda must be positive, got 0\.0$"):
+        psi(0.5, np.array([0.25, 0.5, 0.0]))
+    # broadcast order: the first bad element of the (2, 3) grid is x=-0.5 at lambda 0.25
+    with pytest.raises(PlanError, match=r"^psi expects x >= 0, got -0\.5$"):
+        psi(np.array([[-0.5], [0.5]]), np.array([0.25, -1.0, 0.5]))
 
 
 def _plan_for(plus, minus, subsequent_ratio=0.625, lam=0.25):

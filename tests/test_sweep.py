@@ -1,0 +1,186 @@
+"""`sweep`'s array grid against the per-lambda loop it replaces."""
+
+import math
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from convrefine import cli
+from convrefine.netir import ConvBlock, NetworkIR, auto_excluded, param_count, parse_network
+from convrefine.planner import block_terms, lambda_o, plan_from_terms
+from convrefine.rewriter import apply_plan
+from convrefine.sepstats import SeparationTally
+
+from conftest import snapped_floor
+
+
+def reference_rows(ir, terms, grid, lam_o):
+    """The sweep.csv rows of ``grid``, one plan_from_terms and apply_plan per lambda."""
+    for lam in grid.tolist():
+        plan = plan_from_terms(ir, terms, lam)
+        try:
+            refined = apply_plan(ir, plan)
+        except ValueError as exc:
+            raise ValueError(f"lambda={lam!r}: {exc}") from None
+        total = sum(param_count(refined).values())
+        row = [repr(lam), str(int(lam > lam_o)), str(total)]
+        for b in ir.blocks:
+            e = plan.per_block[b.name]
+            row.extend((repr(e.stretch), str(e.split)))
+        yield ",".join(row)
+
+
+def outcome(run):
+    """The list ``run()`` yields, or its error line, and the warning lines
+    Python's default filter prints meanwhile."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            result = list(run())
+        except ValueError as exc:
+            result = f"error: {exc}"
+    return result, [f"warning: {w.category.__name__}: {w.message}" for w in caught]
+
+
+@st.composite
+def grouped_irs(draw):
+    """A valid IR with concatenating blocks and odd group factors.
+
+    Widths are multiples of 3, 5 or 15 more often than not, so that odd
+    groups of producers and consumers meet in one width.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=4, max_size=6))
+    blocks, edges = [], []
+    for stage, size in enumerate(sizes):
+        earlier = list(blocks)
+        for _ in range(size):
+            name = f"b{len(blocks)}"
+            preds = []
+            if earlier:
+                preds = draw(st.lists(st.sampled_from(earlier), unique=True, min_size=1,
+                                      max_size=3))
+            in_ch = sum(p.out_channels for p in preds) or draw(st.sampled_from([3, 15]))
+            common = math.gcd(in_ch, *(p.out_channels for p in preds))
+            group = draw(st.sampled_from([g for g in (1, 2, 3, 5, 9, 15) if common % g == 0]))
+            out = group * draw(st.integers(1, 3)) * draw(st.sampled_from([1, 3, 5, 15]))
+            kernel = draw(st.integers(1, 3))
+            blocks.append(ConvBlock(name, in_ch, out, kernel, kernel, group, stage,
+                                    draw(st.booleans())))
+            edges.extend((p.name, name) for p in preds)
+    flagged = auto_excluded(blocks, edges)
+    blocks = [ConvBlock(b.name, b.in_channels, b.out_channels, b.kernel_h, b.kernel_w, b.group,
+                        b.stage, b.has_bias, b.name in flagged or draw(st.integers(0, 4)) == 0)
+              for b in blocks]
+    return NetworkIR(blocks, edges)
+
+
+@st.composite
+def tallies_for(draw, ir):
+    m = draw(st.integers(2, 6))
+    total, offdiag = m * m, m * m - m
+    tallies = {}
+    for b in ir.blocks:
+        if b.excluded:
+            continue
+        plus = draw(st.integers(0, offdiag))
+        minus = draw(st.integers(0, offdiag - plus))
+        tallies[b.name] = SeparationTally(b.name, plus, minus, total - plus - minus, total)
+    return tallies
+
+
+@st.composite
+def grids_for(draw, terms):
+    """Lambdas at breakpoints x/k and at lambda_o*(1 +- 1e-9), among random ones.
+
+    Now and then one lambda is small enough for splits past the u32 bound.
+    """
+    lam_o = lambda_o(terms)
+    xs = [x for t in terms.values() for x in t.floored if x > 0]
+    top = max(xs, default=1.0)
+    lams = draw(st.lists(st.floats(top / 16, 2 * top), max_size=4))
+    if xs:
+        lams += [draw(st.sampled_from(xs)) / draw(st.integers(1, 8))
+                 for _ in range(draw(st.integers(1, 6)))]
+        lams += [lam_o * (1 + 1e-9), lam_o * (1 - 1e-9)]
+    if not lams or draw(st.integers(0, 4)) == 0:
+        lams.append(top / draw(st.integers(20, 70)))
+    order = draw(st.sampled_from(["drawn", "sorted", "shuffled"]))
+    if order == "sorted":
+        lams.sort()
+    return np.array(draw(st.permutations(lams)) if order == "shuffled" else lams)
+
+
+def check_factors(ir, terms, rows):
+    """Every factor in ``rows`` is the exactly computed, snapped one."""
+    for row in rows:
+        cells = row.split(",")
+        lam = float(cells[0])
+        for i, b in enumerate(ir.blocks):
+            stretch, split = float(cells[3 + 2 * i]), int(cells[4 + 2 * i])
+            t = terms.get(b.name)
+            if t is None:
+                assert (stretch, split) == (1.0, 1)
+                continue
+            assert split == 2 ** snapped_floor(t.x_minus, lam)
+            want = 1.0 if t.case == "a" else 1.0 + lam * snapped_floor(t.x_plus, lam)
+            assert stretch == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grid_rows_match_the_per_lambda_loop(data):
+    ir = data.draw(grouped_irs())
+    terms = block_terms(ir, data.draw(tallies_for(ir)))
+    grid = data.draw(grids_for(terms))
+    lam_o = lambda_o(terms)
+    got = outcome(lambda: cli._sweep_rows(ir, terms, grid, lam_o))
+    want = outcome(lambda: reference_rows(ir, terms, grid, lam_o))
+    assert got == want
+    if isinstance(want[0], list):
+        check_factors(ir, terms, want[0])
+
+
+# Two primes whose product is just inside u32: block a's width must be a
+# multiple of both, and b's and c's groups multiply by their splits.
+P, Q = 65537, 65521
+COPRIME_IR = f"""\
+block a in=3 out={P * Q} k=1x1 group=1 stage=0
+block b in={P * Q} out={P} k=1x1 group={P} stage=1 prev=a
+block c in={P * Q} out={Q} k=3x3 group={Q} stage=1 prev=a bias
+block d in={P + Q} out=8 k=1x1 group=1 stage=2 prev=b,c
+block e in=8 out=8 k=1x1 group=1 stage=3 prev=d
+"""
+
+
+def _tally(name, plus, minus, total=16):
+    return SeparationTally(name, plus, minus, total - plus - minus, total)
+
+
+@pytest.mark.parametrize("lam", [
+    # b and c split by 2**112 and 2**121: their groups, the lcm of those and
+    # a's rounded width all pass 2**63, where int64 products would wrap
+    0.005,
+    # splits of 2**11 and 2**12 keep both groups within u32, but not their lcm
+    0.05,
+])
+def test_sweep_past_u32_stops_with_apply_plans_error(tmp_path, monkeypatch, capsys, lam):
+    ir = parse_network(COPRIME_IR)
+    tallies = {"b": _tally("b", 2, 12), "c": _tally("c", 1, 13), "d": _tally("d", 12, 2)}
+    terms = block_terms(ir, tallies)
+    (tmp_path / "net.ir").write_text(COPRIME_IR)
+    monkeypatch.setattr(cli, "_statistics", lambda args, ir, manifest: ({}, tallies))
+    out = tmp_path / "run"
+    rc, printed = outcome(lambda: [cli.main([
+        "sweep", "--ir", str(tmp_path / "net.ir"), "--manifest", str(tmp_path / "unread"),
+        "--sweep-min", str(lam), "--sweep-max", "0.5", "--out", str(out)])])
+    error, warned = outcome(lambda: [apply_plan(ir, plan_from_terms(ir, terms, lam))])
+    assert error.startswith("error: block a: out_channels ")
+    assert rc == [1]
+    assert capsys.readouterr().err == error.replace("error: ", f"error: lambda={lam!r}: ") + "\n"
+    # the same rounding warnings as apply_plan's, in the same order
+    assert printed == warned
+    assert printed[0].startswith(f"warning: WidthRoundingWarning: block a: width {P * Q} rounded")
+    assert not (out / "reports" / "sweep.csv").exists()
