@@ -167,13 +167,12 @@ def _sweep_rows(ir, terms, grid, lam_o):
     # a split of 2**32 already leaves the u32 bound, as any larger one does
     splits = np.exp2(np.minimum(exponents, 32)).astype(np.int64).astype(object)
     w = rewriter.refine_widths(ir, splits, stretches)
-    ok = rewriter.passing_columns(ir, w) & planner.whole_steps(stretches, grid).all(axis=0)
+    ok = rewriter.passing_columns(w) & planner.whole_steps(stretches, grid).all(axis=0)
     totals = netir.conv_params(w.in_widths, w.widths, kernel_h, kernel_w, w.groups, bias).sum(axis=0)
     for j, lam in enumerate(grid.tolist()):
         if not ok[j]:
-            plan = planner.plan_from_terms(ir, terms, lam)
             try:
-                rewriter.apply_plan(ir, plan)
+                rewriter.apply_plan(ir, planner.plan_from_terms(ir, terms, lam))
             except ValueError as exc:
                 raise ValueError(f"lambda={lam!r}: {exc}") from None
             raise RuntimeError(f"lambda={lam!r}: apply_plan accepts the plan the grid rejects")

@@ -92,34 +92,11 @@ class NetworkIR:
         consumers: dict[str, list[str]] = {}
         for producer, consumer in edges:
             consumers.setdefault(producer, []).append(consumer)
-        by_name = {b.name: b for b in blocks}
-        self._index(blocks, by_name, edges, preds, {k: tuple(v) for k, v in consumers.items()})
-
-    def _index(self, blocks, by_name, edges, preds, consumers) -> None:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_by_name", {b.name: b for b in blocks})
         object.__setattr__(self, "_preds", preds)
-        object.__setattr__(self, "_consumers", consumers)
-
-    def _with_widths(self, blocks) -> NetworkIR:
-        """This IR with ``blocks``, which differ from its own only in widths and groups.
-
-        ``blocks`` must list this IR's blocks in order, each with its name,
-        stage, kernel, bias and exclusion flag unchanged.  The structure
-        then stays valid, so only the width checks run: each block's fields,
-        then :func:`check_widths`.  The new IR shares this one's edges and
-        lookups.  It equals ``NetworkIR(blocks, self.edges)``, and the first
-        violation raises the same error as there.
-        """
-        blocks = tuple(blocks)
-        for b in blocks:
-            b._check_fields()
-        by_name = {b.name: b for b in blocks}
-        check_widths(blocks, by_name, self._preds)
-        ir = object.__new__(NetworkIR)
-        ir._index(blocks, by_name, self.edges, self._preds, self._consumers)
-        return ir
+        object.__setattr__(self, "_consumers", {k: tuple(v) for k, v in consumers.items()})
 
     @property
     def num_stages(self) -> int:
@@ -159,11 +136,9 @@ def validate_network(blocks, edges) -> dict[str, tuple[str, ...]]:
     """Raise IRValidationError naming the first violated invariant.
 
     ``blocks`` are in (stage, name) order.  Returns the predecessors of each
-    block that has any, in the order ``edges`` lists them.  This pass checks
-    the structure: names, edges, stage order and coverage, and exclusion
-    flags.  It runs the width checks (:meth:`ConvBlock._check_fields` and
-    :func:`check_widths`) at the points where they come first, so that the
-    first violation is the one reported whichever half it belongs to.
+    block that has any, in the order ``edges`` lists them.  A block with
+    predecessors reads their concatenated width, and its group divides its
+    in_channels, its out_channels and each predecessor's out_channels.
     """
     if not blocks:
         raise IRValidationError("network has no blocks")
@@ -204,23 +179,6 @@ def validate_network(blocks, edges) -> dict[str, tuple[str, ...]]:
         )
 
     preds = {k: tuple(v) for k, v in grouped.items()}
-    check_widths(blocks, by_name, preds)
-    for name in sorted(auto_excluded(blocks, edges)):
-        if not by_name[name].excluded:
-            raise IRValidationError(
-                f"block {name} is terminal or input-fed and must carry the excluded flag"
-            )
-    return preds
-
-
-def check_widths(blocks, by_name, preds) -> None:
-    """Raise IRValidationError unless every block's channel bookkeeping holds.
-
-    A block with predecessors reads their concatenated width, and its group
-    divides its in_channels, its out_channels and each predecessor's
-    out_channels.  ``by_name`` indexes ``blocks``, and ``preds`` gives each
-    block's predecessors, as :func:`validate_network` returns them.
-    """
     for b in blocks:
         fed_by = [by_name[p] for p in preds.get(b.name, ())]
         if fed_by:
@@ -244,6 +202,12 @@ def check_widths(blocks, by_name, preds) -> None:
                     f"block {b.name}: group {b.group} does not divide out_channels"
                     f" {p.out_channels} of predecessor {p.name}"
                 )
+    for name in sorted(auto_excluded(blocks, edges)):
+        if not by_name[name].excluded:
+            raise IRValidationError(
+                f"block {name} is terminal or input-fed and must carry the excluded flag"
+            )
+    return preds
 
 
 def read_text(path, error=ValueError) -> str:

@@ -219,12 +219,15 @@ def plan_from_terms(ir: NetworkIR, terms, lam: float) -> RefinementPlan:
 
     The factors are :func:`factor_grid`'s at the one lambda, and lambda_o
     is :func:`lambda_o` of ``terms``.  ``terms`` is only read, so one result
-    of :func:`block_terms` serves every lambda of a sweep.
+    of :func:`block_terms` serves every lambda of a sweep.  A split of
+    2**32 or more raises PlanError naming the first such block.
     """
     check_lambda(lam)
     stretches, exponents = factor_grid(ir, terms, np.array([lam]))
     entries: dict[str, PlanEntry] = {}
     for b, stretch, exponent in zip(ir.blocks, stretches[:, 0].tolist(), exponents[:, 0]):
+        if exponent >= 32:  # refused before the shift, whose result can outgrow memory
+            raise PlanError(f"block {b.name}: split 2**{exponent:.0f} does not fit in a u32")
         t = terms.get(b.name)
         entries[b.name] = _EXCLUDED if t is None else PlanEntry(stretch, 1 << int(exponent), t.case)
     return RefinementPlan(per_block=entries, lambda_used=lam, lambda_o=lambda_o(terms))

@@ -94,22 +94,16 @@ def refine_widths(ir: NetworkIR, splits, stretches) -> Widths:
     return Widths(groups, stretched, raw, widths, in_widths)
 
 
-def passing_columns(ir: NetworkIR, w: Widths):
-    """Which plans (columns of ``w``) :func:`apply_plan` turns into a valid IR.
+def passing_columns(w: Widths):
+    """Which plans of a sweep (columns of ``w``) :func:`apply_plan` turns into a valid IR.
 
-    These are apply_plan's own checks (finite widths, input-fed blocks'
-    groups dividing in_channels) and those of ``ConvBlock._check_fields``
-    and :func:`check_widths`, on every block at once.  In-widths are the
-    concatenated widths by construction.
+    Only the u32 bound on widths and concatenated in-widths can fail; a
+    group divides its width, so it never exceeds it.  The other checks hold
+    by construction for a sweep's plans: stretches are at most 1 + x+ <= 2,
+    input-fed blocks are excluded and never split, and :func:`refine_widths`
+    rounds each width up to a multiple of every group that must divide it.
     """
-    ok = np.isfinite(w.stretched) & (w.in_widths % w.groups == 0) & (w.widths % w.groups == 0)
-    for v in (w.groups, w.widths, w.in_widths):
-        ok &= (v >= 1) & (v <= _U32_MAX)
-    row = {b.name: i for i, b in enumerate(ir.blocks)}
-    producers = [row[p] for p, _ in ir.edges]
-    consumers = [row[c] for _, c in ir.edges]
-    feeds = w.widths[producers] % w.groups[consumers] == 0
-    return ok.all(axis=0) & feeds.all(axis=0)
+    return ((w.widths <= _U32_MAX) & (w.in_widths <= _U32_MAX)).all(axis=0)
 
 
 def warn_rounding(name: str, raw: int, width: int) -> None:
@@ -129,9 +123,8 @@ def apply_plan(ir: NetworkIR, plan: RefinementPlan) -> NetworkIR:
     The plan must carry an entry for every block.  Widths of input-fed
     blocks are fixed by the data, so a split whose group cannot divide such
     a block's in_channels is unrepairable and raises.  The sizes come from
-    :func:`refine_widths` in exact integers.  A plan changes only widths
-    and groups, so the refined IR is built with ``ir``'s structure and only
-    its widths are checked again.
+    :func:`refine_widths` in exact integers, and the refined IR is
+    validated like any other.
     """
     names = {b.name for b in ir.blocks}
     missing = sorted(names - plan.per_block.keys())
@@ -160,7 +153,7 @@ def apply_plan(ir: NetworkIR, plan: RefinementPlan) -> NetworkIR:
             )
         blocks.append(ConvBlock(b.name, in_width, width, b.kernel_h, b.kernel_w,
                                 group, b.stage, b.has_bias, b.excluded))
-    return ir._with_widths(blocks)
+    return NetworkIR(blocks, ir.edges)
 
 
 def size_report(before: NetworkIR, after: NetworkIR) -> SizeReport:

@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -21,7 +22,6 @@ from convrefine.featio import (
 )
 from convrefine.netir import parse_network, serialize_network
 from convrefine.planner import parse_plan
-from convrefine.rewriter import WidthRoundingWarning
 from convrefine.sepstats import DegenerateClassWarning, correlation_layer
 
 from conftest import FIXTURES, reference_csv
@@ -173,7 +173,8 @@ def test_sweep(workdir):
 
 
 def test_sweep_u32_error_names_lambda(tmp_path, capsys):
-    # at lambda 0.001 conv1_1's stretch leaves the u32 bound of the IR grammar
+    # at lambda 0.001 conv2_1's split leaves the u32 bound of the IR grammar;
+    # the planner refuses it before conv1_1's width is rounded up to that group
     blocks = parse_network((FIXTURES / "vgg11.ir").read_text()).blocks
     rhos = [0.1, 0.3, 0.6, 0.4, 0.2, 0.05, 0.3, 0.1]
     profile = dict(PROFILE, layers=[
@@ -183,16 +184,32 @@ def test_sweep_u32_error_names_lambda(tmp_path, capsys):
     assert _run("synth", "--profile", tmp_path / "vgg.json", "--seed", "7", "--flat",
                 "--out", tmp_path / "dumps") == 0
     out = tmp_path / "run"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WidthRoundingWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = _run("sweep", "--ir", FIXTURES / "vgg11.ir", "--manifest",
                   tmp_path / "dumps" / "manifest.txt", "--sweep-min", "0.001", "--out", out)
     assert rc == 1
+    assert caught == []  # the plan is refused before any width is rounded
     err = capsys.readouterr().err
-    assert "error: lambda=0.001: block conv1_1: out_channels " in err
-    assert err.rstrip().endswith("does not fit in a u32")
-    assert "Traceback" not in err
+    assert err.startswith("error: lambda=0.001: block conv2_1: split 2**")
+    assert err.endswith("does not fit in a u32\n")
+    assert err.count("\n") == 1
     assert not (out / "reports" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, option", [("plan", "--lambda"), ("sweep", "--sweep-min")])
+@pytest.mark.parametrize("lam", ["1e-300", "1e-6"])
+def test_small_lambda_names_the_split_past_u32(workdir, capsys, command, option, lam):
+    # the split is refused from its exponent: at 1e-300 the split itself
+    # would need about 1e300 bits, at 1e-6 its digits could not be printed
+    out = workdir / "run"
+    rc = _run(command, "--ir", workdir / "net.ir", "--manifest",
+              workdir / "dumps" / "manifest.txt", option, lam, "--out", out)
+    assert rc == 1
+    prefix = f"lambda={float(lam)!r}: " if command == "sweep" else ""
+    assert re.fullmatch(rf"error: {re.escape(prefix)}block conv1: split 2\*\*\d+"
+                        r" does not fit in a u32\n", capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_iterate_composes_groups(workdir):
@@ -289,7 +306,7 @@ def test_sweep_checks_structure_once_and_shares_stacked_correlations(tmp_path, m
                 tmp_path / "dumps" / "manifest.txt", "--sweep-steps", "20",
                 "--out", tmp_path / "run") == 0
     assert len((tmp_path / "run" / "reports" / "sweep.csv").read_text().splitlines()) == 22
-    # the parse checks the structure; the 20 refined IRs keep it
+    # the parse checks the structure; a sweep that passes builds no refined IR
     assert len(structural) == 1
     # one matrix per block, then one per distinct concatenation
     assert correlated == [*"abcdef", "a+b", "c+d"]

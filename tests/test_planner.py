@@ -203,7 +203,6 @@ def test_factors_come_from_block_terms(seed, lam):
     tallies = {t.layer_name: t for t in random_chain_tallies(rng, m, length) if t is not None}
     ratios = stage_plus_ratios(ir, tallies)
     terms = block_terms(ir, tallies)
-    plan = build_plan(ir, tallies, lam)
     assert list(terms) == [b.name for b in ir.blocks if not b.excluded]
     for name, t in terms.items():
         tally = tallies[name]
@@ -211,6 +210,16 @@ def test_factors_come_from_block_terms(seed, lam):
         assert t.x_plus == (tally.n_plus / tally.n_total) * x
         assert t.x_minus == (tally.n_minus / tally.n_total) * x
         assert t.case == ("a" if tally.n_plus < tally.n_minus else "b")
+    past_u32 = [(name, psi(t.x_minus, lam)) for name, t in terms.items()
+                if psi(t.x_minus, lam) >= 32]
+    if past_u32:  # the first such block in IR order is named, before any split is built
+        name, k = past_u32[0]
+        message = rf"^block {name}: split 2\*\*{k} does not fit in a u32$"
+        with pytest.raises(PlanError, match=message):
+            build_plan(ir, tallies, lam)
+        return
+    plan = build_plan(ir, tallies, lam)
+    for name, t in terms.items():
         entry = plan.per_block[name]
         assert entry.split == 1 << psi(t.x_minus, lam)
         assert entry.stretch == (1.0 if t.case == "a" else 1.0 + lam * psi(t.x_plus, lam))
@@ -231,7 +240,14 @@ def test_one_set_of_terms_serves_every_lambda(seed, lams):
         tallies[b.name] = _tally(b.name, plus, minus, total)
     terms = block_terms(ir, tallies)
     for lam in lams:
-        got, want = plan_from_terms(ir, terms, lam), build_plan(ir, tallies, lam)
+        try:
+            want = build_plan(ir, tallies, lam)
+        except PlanError as exc:  # a split past u32 is refused alike from the terms
+            assert re.fullmatch(r"block \S+: split 2\*\*\d+ does not fit in a u32", str(exc))
+            with pytest.raises(PlanError, match=f"^{re.escape(str(exc))}$"):
+                plan_from_terms(ir, terms, lam)
+            continue
+        got = plan_from_terms(ir, terms, lam)
         assert got.per_block == want.per_block
         assert (got.lambda_used, got.lambda_o) == (want.lambda_used, want.lambda_o)
         # sweep takes lambda_o from the terms alone, with no plan

@@ -20,8 +20,8 @@ from conftest import snapped_floor
 def reference_rows(ir, terms, grid, lam_o):
     """The sweep.csv rows of ``grid``, one plan_from_terms and apply_plan per lambda."""
     for lam in grid.tolist():
-        plan = plan_from_terms(ir, terms, lam)
         try:
+            plan = plan_from_terms(ir, terms, lam)
             refined = apply_plan(ir, plan)
         except ValueError as exc:
             raise ValueError(f"lambda={lam!r}: {exc}") from None
@@ -143,6 +143,10 @@ def test_grid_rows_match_the_per_lambda_loop(data):
         check_factors(ir, terms, want[0])
 
 
+def _tally(name, plus, minus, total=16):
+    return SeparationTally(name, plus, minus, total - plus - minus, total)
+
+
 # Two primes whose product is just inside u32: block a's width must be a
 # multiple of both, and b's and c's groups multiply by their splits.
 P, Q = 65537, 65521
@@ -153,34 +157,64 @@ block c in={P * Q} out={Q} k=3x3 group={Q} stage=1 prev=a bias
 block d in={P + Q} out=8 k=1x1 group=1 stage=2 prev=b,c
 block e in=8 out=8 k=1x1 group=1 stage=3 prev=d
 """
+COPRIME_TALLIES = {"b": _tally("b", 2, 12), "c": _tally("c", 1, 13), "d": _tally("d", 12, 2)}
+
+# b and c fill d's in-width to the u32 bound; at lambda 0.5 b stretches by
+# 1.5 and stays inside it, but their concatenation does not
+CONCAT_IR = f"""\
+block a in=3 out=8 k=1x1 group=1 stage=0
+block b in=8 out={2**31} k=1x1 group=1 stage=1 prev=a
+block c in=8 out={2**31 - 1} k=1x1 group=1 stage=1 prev=a
+block d in={2**32 - 1} out=8 k=1x1 group=1 stage=2 prev=b,c
+block e in=8 out=8 k=1x1 group=1 stage=3 prev=d
+"""
+CONCAT_TALLIES = {"b": _tally("b", 12, 2), "c": _tally("c", 1, 2), "d": _tally("d", 12, 2)}
+
+# b feeds no block, so only its own width leaves u32 when it stretches by 1.5
+DEAD_END_IR = f"""\
+block a in=3 out=8 k=1x1 group=1 stage=0
+block b in=8 out={2**32 - 1} k=1x1 group=1 stage=1 prev=a
+block c in=8 out=8 k=1x1 group=1 stage=1 prev=a
+block d in=8 out=8 k=1x1 group=1 stage=2 prev=c
+block e in=8 out=8 k=1x1 group=1 stage=3 prev=d
+"""
+DEAD_END_TALLIES = {"b": _tally("b", 12, 2), "c": _tally("c", 1, 2), "d": _tally("d", 12, 2)}
 
 
-def _tally(name, plus, minus, total=16):
-    return SeparationTally(name, plus, minus, total - plus - minus, total)
-
-
-@pytest.mark.parametrize("lam", [
-    # b and c split by 2**112 and 2**121: their groups, the lcm of those and
-    # a's rounded width all pass 2**63, where int64 products would wrap
-    0.005,
+@pytest.mark.parametrize("text, tallies, lam, error, warning", [
+    # b and c would split by 2**112 and 2**121, and the planner refuses b's
+    # split first.  The grid clips both at 2**32, and a's divisor, the lcm of
+    # the clipped groups, still passes 2**63, where int64 products would wrap
+    pytest.param(COPRIME_IR, COPRIME_TALLIES, 0.005,
+                 "error: block b: split 2**112 does not fit in a u32", None, id="0.005"),
     # splits of 2**11 and 2**12 keep both groups within u32, but not their lcm
-    0.05,
+    pytest.param(COPRIME_IR, COPRIME_TALLIES, 0.05, "error: block a: out_channels ",
+                 f"warning: WidthRoundingWarning: block a: width {P * Q} rounded", id="0.05"),
+    pytest.param(CONCAT_IR, CONCAT_TALLIES, 0.5,
+                 f"error: block d: in_channels {2**31 * 3 // 2 + 2**31 - 1} does not fit in a u32",
+                 None, id="concatenated-in-width"),
+    pytest.param(DEAD_END_IR, DEAD_END_TALLIES, 0.5,
+                 f"error: block b: out_channels {(2**32 - 1) * 3 // 2 + 1} does not fit in a u32",
+                 None, id="width-of-a-dead-end"),
 ])
-def test_sweep_past_u32_stops_with_apply_plans_error(tmp_path, monkeypatch, capsys, lam):
-    ir = parse_network(COPRIME_IR)
-    tallies = {"b": _tally("b", 2, 12), "c": _tally("c", 1, 13), "d": _tally("d", 12, 2)}
+def test_sweep_past_u32_stops_with_apply_plans_error(tmp_path, monkeypatch, capsys, text,
+                                                     tallies, lam, error, warning):
+    ir = parse_network(text)
     terms = block_terms(ir, tallies)
-    (tmp_path / "net.ir").write_text(COPRIME_IR)
+    (tmp_path / "net.ir").write_text(text)
     monkeypatch.setattr(cli, "_statistics", lambda args, ir, manifest: ({}, tallies))
     out = tmp_path / "run"
     rc, printed = outcome(lambda: [cli.main([
         "sweep", "--ir", str(tmp_path / "net.ir"), "--manifest", str(tmp_path / "unread"),
         "--sweep-min", str(lam), "--sweep-max", "0.5", "--out", str(out)])])
-    error, warned = outcome(lambda: [apply_plan(ir, plan_from_terms(ir, terms, lam))])
-    assert error.startswith("error: block a: out_channels ")
+    want, warned = outcome(lambda: [apply_plan(ir, plan_from_terms(ir, terms, lam))])
+    assert want.startswith(error)
     assert rc == [1]
-    assert capsys.readouterr().err == error.replace("error: ", f"error: lambda={lam!r}: ") + "\n"
+    assert capsys.readouterr().err == want.replace("error: ", f"error: lambda={lam!r}: ") + "\n"
     # the same rounding warnings as apply_plan's, in the same order
     assert printed == warned
-    assert printed[0].startswith(f"warning: WidthRoundingWarning: block a: width {P * Q} rounded")
+    if warning is None:
+        assert printed == []
+    else:
+        assert printed[0].startswith(warning)
     assert not (out / "reports" / "sweep.csv").exists()
