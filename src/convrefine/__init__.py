@@ -25,7 +25,6 @@ from .planner import (
     parse_plan,
     psi,
     serialize_plan,
-    xi,
 )
 from .rewriter import SizeReport, apply_plan, size_report
 from .sepstats import (
@@ -33,6 +32,6 @@ from .sepstats import (
     network_statistics,
     separation_tally,
 )
-from .evalkit import PredictionDump, precision_at_k, synth_activations
+from .evalkit import precision_at_k, synth_activations
 
 __version__ = "0.1.0"

@@ -167,7 +167,7 @@ def _sweep_rows(ir, terms, grid, lam_o):
     # a split of 2**32 already leaves the u32 bound, as any larger one does
     splits = np.exp2(np.minimum(exponents, 32)).astype(np.int64).astype(object)
     w = rewriter.refine_widths(ir, splits, stretches)
-    ok = rewriter.passing_columns(w) & planner.whole_steps(stretches, grid).all(axis=0)
+    ok = rewriter.passing_columns(w)  # every stretch 1 + lambda*k passes the plan's check
     totals = netir.conv_params(w.in_widths, w.widths, kernel_h, kernel_w, w.groups, bias).sum(axis=0)
     for j, lam in enumerate(grid.tolist()):
         if not ok[j]:
@@ -239,11 +239,10 @@ def cmd_synth(args) -> int:
 def cmd_precision(args) -> int:
     scores = featio.read_tensor_file(args.scores)
     truth = evalkit.read_truth_file(args.truth)
-    try:
-        dump = evalkit.PredictionDump(scores=scores, truth=truth)
-    except ValueError as exc:
-        raise ValueError(f"{args.scores}, {args.truth}: {exc}") from None
-    print(f"precision_at_k={evalkit.precision_at_k(dump, args.k)!r}")
+    if scores.ndim != 2 or truth.shape != scores.shape:
+        raise ValueError(f"{args.scores}, {args.truth}: scores {scores.shape} and truth"
+                         f" {truth.shape} must match, rank 2")
+    print(f"precision_at_k={evalkit.precision_at_k(scores, truth, args.k)!r}")
     return 0
 
 

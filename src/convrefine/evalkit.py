@@ -32,43 +32,28 @@ from .netir import _NAME_RE, _U32_MAX, read_text
 TRUTH_FORMAT = BinaryFormat(b"ATMH", "truth", "II")  # N, M
 
 
-@dataclass(frozen=True, eq=False)
-class PredictionDump:
-    scores: np.ndarray  # (N, M) float64
-    truth: np.ndarray  # (N, M) uint8 in {0,1}
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        truth = np.asarray(self.truth)
-        if scores.ndim != 2 or truth.shape != scores.shape:
-            raise ValueError(f"scores {scores.shape} and truth {truth.shape} must match, rank 2")
-        if not np.isin(truth, (0, 1)).all():
-            raise ValueError("truth entries must be 0 or 1")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "truth", truth.astype(np.uint8))
-
-
-def precision_at_k(dump: PredictionDump, k: int) -> float:
+def precision_at_k(scores, truth, k: int) -> float:
     """True positives over all predictions, with per-image top lists.
 
+    ``scores`` and ``truth`` are (N, M) arrays, ``truth`` of 0/1 entries.
     An image with p positive labels contributes its top min(p, k) scored
     classes as predictions; k only caps the list.  Score ties break toward
     the lower class index.  Images without positive labels are skipped with
     a warning.
     """
-    n, m = dump.scores.shape
+    n, m = scores.shape
     if not 1 <= k <= m:
         raise ValueError(f"k must be in 1..{m}, got {k}")
     tp = 0
     fp = 0
     for i in range(n):
-        p = int(dump.truth[i].sum())
+        p = int(truth[i].sum())
         if p == 0:
             warnings.warn(f"image {i} has no positive labels; skipped", stacklevel=2)
             continue
         take = min(p, k)
-        top = np.argsort(-dump.scores[i], kind="stable")[:take]
-        hits = int(dump.truth[i, top].sum())
+        top = np.argsort(-scores[i], kind="stable")[:take]
+        hits = int(truth[i, top].sum())
         tp += hits
         fp += take - hits
     if tp + fp == 0:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .netir import NetworkIR, _read_records, read_text
+from .netir import _U32_MAX, NetworkIR, _read_records, read_text
 
 
 class TensorFormatError(ValueError):
@@ -203,14 +203,17 @@ def _class_means(labels: np.ndarray, counts: np.ndarray, width: int, chunks) -> 
 def write_tensor_chunks(path, shape, chunks) -> None:
     """Write an ATNS tensor of ``shape`` from consecutive whole-image chunks.
 
-    Each chunk is checked (rank, trailing dims, finite after the float32
-    cast) before its bytes are written; a failed write leaves no file, and
-    its error names the file.
+    The shape must be one :func:`read_tensor_file` accepts: rank 2 or 4,
+    every dim in 1..2**32-1.  Each chunk is checked (trailing dims, finite
+    after the float32 cast) before its bytes are written; a failed write
+    leaves no file, and its error names the file.
     """
     path = Path(path)
     shape = tuple(int(d) for d in shape)
     if len(shape) not in (2, 4):
         raise ValueError(f"{path}: tensor rank must be 2 or 4, got {len(shape)}")
+    if not all(1 <= d <= _U32_MAX for d in shape):
+        raise ValueError(f"{path}: tensor dims must lie in 1..{_U32_MAX}, got {shape}")
     try:
         with open(path, "wb") as fh:
             fh.write(TENSOR_FORMAT.encode(len(shape), dims=shape))
@@ -251,7 +254,9 @@ def read_labels_file(path) -> np.ndarray:
 def write_labels_file(path, labels) -> None:
     labels = np.asarray(labels)
     if labels.ndim != 1 or (labels.size and labels.min() < 0):
-        raise ValueError("labels must be a 1-D array of non-negative integers")
+        raise ValueError(f"{path}: labels must be a 1-D array of non-negative integers")
+    if labels.size and labels.max() > _U32_MAX:
+        raise ValueError(f"{path}: label {labels.max()} does not fit in a u32")
     with open(path, "wb") as fh:
         fh.write(LABELS_FORMAT.encode(labels.size))
         fh.write(np.ascontiguousarray(labels, dtype="<u4").tobytes())

@@ -351,30 +351,18 @@ def serialize_network(ir: NetworkIR) -> str:
     return "\n".join(lines) + "\n"
 
 
-def block_params(block: ConvBlock) -> int:
-    """Weights (plus bias terms) of one block.
-
-    A group factor g keeps only the g diagonal input/output channel bundles
-    connected, so the dense weight count divides exactly by g.
-    """
-    if block.in_channels % block.group:
-        raise IRValidationError(
-            f"block {block.name}: group {block.group} does not divide"
-            f" in_channels {block.in_channels}"
-        )
-    return conv_params(block.in_channels, block.out_channels, block.kernel_h, block.kernel_w,
-                       block.group, block.has_bias)
-
-
 def conv_params(in_channels, out_channels, kernel_h, kernel_w, group, has_bias):
     """Weights plus bias terms of a conv of these sizes whose group divides in_channels.
 
-    Works elementwise on NumPy object arrays of Python ints, so that many
-    refined sizes are counted at once and no count can wrap.
+    A group factor g keeps only the g diagonal input/output channel bundles
+    connected, so the dense weight count divides exactly by g.  Works on
+    Python ints, and elementwise on NumPy object arrays of them, so that
+    many refined sizes are counted at once and no count can wrap.
     """
     return (in_channels // group) * kernel_h * kernel_w * out_channels + has_bias * out_channels
 
 
 def param_count(ir: NetworkIR) -> dict[str, int]:
     """Weights (plus bias terms) of every block, by name in (stage, name) order."""
-    return {b.name: block_params(b) for b in ir.blocks}
+    return {b.name: conv_params(b.in_channels, b.out_channels, b.kernel_h, b.kernel_w, b.group,
+                                b.has_bias) for b in ir.blocks}

@@ -47,13 +47,6 @@ def check_lambda(lam: float) -> None:
         raise PlanError(f"lambda must be positive and finite, got {lam}")
 
 
-def whole_steps(stretch, lam):
-    """Whether ``stretch`` is 1 + k*lambda for a whole k, to 1e-9 steps; elementwise."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        steps = (stretch - 1.0) / lam
-        return np.isfinite(steps) & (np.abs(steps - np.round(steps)) <= 1e-9)
-
-
 @dataclass(frozen=True)
 class PlanEntry:
     stretch: float
@@ -72,9 +65,14 @@ class RefinementPlan:
     lambda_o: float
 
     def __post_init__(self):
+        # A stretch must lie within 2 ulps of 1 + k*lambda for the whole k
+        # nearest (stretch - 1)/lambda, so that each float 1 + lambda*k the
+        # planner computes reads back, however few of k's digits it keeps.
         stretches = np.array([e.stretch for e in self.per_block.values()], dtype=float)
-        steps_ok = whole_steps(stretches, self.lambda_used)
-        for (name, entry), whole in zip(self.per_block.items(), steps_ok):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            steps = np.round((stretches - 1.0) / self.lambda_used)
+            whole = np.abs(1.0 + self.lambda_used * steps - stretches) <= 2 * np.spacing(stretches)
+        for (name, entry), ok in zip(self.per_block.items(), whole):
             if entry.case not in ("a", "b", "x"):
                 raise PlanError(f"block {name}: unknown case {entry.case!r}")
             if entry.split < 1 or entry.split & (entry.split - 1):
@@ -85,7 +83,7 @@ class RefinementPlan:
                 raise PlanError(f"block {name}: case {entry.case} forbids stretching")
             if entry.case == "x" and entry.split != 1:
                 raise PlanError(f"block {name}: excluded blocks cannot split")
-            if not whole:
+            if not ok:
                 raise PlanError(
                     f"block {name}: stretch {entry.stretch} is not 1 + k*lambda"
                     f" for lambda={self.lambda_used}"
@@ -95,57 +93,14 @@ class RefinementPlan:
 def psi(x, lam):
     """floor(x / lambda) with a snap against float noise at the boundary.
 
-    Works elementwise, broadcasting ``x`` against ``lam``: on arrays it
-    returns the floors as a float64 array, on two numbers an int.  A
-    negative x or a lambda that is not positive raises the PlanError that
-    the first such element raises on its own.
+    Works elementwise on x >= 0 and lambda > 0, broadcasting ``x`` against
+    ``lam``, and returns the floors as a float64 array.
     """
-    x, lam = np.asarray(x, dtype=float), np.asarray(lam, dtype=float)
-    bad = (x < 0) | ~(lam > 0)
-    if bad.any():
-        first = np.argmax(bad)
-        xb, lb = (np.broadcast_to(v, bad.shape).flat[first] for v in (x, lam))
-        if xb < 0:
-            raise PlanError(f"psi expects x >= 0, got {xb}")
-        raise PlanError(f"lambda must be positive, got {lb}")
     with np.errstate(over="ignore", invalid="ignore"):
-        q = x / lam
+        q = np.asarray(x, dtype=float) / lam
         nearest = np.round(q)
-        k = np.where(np.abs(q - nearest) <= _FLOOR_SNAP * np.maximum(1.0, np.abs(q)),
-                     nearest, np.floor(q))
-    return int(k) if k.ndim == 0 else k
-
-
-def xi(plus_ratios, index: int) -> float:
-    """Mean n_plus/n_total ratio of the stages after ``index``.
-
-    ``plus_ratios`` is indexed by stage, with None for stages that
-    contribute nothing (no tallies, or only excluded blocks).  The final
-    stage is always left out.  An empty window yields 0, which makes every
-    factor of the corresponding block identity.
-    """
-    window = list(plus_ratios)[index + 1 : max(index + 1, len(plus_ratios) - 1)]
-    vals = [v for v in window if v is not None]
-    if not vals:
-        return 0.0
-    return sum(vals) / len(vals)
-
-
-def stage_plus_ratios(ir: NetworkIR, tallies) -> list:
-    """Per-stage mean of n_plus/n_total over non-excluded tallied blocks.
-
-    Stages with nothing to contribute map to None.  For single-block stages
-    this is just the block's own ratio; for inception-style stages it is the
-    mean across the stage's analyzed blocks.
-    """
-    per_stage: list[list[float]] = [[] for _ in range(ir.num_stages)]
-    for b in ir.blocks:
-        if b.excluded:
-            continue
-        t = tallies.get(b.name)
-        if t is not None:
-            per_stage[b.stage].append(t.n_plus / t.n_total)
-    return [sum(v) / len(v) if v else None for v in per_stage]
+        return np.where(np.abs(q - nearest) <= _FLOOR_SNAP * np.maximum(1.0, np.abs(q)),
+                        nearest, np.floor(q))
 
 
 class BlockTerms(NamedTuple):
@@ -185,8 +140,16 @@ def block_terms(ir: NetworkIR, tallies) -> dict[str, BlockTerms]:
     if len(totals) > 1:
         raise PlanError(f"tallies disagree on n_total: {sorted(totals)}")
 
-    ratios = stage_plus_ratios(ir, tallies)
-    xis = [xi(ratios, s) for s in range(ir.num_stages)]
+    per_stage: list[list[float]] = [[] for _ in range(ir.num_stages)]
+    for b in ir.blocks:
+        if not b.excluded:
+            t = tallies[b.name]
+            per_stage[b.stage].append(t.n_plus / t.n_total)
+    means = [sum(v) / len(v) if v else None for v in per_stage]
+    xis = []
+    for s in range(ir.num_stages):  # xi: the later stages' means, the final stage left out
+        window = [r for r in means[s + 1 : -1] if r is not None]
+        xis.append(sum(window) / len(window) if window else 0.0)
     terms: dict[str, BlockTerms] = {}
     for b in ir.blocks:
         if b.excluded:

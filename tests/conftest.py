@@ -123,9 +123,9 @@ def random_split_only_tallies(rng, num_classes, num_stages):
     return out
 
 
-def random_ir(rng):
+def random_ir(rng, max_stages=4):
     """Small random DAG with exclusion flags honoring the structural rules."""
-    num_stages = int(rng.integers(1, 5))
+    num_stages = int(rng.integers(1, max_stages + 1))
     blocks = []
     edges = []
     prev_stage = []

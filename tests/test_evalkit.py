@@ -5,7 +5,6 @@ import pytest
 
 from convrefine import evalkit
 from convrefine.evalkit import (
-    PredictionDump,
     SynthLayer,
     SynthProfile,
     load_profile,
@@ -25,68 +24,58 @@ from conftest import class_means
 
 
 def test_precision_perfect():
-    dump = PredictionDump(
-        scores=np.array([[0.9, 0.8, 0.1, 0.0]]),
-        truth=np.array([[1, 1, 0, 0]]),
-    )
-    assert precision_at_k(dump, 3) == 1.0
+    scores = np.array([[0.9, 0.8, 0.1, 0.0]])
+    truth = np.array([[1, 1, 0, 0]])
+    assert precision_at_k(scores, truth, 3) == 1.0
 
 
 def test_precision_miss():
-    dump = PredictionDump(
-        scores=np.array([[0.1, 0.2, 0.9, 0.3]]),
-        truth=np.array([[1, 0, 0, 0]]),
-    )
-    assert precision_at_k(dump, 2) == 0.0
+    scores = np.array([[0.1, 0.2, 0.9, 0.3]])
+    truth = np.array([[1, 0, 0, 0]])
+    assert precision_at_k(scores, truth, 2) == 0.0
 
 
 def test_precision_hand_built_three_quarters():
     # image 0: 2 positives, top-2 both hit; image 1: 2 positives, top-2 hit one
-    dump = PredictionDump(
-        scores=np.array([[0.9, 0.8, 0.2, 0.1], [0.1, 0.2, 0.9, 0.8]]),
-        truth=np.array([[1, 1, 0, 0], [0, 1, 1, 0]]),
-    )
-    assert precision_at_k(dump, 4) == 0.75
+    scores = np.array([[0.9, 0.8, 0.2, 0.1], [0.1, 0.2, 0.9, 0.8]])
+    truth = np.array([[1, 1, 0, 0], [0, 1, 1, 0]])
+    assert precision_at_k(scores, truth, 4) == 0.75
 
 
 def test_precision_five_label_reading():
     # 5 positive labels ranked on top with k larger: exactly 5 predictions, all hits
     scores = np.array([[0.9, 0.8, 0.7, 0.6, 0.5, 0.1, 0.05, 0.01]])
     truth = np.array([[1, 1, 1, 1, 1, 0, 0, 0]])
-    assert precision_at_k(PredictionDump(scores=scores, truth=truth), 7) == 1.0
+    assert precision_at_k(scores, truth, 7) == 1.0
 
 
 def test_precision_skips_unlabelled_images():
-    dump = PredictionDump(
-        scores=np.array([[0.9, 0.1], [0.2, 0.8]]),
-        truth=np.array([[0, 0], [0, 1]]),
-    )
+    scores = np.array([[0.9, 0.1], [0.2, 0.8]])
+    truth = np.array([[0, 0], [0, 1]])
     with pytest.warns(UserWarning, match="image 0 has no positive labels"):
-        assert precision_at_k(dump, 1) == 1.0
+        assert precision_at_k(scores, truth, 1) == 1.0
 
 
 def test_precision_all_images_skipped():
-    dump = PredictionDump(scores=np.zeros((1, 2)), truth=np.zeros((1, 2), dtype=int))
+    scores, truth = np.zeros((1, 2)), np.zeros((1, 2), dtype=int)
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError, match="no image produced predictions"):
-            precision_at_k(dump, 1)
+            precision_at_k(scores, truth, 1)
 
 
 def test_precision_k_bounds():
-    dump = PredictionDump(scores=np.zeros((1, 3)), truth=np.array([[1, 0, 0]]))
+    scores, truth = np.zeros((1, 3)), np.array([[1, 0, 0]])
     with pytest.raises(ValueError, match="k must be in 1..3"):
-        precision_at_k(dump, 4)
+        precision_at_k(scores, truth, 4)
     with pytest.raises(ValueError, match="k must be in 1..3"):
-        precision_at_k(dump, 0)
+        precision_at_k(scores, truth, 0)
 
 
 def test_precision_tie_breaks_toward_lower_class_index():
-    dump = PredictionDump(
-        scores=np.array([[0.5, 0.5, 0.5]]),
-        truth=np.array([[0, 1, 0]]),
-    )
+    scores = np.array([[0.5, 0.5, 0.5]])
+    truth = np.array([[0, 1, 0]])
     # ties keep ascending class order, so the single prediction is class 0
-    assert precision_at_k(dump, 3) == 0.0
+    assert precision_at_k(scores, truth, 3) == 0.0
 
 
 def _precision_oracle(scores, truth, k):
@@ -114,9 +103,8 @@ def test_precision_matches_exhaustive_oracle():
         truth = (rng.random((n, m)) < 0.4).astype(int)
         truth[rng.integers(0, n), rng.integers(0, m)] = 1  # at least one positive
         k = int(rng.integers(1, m + 1))
-        dump = PredictionDump(scores=scores, truth=truth)
         with pytest.warns(UserWarning) if (truth.sum(axis=1) == 0).any() else nullcontext():
-            assert precision_at_k(dump, k) == _precision_oracle(scores, truth, k)
+            assert precision_at_k(scores, truth, k) == _precision_oracle(scores, truth, k)
 
 
 def test_precision_rank_order_invariance():
@@ -124,11 +112,9 @@ def test_precision_rank_order_invariance():
     scores = rng.standard_normal((6, 5))
     truth = (rng.random((6, 5)) < 0.5).astype(int)
     truth[:, 0] = 1
-    dump = PredictionDump(scores=scores, truth=truth)
-    base = precision_at_k(dump, 3)
+    base = precision_at_k(scores, truth, 3)
     # strictly increasing transforms preserve per-image rank order
-    warped = PredictionDump(scores=np.tanh(scores) * 3.0 + 11.0, truth=truth)
-    assert precision_at_k(warped, 3) == base
+    assert precision_at_k(np.tanh(scores) * 3.0 + 11.0, truth, 3) == base
 
 
 def test_truth_file_roundtrip(tmp_path):

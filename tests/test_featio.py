@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -85,6 +86,28 @@ def test_labels_roundtrip(tmp_path):
     with pytest.raises(TensorFormatError, match="bad magic"):
         path.write_bytes(b"XXXX" + struct.pack("<HI", 1, 0))
         read_labels_file(path)
+
+
+def test_labels_writer_refuses_labels_past_u32(tmp_path):
+    # a <u4 cast would wrap 2**32 + 5 to 5
+    path = tmp_path / "l.atlb"
+    with pytest.raises(ValueError, match=f"^{path}: label 4294967301 does not fit in a u32$"):
+        write_labels_file(path, np.array([2**32 + 5, 3]))
+    assert not path.exists()
+    write_labels_file(path, np.array([2**32 - 1, 3]))
+    assert read_labels_file(path).tolist() == [2**32 - 1, 3]
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (2, 0), (3, 2, 0, 1), (2**32, 1)],
+                         ids=["no-images", "no-channels", "no-rows", "past-u32"])
+def test_tensor_writer_refuses_dims_the_reader_refuses(tmp_path, shape):
+    # a zero dim would be written and then refused by the reader; a dim past
+    # u32 does not fit the header.  A broadcast view allocates nothing.
+    path = tmp_path / "t.atns"
+    message = f"{path}: tensor dims must lie in 1..4294967295, got {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_tensor_file(path, np.broadcast_to(np.float32(0), shape))
+    assert not path.exists()
 
 
 def _pooled(tensor):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convrefine.netir import ConvBlock, NetworkIR
 from convrefine.planner import (
+    BlockTerms,
     PlanEntry,
     PlanError,
     RefinementPlan,
@@ -18,9 +21,8 @@ from convrefine.planner import (
     plan_from_terms,
     psi,
     serialize_plan,
-    stage_plus_ratios,
-    xi,
 )
+from convrefine.rewriter import apply_plan
 from convrefine.sepstats import SeparationTally
 
 from conftest import (
@@ -39,38 +41,50 @@ def _tally(name, plus, minus, total):
     )
 
 
+def _chain_terms(tallied, total, excluded=()):
+    """block_terms of a chain conv0..convN whose convI (I >= 1) has tallied[I-1] = (plus, minus).
+
+    The last block is the final stage, so its tally is ignored; blocks named
+    in ``excluded`` carry the flag as well.
+    """
+    ir = chain_ir([16] * (len(tallied) + 1))
+    ir = NetworkIR([dataclasses.replace(b, excluded=b.excluded or b.name in excluded)
+                    for b in ir.blocks], ir.edges)
+    tallies = {f"conv{i}": _tally(f"conv{i}", plus, minus, total)
+               for i, (plus, minus) in enumerate(tallied, start=1)}
+    return block_terms(ir, tallies)
+
+
 def test_xi_example():
-    # five stages, ratios known for stages 2 and 3, final stage omitted
-    ratios = [None, 0.25, 8 / 16, 12 / 16, 0.99]
-    assert xi(ratios, 1) == pytest.approx(0.625, abs=0)
+    # xi of conv1 (stage 1): the ratios 0.5 and 0.75 of stages 2 and 3; the
+    # final stage's 0.99 is left out
+    terms = _chain_terms([(25, 10), (50, 0), (75, 0), (99, 0)], 100)
+    assert terms["conv1"] == BlockTerms("b", 0.25 * 0.625, 0.1 * 0.625)
 
 
 def test_xi_zero_when_no_enhancement():
-    assert xi([None, 0.5, 0.0, 0.0, 0.0], 1) == 0.0
+    terms = _chain_terms([(8, 2), (0, 0), (0, 0), (0, 0)], 16)
+    assert terms["conv1"] == BlockTerms("b", 0.0, 0.0)
 
 
 def test_xi_empty_window_is_zero():
-    ratios = [None, 0.5, 0.5, 0.5]
-    assert xi(ratios, len(ratios) - 2) == 0.0
-    assert xi(ratios, len(ratios) - 1) == 0.0
+    # conv2's only later stage is the final one, so its xi is 0
+    terms = _chain_terms([(8, 0), (8, 4), (8, 0)], 16)
+    assert terms["conv2"] == BlockTerms("b", 0.0, 0.0)
+    assert terms["conv1"] == BlockTerms("b", 0.5 * 0.5, 0.0)
 
 
 def test_xi_skips_non_contributing_stages():
-    assert xi([None, 0.5, None, 0.75, 0.9], 0) == pytest.approx(0.625)
+    # stage 3 holds only an excluded block, so conv1's xi averages stages 2 and 4
+    terms = _chain_terms([(16, 0), (8, 0), (0, 0), (12, 0), (14, 0)], 16, excluded={"conv3"})
+    assert terms["conv1"] == BlockTerms("b", 0.625, 0.0)
 
 
 def test_psi_examples():
-    assert psi(0.46875, 0.25) == 1
-    assert psi(0.1, 0.25) == 0
-    assert psi(0.25, 0.25) == 1  # boundary floors to 1
-    assert psi(0.0, 0.25) == 0
-
-
-def test_psi_rejects_bad_inputs():
-    with pytest.raises(PlanError):
-        psi(-0.1, 0.25)
-    with pytest.raises(PlanError):
-        psi(0.1, 0.0)
+    assert int(psi(0.46875, 0.25)) == 1
+    assert int(psi(0.1, 0.25)) == 0
+    assert int(psi(0.25, 0.25)) == 1  # boundary floors to 1
+    assert int(psi(0.0, 0.25)) == 0
 
 
 # lambdas and terms around snapped boundaries: x = k*lambda, nudged by a few ulps
@@ -94,44 +108,10 @@ def test_psi_is_the_exact_snapped_floor_elementwise(pairs):
     assert floors.dtype == np.float64 and floors.shape == xs.shape
     want = [snapped_floor(x, lam) for x, lam in pairs]
     assert floors.tolist() == want
-    assert [psi(x, lam) for x, lam in pairs] == want
+    assert [psi(x, lam).tolist() for x, lam in pairs] == want
     # broadcasting a column of terms against a row of lambdas
     grid = psi(xs[:, None], lams[None, :])
     assert grid.tolist() == [[snapped_floor(x, lam) for lam in lams.tolist()] for x in xs.tolist()]
-
-
-def _first_scalar_error(xs, lams):
-    for x, lam in zip(xs, lams):
-        try:
-            psi(x, lam)
-        except PlanError as exc:
-            return str(exc)
-    return None
-
-
-@given(st.lists(st.tuples(st.floats(-2.0, 2.0),
-                          st.sampled_from([0.25, 0.5, 1e-3, 0.0, -0.0, -0.25, math.nan])),
-                min_size=1, max_size=8))
-def test_psi_on_arrays_raises_the_first_bad_element_error(pairs):
-    xs, lams = ([p[i] for p in pairs] for i in (0, 1))
-    want = _first_scalar_error(xs, lams)
-    if want is None:
-        assert psi(np.array(xs), np.array(lams)).tolist() == [psi(x, lam) for x, lam in pairs]
-        return
-    with pytest.raises(PlanError) as err:
-        psi(np.array(xs), np.array(lams))
-    assert str(err.value) == want
-
-
-def test_psi_on_arrays_raises_for_one_bad_element_anywhere():
-    xs = np.array([[0.5, 0.25], [0.75, -0.125]])
-    with pytest.raises(PlanError, match=r"^psi expects x >= 0, got -0\.125$"):
-        psi(xs, 0.25)
-    with pytest.raises(PlanError, match=r"^lambda must be positive, got 0\.0$"):
-        psi(0.5, np.array([0.25, 0.5, 0.0]))
-    # broadcast order: the first bad element of the (2, 3) grid is x=-0.5 at lambda 0.25
-    with pytest.raises(PlanError, match=r"^psi expects x >= 0, got -0\.5$"):
-        psi(np.array([[-0.5], [0.5]]), np.array([0.25, -1.0, 0.5]))
 
 
 def _plan_for(plus, minus, subsequent_ratio=0.625, lam=0.25):
@@ -201,16 +181,19 @@ def test_factors_come_from_block_terms(seed, lam):
     length = int(rng.integers(3, 9))
     ir = chain_ir([m * 8] * length)
     tallies = {t.layer_name: t for t in random_chain_tallies(rng, m, length) if t is not None}
-    ratios = stage_plus_ratios(ir, tallies)
     terms = block_terms(ir, tallies)
     assert list(terms) == [b.name for b in ir.blocks if not b.excluded]
     for name, t in terms.items():
         tally = tallies[name]
-        x = xi(ratios, ir.block(name).stage)
+        # xi: the mean n_plus/n_total of the later stages, the final one left out
+        stage = ir.block(name).stage
+        window = [tallies[f"conv{i}"].n_plus / tallies[f"conv{i}"].n_total
+                  for i in range(stage + 1, length - 1)]
+        x = sum(window) / len(window) if window else 0.0
         assert t.x_plus == (tally.n_plus / tally.n_total) * x
         assert t.x_minus == (tally.n_minus / tally.n_total) * x
         assert t.case == ("a" if tally.n_plus < tally.n_minus else "b")
-    past_u32 = [(name, psi(t.x_minus, lam)) for name, t in terms.items()
+    past_u32 = [(name, int(psi(t.x_minus, lam))) for name, t in terms.items()
                 if psi(t.x_minus, lam) >= 32]
     if past_u32:  # the first such block in IR order is named, before any split is built
         name, k = past_u32[0]
@@ -221,7 +204,7 @@ def test_factors_come_from_block_terms(seed, lam):
     plan = build_plan(ir, tallies, lam)
     for name, t in terms.items():
         entry = plan.per_block[name]
-        assert entry.split == 1 << psi(t.x_minus, lam)
+        assert entry.split == 1 << int(psi(t.x_minus, lam))
         assert entry.stretch == (1.0 if t.case == "a" else 1.0 + lam * psi(t.x_plus, lam))
 
 
@@ -274,24 +257,25 @@ def test_lambda_upper_bound_no_layers():
     assert is_identity(plan)
 
 
-def test_stage_ratios_average_within_stage(inception_text):
-    # two analyzed blocks in one stage average their ratios
-    from convrefine.netir import ConvBlock, NetworkIR
-
+def test_stage_ratios_average_within_stage():
+    # two analyzed blocks in one stage average their ratios: a1's xi is the
+    # mean of m1's 0.5 and m2's 0.25
     blocks = [
         ConvBlock("in0", 3, 8, 1, 1, stage=0, excluded=True),
-        ConvBlock("m1", 8, 8, 1, 1, stage=1),
-        ConvBlock("m2", 8, 8, 1, 1, stage=1),
-        ConvBlock("t1", 16, 8, 1, 1, stage=2, excluded=True),
+        ConvBlock("a1", 8, 8, 1, 1, stage=1),
+        ConvBlock("m1", 8, 8, 1, 1, stage=2),
+        ConvBlock("m2", 8, 8, 1, 1, stage=2),
+        ConvBlock("t1", 16, 8, 1, 1, stage=3, excluded=True),
     ]
-    ir = NetworkIR(blocks, [("in0", "m1"), ("in0", "m2"), ("m1", "t1"), ("m2", "t1")])
+    edges = [("in0", "a1"), ("a1", "m1"), ("a1", "m2"), ("m1", "t1"), ("m2", "t1")]
     tallies = {
+        "a1": _tally("a1", 16, 0, 16),
         "m1": _tally("m1", 8, 0, 16),
         "m2": _tally("m2", 4, 0, 16),
         "t1": _tally("t1", 16, 0, 16),
     }
-    ratios = stage_plus_ratios(ir, tallies)
-    assert ratios == [None, pytest.approx(0.375), None]
+    terms = block_terms(NetworkIR(blocks, edges), tallies)
+    assert terms["a1"] == BlockTerms("b", 0.375, 0.0)
 
 
 def test_plan_roundtrip():
@@ -361,6 +345,74 @@ def test_stretch_too_large_for_lambda_steps_names_block():
     # (1e308 - 1) / 0.25 overflows to inf, so the step count cannot be checked
     with pytest.raises(PlanError, match="block a: stretch 1e\\+308 is not 1 \\+ k\\*lambda"):
         RefinementPlan({"a": PlanEntry(1e308, 1, "b")}, 0.25, 0.0)
+
+
+@pytest.mark.parametrize("stretch, lam, whole", [
+    (1.3, 0.1, True),  # 1 + 0.1*3 is a float of its own, within 2 ulps of 1.3
+    (1.25, 0.25, True),
+    (1.3, 0.25, False),
+    (1.0000000001, 0.25, False),  # 4e-10 steps from 1, but far more than 2 ulps
+    (1.0 + 2**-52, 0.25, True),  # within 2 ulps of 1
+    (1.0 + 2**-50, 0.25, False),
+])
+def test_stretch_lies_within_2_ulps_of_whole_lambda_steps(stretch, lam, whole):
+    entries = {"a": PlanEntry(stretch, 1, "b")}
+    if whole:
+        assert RefinementPlan(entries, lam, 0.0).per_block == entries
+        return
+    with pytest.raises(PlanError, match=rf"^block a: stretch {re.escape(repr(stretch))}"
+                                        rf" is not 1 \+ k\*lambda for lambda={lam}$"):
+        RefinementPlan(entries, lam, 0.0)
+
+
+def test_small_lambda_stretch_reads_back():
+    # conv1's x+ is 1/256, so at lambda 1.7e-9 it stretches by 2,297,794
+    # steps, and the float 1 + lambda*k lies 6.5e-8 steps off a whole count
+    ir = chain_ir([16] * 4)
+    tallies = {f"conv{i}": _tally(f"conv{i}", 1, 0, 16) for i in (1, 2, 3)}
+    plan = build_plan(ir, tallies, 1.7e-9)
+    assert plan.per_block["conv1"].stretch == 1.0 + 1.7e-9 * 2_297_794
+    assert parse_plan(serialize_plan(plan)).per_block == plan.per_block
+
+
+def _names_a_block(message, ir):
+    named = re.match(r"block (\S+):", message)
+    return named is not None and named.group(1) in {b.name for b in ir.blocks}
+
+
+@pytest.mark.filterwarnings("ignore::convrefine.rewriter.WidthRoundingWarning")
+@given(st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=200)
+def test_every_plan_the_planner_writes_reads_back(seed, data):
+    rng = np.random.default_rng(seed)
+    ir = random_ir(rng, max_stages=8)
+    m = data.draw(st.integers(2, 6))
+    total, offdiag = m * m, m * m - m
+    # with no minus count anywhere every split is 1, so that a tiny lambda
+    # reaches the stretches instead of a split past u32
+    minus_free = data.draw(st.booleans())
+    tallies = {}
+    for b in ir.blocks:
+        plus = data.draw(st.integers(0, offdiag))
+        minus = 0 if minus_free else data.draw(st.integers(0, offdiag - plus))
+        tallies[b.name] = _tally(b.name, plus, minus, total)
+    top = 2 * lambda_o(block_terms(ir, tallies)) or 1.0  # any positive lambda_o exceeds 1e-4
+    # log10 lambda, often in the decades where the float 1 + lambda*k keeps
+    # only some of the digits of k
+    lam = 10.0 ** data.draw(st.floats(-300.0, math.log10(top)) | st.floats(-17.0, -7.0))
+    try:
+        plan = build_plan(ir, tallies, lam)
+    except PlanError as exc:  # the one plan the planner refuses: a split past u32
+        assert re.fullmatch(r"block \S+: split 2\*\*\d+ does not fit in a u32", str(exc))
+        assert _names_a_block(str(exc), ir), exc
+        return
+    again = parse_plan(serialize_plan(plan))
+    assert again.per_block == plan.per_block
+    assert (again.lambda_used, again.lambda_o) == (plan.lambda_used, plan.lambda_o)
+    try:
+        apply_plan(ir, again)
+    except ValueError as exc:
+        assert _names_a_block(str(exc), ir), exc
 
 
 def test_split_factors_non_increasing_in_lambda():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from convrefine.netir import ConvBlock, param_count, parse_network, serialize_network
 from convrefine.planner import PlanEntry, RefinementPlan
 from convrefine.rewriter import (
     RewriteError,
-    SizeReport,
     WidthRoundingWarning,
     apply_plan,
     render_size_report,
@@ -13,7 +13,7 @@ from convrefine.rewriter import (
     size_report_csv,
 )
 
-from conftest import chain_ir, identity_plan
+from conftest import chain_ir, identity_plan, random_ir
 
 
 def _plan(ir, overrides, lam=0.25):
@@ -193,14 +193,24 @@ def test_exact_multiple_stretch_matches_enumeration():
         )
 
 
-def test_size_report_consistency_guard():
-    with pytest.raises(ValueError, match="inconsistent with totals"):
-        SizeReport(
-            original_conv_params=100,
-            refined_conv_params=50,
-            reduction_pct=10.0,
-            per_block={"a": (100, 50)},
-        )
+@pytest.mark.filterwarnings("ignore::convrefine.rewriter.WidthRoundingWarning")
+@given(st.integers(0, 2**32 - 1))
+def test_size_report_totals_are_the_sums_of_its_blocks(seed):
+    rng = np.random.default_rng(seed)
+    ir = random_ir(rng)
+    lam = 0.25
+    plan = _plan(ir, {
+        b.name: PlanEntry(1.0 + lam * int(rng.integers(0, 5)), 2 ** int(rng.integers(0, 3)), "b")
+        for b in ir.blocks if not b.excluded
+    }, lam=lam)
+    refined = apply_plan(ir, plan)
+    report = size_report(ir, refined)
+    before, after = param_count(ir), param_count(refined)
+    assert report.per_block == {name: (n, after[name]) for name, n in before.items()}
+    assert report.original_conv_params == sum(b for b, _ in report.per_block.values())
+    assert report.refined_conv_params == sum(a for _, a in report.per_block.values())
+    assert report.reduction_pct == 100.0 * (
+        1.0 - report.refined_conv_params / report.original_conv_params)
 
 
 def test_report_rendering(tmp_path):
