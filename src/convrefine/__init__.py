@@ -4,6 +4,7 @@ from .featio import (
     load_manifest,
     read_labels_file,
     read_tensor_file,
+    scan_manifest,
     write_labels_file,
     write_tensor_file,
 )

@@ -24,12 +24,13 @@ def _read_ir(path) -> netir.NetworkIR:
     return netir.parse_network(netir.read_text(path, netir.IRSyntaxError), path)
 
 
-def _statistics(args, ir, manifest) -> tuple[dict, dict]:
-    """Correlation matrices and tallies of ``ir``'s blocks from ``manifest``'s dumps."""
+def _statistics(args, ir, manifest, keep_matrices=False) -> tuple[dict, dict]:
+    """Correlation matrices and tallies of ``ir``'s blocks from ``manifest``'s dumps,
+    each dump streamed only after every header is checked."""
     sepstats.check_tie_tol(args.tie_tol)
-    means = featio.load_manifest(manifest, ir)
     return sepstats.network_statistics(
-        ir, means, tie_tol=args.tie_tol, strict=args.strict_degenerate
+        ir, featio.scan_manifest(manifest, ir), tie_tol=args.tie_tol,
+        strict=args.strict_degenerate, keep_matrices=keep_matrices,
     )
 
 
@@ -109,7 +110,7 @@ def _write_maps(dest, layers) -> None:
 
 def cmd_analyze(args) -> int:
     ir = _read_ir(args.ir)
-    matrices, tallies = _statistics(args, ir, args.manifest)
+    matrices, tallies = _statistics(args, ir, args.manifest, keep_matrices=True)
     base = _outdirs(args.out, "analysis")
     _write_maps(base / "analysis", list(matrices.items()))
     (base / "analysis" / "tallies.txt").write_text(_tally_table(ir, tallies))

@@ -11,13 +11,15 @@ A manifest ties them together, one line per layer plus one labels line::
     layer <name> <tensor-path>
     labels <path>
 
-Paths are resolved relative to the manifest file.  Each dump is streamed
-once, in chunks of whole images: rank-4 dumps (N,C,H,W) are average-pooled
-over the spatial axes chunk by chunk, rank-2 dumps (N,C) are taken as
-already pooled, and the pooled rows are added into per-class sums.  Memory
-per layer is therefore O(classes x channels) plus one fixed-size chunk,
-whatever the number of images.  All statistics run in float64 regardless of
-the float32 storage.
+Paths are resolved relative to the manifest file.  :func:`scan_manifest`
+first checks the manifest, the labels and every dump's header, reading no
+payload.  Each dump is then streamed once, on request, in chunks of whole
+images: rank-4 dumps (N,C,H,W) are average-pooled over the spatial axes
+chunk by chunk, rank-2 dumps (N,C) are taken as already pooled, and the
+pooled rows are added into per-class sums.  Memory per layer is therefore
+O(classes x channels) plus one fixed-size chunk, whatever the number of
+images, and a caller that streams the layers one at a time holds only those
+it keeps.  All statistics run in float64 regardless of the float32 storage.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -262,14 +265,44 @@ def write_labels_file(path, labels) -> None:
         fh.write(np.ascontiguousarray(labels, dtype="<u4").tobytes())
 
 
-def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, np.ndarray]:
-    """Resolve a manifest into the (M, h) class means of every listed layer.
+class ManifestDumps(Mapping):
+    """The dumps :func:`scan_manifest` checked; a lookup streams one into its class means.
+
+    The dump's header is read again first and must not have changed.
+    Nothing is cached, so a caller holds only the means it keeps.
+    """
+
+    def __init__(self, labels: np.ndarray, counts: np.ndarray, dumps: dict):
+        self._labels, self._counts, self._dumps = labels, counts, dumps
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        path, dims, payload_off = self._dumps[name]
+        with open(path, "rb") as fh:
+            header = _parse_tensor_header(fh.read(24), os.fstat(fh.fileno()).st_size, path)
+            if header != (dims, payload_off):
+                raise ManifestError(f"{path}: header changed since the manifest was checked")
+            return _class_means(self._labels, self._counts, dims[1],
+                                _pooled_chunks(fh, path, dims, payload_off))
+
+    def __contains__(self, name) -> bool:  # without streaming, as Mapping's would
+        return name in self._dumps
+
+    def __iter__(self):
+        return iter(self._dumps)
+
+    def __len__(self) -> int:
+        return len(self._dumps)
+
+
+def scan_manifest(path, ir: NetworkIR | None = None) -> ManifestDumps:
+    """Check a manifest and every dump's header, reading no payload.
 
     The number of classes is one more than the largest label.  All layers
     must share the labels file's image count, and every class must have
     images.  When an IR is given, each layer name must exist in it, the
     feature width must match the block's out_channels, and every block must
-    have a dump.
+    have a dump.  The dumps are checked in manifest order; the result
+    streams each one into its class means on lookup.
     """
     path = Path(path)
     layer_paths: dict[str, Path] = {}
@@ -301,7 +334,7 @@ def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, np.ndarray]:
     if labels.size == 0:
         raise ManifestError(f"{labels_path}: labels file is empty")
     counts = None  # images per class, counted at the first layer
-    means: dict[str, np.ndarray] = {}
+    dumps: dict[str, tuple] = {}
     for name, tensor_path in layer_paths.items():
         with open(tensor_path, "rb") as fh:
             dims, payload_off = _parse_tensor_header(
@@ -324,11 +357,14 @@ def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, np.ndarray]:
                     )
             if counts is None:
                 counts = _class_counts(name, labels, int(labels.max()) + 1)
-            means[name] = _class_means(
-                labels, counts, dims[1], _pooled_chunks(fh, tensor_path, dims, payload_off)
-            )
+            dumps[name] = (tensor_path, dims, payload_off)
     if ir is not None:
-        missing = sorted({b.name for b in ir.blocks} - means.keys())
+        missing = sorted({b.name for b in ir.blocks} - dumps.keys())
         if missing:
             raise ManifestError(f"{path}: manifest has no dumps for block(s) {missing}")
-    return means
+    return ManifestDumps(labels, counts, dumps)
+
+
+def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, np.ndarray]:
+    """The (M, h) class means of every layer, streamed in manifest order after the scan."""
+    return dict(scan_manifest(path, ir))

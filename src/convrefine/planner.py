@@ -183,12 +183,15 @@ def plan_from_terms(ir: NetworkIR, terms, lam: float) -> RefinementPlan:
     The factors are :func:`factor_grid`'s at the one lambda, and lambda_o
     is :func:`lambda_o` of ``terms``.  ``terms`` is only read, so one result
     of :func:`block_terms` serves every lambda of a sweep.  A split of
-    2**32 or more raises PlanError naming the first such block.
+    2**32 or more, or a term whose quotient by ``lam`` overflows, raises
+    PlanError naming the first such block.
     """
     check_lambda(lam)
     stretches, exponents = factor_grid(ir, terms, np.array([lam]))
     entries: dict[str, PlanEntry] = {}
-    for b, stretch, exponent in zip(ir.blocks, stretches[:, 0].tolist(), exponents[:, 0]):
+    for b, stretch, exponent in zip(ir.blocks, stretches[:, 0].tolist(), exponents[:, 0].tolist()):
+        if math.isinf(stretch) or math.isinf(exponent):  # x/lam overflowed
+            raise PlanError(f"block {b.name}: lambda {lam!r} is too small, x/lambda overflows")
         if exponent >= 32:  # refused before the shift, whose result can outgrow memory
             raise PlanError(f"block {b.name}: split 2**{exponent:.0f} does not fit in a u32")
         t = terms.get(b.name)

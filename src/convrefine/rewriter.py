@@ -90,13 +90,14 @@ def refine_widths(ir: NetworkIR, splits, stretches) -> Widths:
 def passing_columns(w: Widths):
     """Which plans of a sweep (columns of ``w``) :func:`apply_plan` turns into a valid IR.
 
-    Only the u32 bound on widths and concatenated in-widths can fail; a
-    group divides its width, so it never exceeds it.  The other checks hold
-    by construction for a sweep's plans: stretches are at most 1 + x+ <= 2,
+    Only an infinite stretch (x+/lambda overflowed) and the u32 bound on
+    widths and in-widths can fail; a group divides its width.  The other
+    checks hold by construction: finite stretches are at most 1 + x+ <= 2,
     input-fed blocks are excluded and never split, and :func:`refine_widths`
     rounds each width up to a multiple of every group that must divide it.
     """
-    return ((w.widths <= _U32_MAX) & (w.in_widths <= _U32_MAX)).all(axis=0)
+    fits = np.isfinite(w.stretched) & (w.widths <= _U32_MAX) & (w.in_widths <= _U32_MAX)
+    return fits.all(axis=0)
 
 
 def warn_rounding(name: str, raw: int, width: int) -> None:

@@ -80,9 +80,12 @@ def correlation_layer(name: str, means, strict: bool = False) -> np.ndarray:
             raise DegenerateClassError(msg)
         warnings.warn(msg, DegenerateClassWarning, stacklevel=2)
     safe = np.where(norms == 0.0, 1.0, norms)
-    unit = centered / safe[:, None]
-    corr = unit @ unit.T
-    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+    centered /= safe[:, None]
+    corr = centered @ centered.T
+    # in place, the same operations in the same order; NumPy buffers corr.T
+    np.add(corr, corr.T, out=corr)
+    corr /= 2.0
+    np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
     if degenerate:
         corr[degenerate, :] = 0.0
@@ -130,45 +133,65 @@ def separation_tally(
 
 
 def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
-                       strict: bool = False) -> tuple[dict, dict]:
+                       strict: bool = False, keep_matrices: bool = True) -> tuple[dict, dict]:
     """Per-block correlation matrices and tallies, each matrix computed once.
 
     Returns ({block: (M, M) matrix} in the IR's (stage, name) order,
-    {block: SeparationTally} for the blocks that have a predecessor).  A
-    block is compared against the correlation matrix of its direct
-    predecessor; when a block consumes several producers, the predecessor
-    statistics come from the concatenation of their class-mean features, in
-    edge order, which is exactly the channel stack the block sees.  Blocks
-    fed by the same concatenation share its matrix.
+    {block: SeparationTally} for the blocks that have a predecessor, in the
+    same order).  A block is compared against the correlation matrix of its
+    direct predecessor; when a block consumes several producers, the
+    predecessor statistics come from the concatenation of their class-mean
+    features, in edge order, which is exactly the channel stack the block
+    sees.  Blocks fed by the same concatenation share its matrix.
+
+    ``means_by_layer`` (a dict, or a lazy :class:`featio.ManifestDumps`)
+    is read once per block in IR order; only means that feed a
+    concatenation are kept.  Warnings and strict errors come for the blocks
+    in IR order, then for the concatenations, whose tallies follow the
+    pass.  With ``keep_matrices`` false, each matrix is dropped once its
+    last reader is tallied, and the first dict is empty.
     """
     for b in ir.blocks:
         if b.name not in means_by_layer:
             raise ValueError(f"no class means supplied for block {b.name}")
-    matrix_of = {b.name: correlation_layer(b.name, means_by_layer[b.name], strict)
-                 for b in ir.blocks}
-    sizes = {m.shape[0] for m in matrix_of.values()}
-    if len(sizes) > 1:
-        raise ValueError(f"layers disagree on the number of classes: {sorted(sizes)}")
-
-    # A shared concatenation warns once, as the default warning filter shows
-    # a repeated warning from one line once.
-    stacked_of: dict[tuple[str, ...], np.ndarray] = {}
-    tallies: dict[str, SeparationTally] = {}
-    for b in ir.blocks:
-        preds = ir.predecessors(b.name)
-        if not preds:
-            continue
+    preds_of = [ir.predecessors(b.name) for b in ir.blocks]
+    # the step after which a matrix is read no more (the pass's end for a stacked tally)
+    last: dict[str, int] = {}
+    fed: dict[tuple[str, ...], list[str]] = {}  # concatenation -> the blocks it feeds
+    for i, (b, preds) in enumerate(zip(ir.blocks, preds_of)):
+        last[b.name] = len(ir.blocks) if len(preds) > 1 else i
         if len(preds) == 1:
-            prev_matrix = matrix_of[preds[0]]
-        elif preds in stacked_of:
-            prev_matrix = stacked_of[preds]
-        else:
-            stacked = np.concatenate([means_by_layer[p] for p in preds], axis=1)
-            prev_matrix = stacked_of[preds] = correlation_layer("+".join(preds), stacked, strict)
-        tallies[b.name] = separation_tally(
-            prev_matrix, matrix_of[b.name], tie_tol=tie_tol, layer_name=b.name
-        )
-    return matrix_of, tallies
+            last[preds[0]] = max(last[preds[0]], i)
+        elif preds:
+            fed.setdefault(preds, []).append(b.name)
+    stacked_inputs = {p for preds in fed for p in preds}
+
+    matrix_of, kept, tallies, sizes = {}, {}, {}, set()
+    for i, (b, preds) in enumerate(zip(ir.blocks, preds_of)):
+        means = means_by_layer[b.name]
+        if b.name in stacked_inputs:
+            kept[b.name] = means
+        matrix_of[b.name] = correlation_layer(b.name, means, strict)
+        del means  # not held while the next dump streams
+        sizes.add(matrix_of[b.name].shape[0])
+        if len(sizes) > 1:
+            raise ValueError(f"layers disagree on the number of classes: {sorted(sizes)}")
+        if len(preds) == 1:
+            tallies[b.name] = separation_tally(matrix_of[preds[0]], matrix_of[b.name],
+                                               tie_tol, b.name)
+        if not keep_matrices:
+            for name in [k for k in matrix_of if last[k] == i]:
+                del matrix_of[name]
+
+    # A shared concatenation warns once, as its matrix is computed once.
+    for preds, consumers in fed.items():
+        stacked = np.concatenate([kept[p] for p in preds], axis=1)
+        stacked = correlation_layer("+".join(preds), stacked, strict)
+        for name in consumers:
+            tallies[name] = separation_tally(stacked, matrix_of[name], tie_tol, name)
+            if not keep_matrices:
+                del matrix_of[name]
+    return matrix_of, {b.name: tallies[b.name] for b in ir.blocks if b.name in tallies}
 
 
 def write_correlation_csv(path, matrix: np.ndarray) -> None:

@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,14 @@ def class_means(name, feats, labels, num_classes=None):
     m = int(labels.max()) + 1 if num_classes is None else num_classes
     counts = featio._class_counts(name, labels, m)
     return featio._class_means(labels, counts, feats.shape[1], [(0, feats)])
+
+
+def poison(path, flat_index=0):
+    """Overwrite value ``flat_index`` of an ATNS dump's payload with NaN."""
+    data = bytearray(Path(path).read_bytes())
+    (rank,) = struct.unpack_from("<H", data, 6)
+    struct.pack_into("<f", data, 8 + 4 * rank + 4 * flat_index, math.nan)
+    Path(path).write_bytes(bytes(data))
 
 
 def reference_csv(rows) -> str:

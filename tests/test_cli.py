@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import convrefine
-from convrefine import netir, sepstats
+from convrefine import cli, netir, sepstats
 from convrefine.cli import main
 from convrefine.evalkit import write_truth_file
 from convrefine.featio import (
@@ -24,7 +26,7 @@ from convrefine.netir import parse_network, serialize_network
 from convrefine.planner import parse_plan
 from convrefine.sepstats import DegenerateClassWarning, correlation_layer
 
-from conftest import FIXTURES, reference_csv
+from conftest import FIXTURES, chain_ir, poison, reference_csv
 
 CHAIN_IR = "\n".join(
     f"block conv{i} in={3 if i == 0 else 16} out=16 k=3x3 group=1 stage={i}"
@@ -58,12 +60,12 @@ def _run(*argv):
     return main([str(a) for a in argv])
 
 
-def _degenerate_class_one(workdir):
-    """Overwrite conv4's dump so that class 1 has a constant mean."""
+def _degenerate_class_one(workdir, layer="conv4"):
+    """Overwrite ``layer``'s dump so that class 1 has a constant mean."""
     labels = read_labels_file(workdir / "dumps" / "labels.atlb")
     feats = np.random.default_rng(5).standard_normal((labels.size, 16))
     feats[labels == 1] = 3.25
-    write_tensor_file(workdir / "dumps" / "conv4.atns", feats)
+    write_tensor_file(workdir / "dumps" / f"{layer}.atns", feats)
 
 
 def test_analyze_outputs(workdir, capsys):
@@ -210,6 +212,85 @@ def test_small_lambda_names_the_split_past_u32(workdir, capsys, command, option,
     assert re.fullmatch(rf"error: {re.escape(prefix)}block conv1: split 2\*\*\d+"
                         r" does not fit in a u32\n", capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [("plan", "--lambda"), ("sweep", "--sweep-min")])
+def test_subnormal_lambda_is_too_small(workdir, capsys, command, option):
+    # conv1's x-/5e-324 overflows: one line, not a split of 2**inf
+    out = workdir / "run"
+    rc = _run(command, "--ir", workdir / "net.ir", "--manifest",
+              workdir / "dumps" / "manifest.txt", option, "5e-324", "--out", out)
+    assert rc == 1
+    prefix = "lambda=5e-324: " if command == "sweep" else ""
+    assert capsys.readouterr().err == (
+        f"error: {prefix}block conv1: lambda 5e-324 is too small, x/lambda overflows\n"
+    )
+    assert not out.exists()
+
+
+def _reversed_manifest(workdir):
+    """The workdir's manifest with its layer lines in reverse IR order."""
+    lines = (workdir / "dumps" / "manifest.txt").read_text().splitlines()
+    manifest = workdir / "dumps" / "reversed.txt"
+    manifest.write_text("\n".join(sorted(lines, reverse=True)) + "\n")
+    return manifest
+
+
+@pytest.mark.parametrize("command", ["analyze", "plan", "sweep"])
+def test_payload_faults_come_in_ir_order(workdir, capsys, command):
+    # the manifest lists conv4 before conv2; both payloads hold a NaN
+    manifest = _reversed_manifest(workdir)
+    for name, index in [("conv2", 3), ("conv4", 7)]:
+        poison(workdir / "dumps" / f"{name}.atns", index)
+    rc = _run(command, "--ir", workdir / "net.ir", "--manifest", manifest,
+              "--out", workdir / "run")
+    assert rc == 1
+    dump = workdir / "dumps" / "conv2.atns"
+    assert capsys.readouterr().err == f"error: {dump}: non-finite value at flat index 3\n"
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_degenerate_layer_reports_before_a_later_payload_fault(workdir, strict):
+    # conv1 has a constant class mean; conv4, later in IR order, a NaN
+    _degenerate_class_one(workdir, "conv1")
+    poison(workdir / "dumps" / "conv4.atns")
+    proc = _run_module("plan", "--ir", workdir / "net.ir", "--manifest",
+                       _reversed_manifest(workdir), "--out", workdir / "run",
+                       *(["--strict-degenerate"] if strict else []))
+    assert proc.returncode == 1
+    degenerate = ("layer conv1: constant class mean vector(s) for class(es) [1];"
+                  " correlations set to 0")
+    if strict:
+        assert proc.stderr == f"error: {degenerate}\n"
+    else:
+        dump = workdir / "dumps" / "conv4.atns"
+        assert proc.stderr == (f"warning: DegenerateClassWarning: {degenerate}\n"
+                               f"error: {dump}: non-finite value at flat index 0\n")
+
+
+def test_plan_statistics_peak_does_not_grow_with_depth(tmp_path):
+    # plan, sweep and iterate hold the live layers only, not every layer's
+    # means and matrix: 12 layers of 64 classes x 64 units peak as 3 do
+    def peak(depth):
+        dumps = tmp_path / f"chain{depth}"
+        dumps.mkdir()
+        ir = chain_ir([64] * depth)
+        write_labels_file(dumps / "labels.atlb", np.arange(128) % 64)
+        rng = np.random.default_rng(depth)
+        for b in ir.blocks:
+            write_tensor_file(dumps / f"{b.name}.atns", rng.standard_normal((128, 64)))
+        (dumps / "m.txt").write_text(
+            "".join(f"layer {b.name} {b.name}.atns\n" for b in ir.blocks) + "labels labels.atlb\n"
+        )
+        args = argparse.Namespace(tie_tol=1e-6, strict_degenerate=False)
+        tracemalloc.start()
+        try:
+            cli._statistics(args, ir, dumps / "m.txt")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(12) <= 1.25 * peak(3)
 
 
 def test_iterate_composes_groups(workdir):

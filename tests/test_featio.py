@@ -14,13 +14,14 @@ from convrefine.featio import (
     TensorFormatError,
     load_manifest,
     read_labels_file,
+    scan_manifest,
     read_tensor_file,
     write_labels_file,
     write_tensor_file,
 )
 from convrefine.netir import parse_network
 
-from conftest import class_means
+from conftest import class_means, poison
 
 
 def test_tensor_header_layout_is_pinned(tmp_path):
@@ -315,6 +316,69 @@ def test_classes_counted_once_per_manifest(tmp_path, monkeypatch):
     feats["a"] = np.ones((5, 2))
     with pytest.raises(ValueError, match="layer a: 5 images in .* but 6 labels"):
         load_manifest(_write_dumps(tmp_path, feats, np.array([0, 2, 0, 2, 0, 2])))
+
+
+TWO_STAGES = parse_network(
+    "block a in=3 out=4 k=1x1 group=1 stage=0\n"
+    "block b in=4 out=4 k=1x1 group=1 stage=1 prev=a\n"
+    "block c in=4 out=4 k=1x1 group=1 stage=2 prev=b\n"
+)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("magic", r"b\.atns: bad magic, not an ATNS tensor file"),
+    ("width", r"layer b: 5 hidden units in dump, block declares 4"),
+    ("missing", r"manifest\.txt: manifest has no dumps for block\(s\) \['c'\]"),
+])
+def test_header_faults_come_before_any_payload_fault(tmp_path, fault, message):
+    # dump a, first in the manifest, holds a NaN: a fault of a later dump's
+    # header, width or coverage is still the one reported
+    rng = np.random.default_rng(8)
+    feats = {name: rng.standard_normal((4, 4)) for name in "abc"}
+    if fault == "width":
+        feats["b"] = rng.standard_normal((4, 5))
+    if fault == "missing":
+        del feats["c"]
+    manifest = _write_dumps(tmp_path, feats, np.array([0, 1, 0, 1]))
+    poison(tmp_path / "a.atns")
+    if fault == "magic":
+        data = (tmp_path / "b.atns").read_bytes()
+        (tmp_path / "b.atns").write_bytes(b"XTNS" + data[4:])
+    with pytest.raises(ValueError, match=message):
+        load_manifest(manifest, TWO_STAGES)
+    # the scan alone reads no payload and so reports the same fault
+    with pytest.raises(ValueError, match=message):
+        scan_manifest(manifest, TWO_STAGES)
+
+
+def test_scan_reads_no_payload_and_streams_on_lookup(tmp_path):
+    rng = np.random.default_rng(9)
+    feats = {name: rng.standard_normal((4, 4)).astype(np.float32) for name in "abc"}
+    manifest = _write_dumps(tmp_path, feats, np.array([0, 1, 0, 1]))
+    poison(tmp_path / "b.atns", 5)
+    dumps = scan_manifest(manifest, TWO_STAGES)
+    assert list(dumps) == ["a", "b", "c"] and len(dumps) == 3
+    assert "b" in dumps and "ghost" not in dumps  # a membership test streams nothing
+    np.testing.assert_array_equal(dumps["c"], class_means("c", feats["c"], [0, 1, 0, 1]))
+    with pytest.raises(TensorFormatError, match=r"b\.atns: non-finite value at flat index 5$"):
+        dumps["b"]
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((4, 6), r"a\.atns: header changed since the manifest was checked"),
+    ((5, 4), r"a\.atns: header changed since the manifest was checked"),
+    (None, r"a\.atns: truncated payload"),
+])
+def test_stream_rechecks_the_header(tmp_path, shape, message):
+    manifest = _write_dumps(tmp_path, {"a": np.ones((4, 4))}, np.array([0, 1, 0, 1]))
+    dumps = scan_manifest(manifest)
+    if shape is None:  # same header, payload cut short
+        data = (tmp_path / "a.atns").read_bytes()
+        (tmp_path / "a.atns").write_bytes(data[:-4])
+    else:
+        write_tensor_file(tmp_path / "a.atns", np.ones(shape))
+    with pytest.raises((ManifestError, TensorFormatError), match=message):
+        dumps["a"]
 
 
 def test_header_sizes_do_not_wrap(tmp_path):

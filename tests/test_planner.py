@@ -400,10 +400,12 @@ def test_every_plan_the_planner_writes_reads_back(seed, data):
     # log10 lambda, often in the decades where the float 1 + lambda*k keeps
     # only some of the digits of k
     lam = 10.0 ** data.draw(st.floats(-300.0, math.log10(top)) | st.floats(-17.0, -7.0))
+    lam = data.draw(st.sampled_from([lam, lam, lam, 5e-324]))  # now and then a subnormal
     try:
         plan = build_plan(ir, tallies, lam)
-    except PlanError as exc:  # the one plan the planner refuses: a split past u32
-        assert re.fullmatch(r"block \S+: split 2\*\*\d+ does not fit in a u32", str(exc))
+    except PlanError as exc:  # the plans the planner refuses: a split past u32, x/lambda = inf
+        assert re.fullmatch(r"block \S+: (split 2\*\*\d+ does not fit in a u32"
+                            r"|lambda \S+ is too small, x/lambda overflows)", str(exc))
         assert _names_a_block(str(exc), ir), exc
         return
     again = parse_plan(serialize_plan(plan))
@@ -413,6 +415,21 @@ def test_every_plan_the_planner_writes_reads_back(seed, data):
         apply_plan(ir, again)
     except ValueError as exc:
         assert _names_a_block(str(exc), ir), exc
+
+
+@pytest.mark.parametrize("lam, message", [
+    (1e-309, None),
+    (5e-324, "block conv1: lambda 5e-324 is too small, x/lambda overflows"),
+])
+def test_subnormal_lambda_is_refused_as_too_small(lam, message):
+    # conv1 and conv2 tally 1 plus and 0 minus of 16: only the stretch floors x/lambda
+    ir = chain_ir([16] * 4)
+    tallies = {f"conv{i}": _tally(f"conv{i}", 1, 0, 16) for i in (1, 2)}
+    if message is None:
+        assert build_plan(ir, tallies, lam).per_block["conv1"].stretch > 1.0
+    else:
+        with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
+            build_plan(ir, tallies, lam)
 
 
 def test_split_factors_non_increasing_in_lambda():

@@ -1,4 +1,7 @@
 import math
+import warnings
+from collections.abc import Mapping
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from convrefine.sepstats import (
 )
 
 from conftest import reference_csv
+from test_netir import valid_dags
 
 
 TWO_BLOCKS = parse_network(
@@ -260,3 +264,139 @@ def test_pgm_export_mapping(tmp_path):
     data = path.read_bytes()
     assert data.startswith(b"P5\n2 2\n255\n")
     assert list(data[-4:]) == [255, 0, 128, 255]
+
+
+def _eager_correlation(name, means, strict=False):
+    """correlation_layer with every step out of place, as it was written before streaming."""
+    g = np.asarray(means, dtype=np.float64)
+    if g.ndim != 2:
+        raise ValueError(f"layer {name}: class means must be rank 2")
+    if g.shape[1] < 2:
+        raise ValueError(
+            f"layer {name}: need at least 2 hidden units for correlation, got {g.shape[1]}"
+        )
+    centered = g - g.mean(axis=1, keepdims=True)
+    norms = np.sqrt((centered * centered).sum(axis=1))
+    degenerate = [int(i) for i in np.flatnonzero(norms == 0.0)]
+    if degenerate:
+        msg = (f"layer {name}: constant class mean vector(s) for"
+               f" class(es) {degenerate}; correlations set to 0")
+        if strict:
+            raise DegenerateClassError(msg)
+        warnings.warn(msg, DegenerateClassWarning, stacklevel=2)
+    unit = centered / np.where(norms == 0.0, 1.0, norms)[:, None]
+    corr = unit @ unit.T
+    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+    np.fill_diagonal(corr, 1.0)
+    if degenerate:
+        corr[degenerate, :] = 0.0
+        corr[:, degenerate] = 0.0
+    return corr
+
+
+def eager_network_statistics(ir, means_by_layer, tie_tol=1e-6, strict=False):
+    """The reference: every block's means loaded, then every matrix, then every tally."""
+    means_by_layer = {b.name: means_by_layer[b.name] for b in ir.blocks}
+    matrix_of = {b.name: _eager_correlation(b.name, means_by_layer[b.name], strict)
+                 for b in ir.blocks}
+    sizes = {m.shape[0] for m in matrix_of.values()}
+    if len(sizes) > 1:
+        raise ValueError(f"layers disagree on the number of classes: {sorted(sizes)}")
+    stacked_of = {}
+    tallies = {}
+    for b in ir.blocks:
+        preds = ir.predecessors(b.name)
+        if not preds:
+            continue
+        if len(preds) == 1:
+            prev_matrix = matrix_of[preds[0]]
+        elif preds in stacked_of:
+            prev_matrix = stacked_of[preds]
+        else:
+            stacked = np.concatenate([means_by_layer[p] for p in preds], axis=1)
+            prev_matrix = stacked_of[preds] = _eager_correlation("+".join(preds), stacked, strict)
+        tallies[b.name] = separation_tally(
+            prev_matrix, matrix_of[b.name], tie_tol=tie_tol, layer_name=b.name
+        )
+    return matrix_of, tallies
+
+
+class _Recorded(Mapping):
+    """Class means that record the order in which they are looked up."""
+
+    def __init__(self, means):
+        self.means, self.reads = means, []
+
+    def __getitem__(self, name):
+        self.reads.append(name)
+        return self.means[name]
+
+    def __contains__(self, name):
+        return name in self.means
+
+    def __iter__(self):
+        return iter(self.means)
+
+    def __len__(self):
+        return len(self.means)
+
+
+class Outcome(NamedTuple):
+    matrices: dict
+    tallies: dict
+    error: tuple | None
+    warned: list
+
+
+def _outcome(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            matrices, tallies = run()
+            error = None
+        except ValueError as exc:
+            matrices, tallies, error = {}, {}, (type(exc), str(exc))
+    return Outcome(matrices, tallies, error, [(w.category, str(w.message)) for w in caught])
+
+
+@st.composite
+def dags_with_means(draw):
+    """A valid IR and random class means for its blocks, some classes constant.
+
+    A constant class holds the same value in every layer, so that a
+    concatenation of layers where it is constant is degenerate too.
+    """
+    ir = draw(valid_dags())
+    m = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    means = {}
+    for b in ir.blocks:
+        g = rng.standard_normal((m, b.out_channels)) * scale
+        for cls in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+            g[cls] = cls * scale
+        means[b.name] = g
+    return ir, means
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags_with_means(), st.booleans())
+def test_streamed_statistics_equal_the_eager_reference(case, strict):
+    ir, means = case
+    want = _outcome(lambda: eager_network_statistics(ir, means, strict=strict))
+    for keep in (True, False):
+        source = _Recorded(means)
+        got = _outcome(
+            lambda: network_statistics(ir, source, strict=strict, keep_matrices=keep)
+        )
+        # each block's means are read once, in IR order, up to the first error
+        order = [b.name for b in ir.blocks]
+        assert source.reads == (order if got.error is None else order[: len(source.reads)])
+        assert (got.tallies, got.error, got.warned) == (want.tallies, want.error, want.warned)
+        assert list(got.tallies) == list(want.tallies)
+        if keep:
+            assert list(got.matrices) == list(want.matrices)
+            for name, matrix in want.matrices.items():
+                assert got.matrices[name].tobytes() == matrix.tobytes()
+        else:
+            assert got.matrices == {}

@@ -95,7 +95,8 @@ def tallies_for(draw, ir):
 def grids_for(draw, terms):
     """Lambdas at breakpoints x/k and at lambda_o*(1 +- 1e-9), among random ones.
 
-    Now and then one lambda is small enough for splits past the u32 bound.
+    Now and then one lambda is small enough for splits past the u32 bound,
+    or is the subnormal 5e-324, at which any x/lambda > 0 overflows.
     """
     lam_o = lambda_o(terms)
     xs = [x for t in terms.values() for x in t.floored if x > 0]
@@ -107,6 +108,8 @@ def grids_for(draw, terms):
         lams += [lam_o * (1 + 1e-9), lam_o * (1 - 1e-9)]
     if not lams or draw(st.integers(0, 4)) == 0:
         lams.append(top / draw(st.integers(20, 70)))
+    if draw(st.integers(0, 9)) == 0:
+        lams.append(5e-324)
     order = draw(st.sampled_from(["drawn", "sorted", "shuffled"]))
     if order == "sorted":
         lams.sort()
