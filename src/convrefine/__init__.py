@@ -1,7 +1,6 @@
 """convrefine: class-separation analysis and architecture refinement for conv nets."""
 
 from .featio import (
-    load_manifest,
     read_labels_file,
     read_tensor_file,
     scan_manifest,

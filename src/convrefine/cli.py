@@ -42,16 +42,11 @@ def _outdirs(out, *subdirs) -> Path:
 
 
 def _tally_table(ir, tallies) -> str:
-    lines = []
-    for b in ir.blocks:
-        t = tallies.get(b.name)
-        if t is None:
-            continue
-        lines.append(
-            f"tally {b.name} stage={b.stage} plus={t.n_plus} minus={t.n_minus}"
-            f" ties={t.n_ties} total={t.n_total}"
-        )
-    return "\n".join(lines) + "\n"
+    """One line per tally, in the order of ``tallies``: the IR's, as network_statistics gives."""
+    return "\n".join(
+        f"tally {name} stage={ir.block(name).stage} plus={t.n_plus} minus={t.n_minus}"
+        f" ties={t.n_ties} total={t.n_total}" for name, t in tallies.items()
+    ) + "\n"
 
 
 def _usable_cpus() -> int:
@@ -228,7 +223,10 @@ def cmd_iterate(args) -> int:
 
 def cmd_synth(args) -> int:
     profile = evalkit.load_profile(args.profile)
-    sets, labels = evalkit.synth_activations(profile, seed=args.seed)
+    try:
+        sets, labels = evalkit.synth_activations(profile, seed=args.seed)
+    except ValueError as exc:
+        raise ValueError(f"{args.profile}: {exc}") from None
     spatial = None if args.flat else (2, 2)
     manifest = evalkit.write_activation_dumps(
         args.out, sets, labels, spatial=spatial, seed=args.seed

@@ -161,7 +161,8 @@ def synth_activations(profile: SynthProfile, seed: int):
             for cls in range(m):
                 sel = labels == cls
                 feats[sel] -= feats[sel].mean(axis=0)
-            feats *= profile.noise
+            with np.errstate(over="ignore"):  # the dump's writer refuses an overflow
+                feats *= profile.noise
             feats += means[labels]
         else:
             feats = means[labels]

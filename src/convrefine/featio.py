@@ -363,8 +363,3 @@ def scan_manifest(path, ir: NetworkIR | None = None) -> ManifestDumps:
         if missing:
             raise ManifestError(f"{path}: manifest has no dumps for block(s) {missing}")
     return ManifestDumps(labels, counts, dumps)
-
-
-def load_manifest(path, ir: NetworkIR | None = None) -> dict[str, np.ndarray]:
-    """The (M, h) class means of every layer, streamed in manifest order after the scan."""
-    return dict(scan_manifest(path, ir))

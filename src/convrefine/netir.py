@@ -29,7 +29,7 @@ class IRValidationError(ValueError):
     """Well-formed IR text that violates a structural invariant."""
 
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*")
 _U32_MAX = 2**32 - 1
 
 
@@ -52,31 +52,19 @@ class ConvBlock:
     has_bias: bool = False
     excluded: bool = False
 
-    def _check_fields(self) -> None:
-        """Raise IRValidationError unless every size field is a positive u32."""
-        for label, v in (
-            ("in_channels", self.in_channels),
-            ("out_channels", self.out_channels),
-            ("kernel_h", self.kernel_h),
-            ("kernel_w", self.kernel_w),
-            ("group", self.group),
-        ):
-            if v < 1:
-                raise IRValidationError(f"block {self.name}: {label} must be positive, got {v}")
-            if v > _U32_MAX:
-                raise IRValidationError(f"block {self.name}: {label} {v} does not fit in a u32")
-
 
 @dataclass(frozen=True)
 class NetworkIR:
     """A validated DAG of conv blocks.
 
     Construction raises IRValidationError naming the first invariant the
-    blocks and edges violate.  Blocks are kept in canonical (stage, name)
-    order; edges are kept grouped by consumer, preserving the per-consumer
-    predecessor order because that order defines how input channels
-    concatenate.  The lookup index is built once from the canonical blocks
-    and edges and takes no part in equality, hashing or repr.
+    blocks and edges violate, then sets the excluded flag on every block
+    :func:`auto_excluded` names; a flag given can only add exclusions.
+    Blocks are kept in canonical (stage, name) order; edges are kept
+    grouped by consumer, preserving the per-consumer predecessor order
+    because that order defines how input channels concatenate.  The lookup
+    index is built once from the canonical blocks and edges and takes no
+    part in equality, hashing or repr.
     """
 
     blocks: tuple[ConvBlock, ...]
@@ -92,6 +80,9 @@ class NetworkIR:
         consumers: dict[str, list[str]] = {}
         for producer, consumer in edges:
             consumers.setdefault(producer, []).append(consumer)
+        flagged = auto_excluded(blocks, edges)
+        blocks = tuple(replace(b, excluded=True) if b.name in flagged and not b.excluded else b
+                       for b in blocks)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_by_name", {b.name: b for b in blocks})
@@ -148,9 +139,19 @@ def validate_network(blocks, edges) -> dict[str, tuple[str, ...]]:
             raise IRValidationError(f"duplicate block name {b.name!r}")
         by_name[b.name] = b
     for b in blocks:
-        if not _NAME_RE.match(b.name):
+        if not _NAME_RE.fullmatch(b.name):
             raise IRValidationError(f"invalid block name {b.name!r}")
-        b._check_fields()
+        for label, v in (
+            ("in_channels", b.in_channels),
+            ("out_channels", b.out_channels),
+            ("kernel_h", b.kernel_h),
+            ("kernel_w", b.kernel_w),
+            ("group", b.group),
+        ):
+            if v < 1:
+                raise IRValidationError(f"block {b.name}: {label} must be positive, got {v}")
+            if v > _U32_MAX:
+                raise IRValidationError(f"block {b.name}: {label} {v} does not fit in a u32")
         if b.stage < 0:
             raise IRValidationError(f"block {b.name}: stage must be non-negative")
 
@@ -202,11 +203,6 @@ def validate_network(blocks, edges) -> dict[str, tuple[str, ...]]:
                     f"block {b.name}: group {b.group} does not divide out_channels"
                     f" {p.out_channels} of predecessor {p.name}"
                 )
-    for name in sorted(auto_excluded(blocks, edges)):
-        if not by_name[name].excluded:
-            raise IRValidationError(
-                f"block {name} is terminal or input-fed and must carry the excluded flag"
-            )
     return preds
 
 
@@ -267,7 +263,7 @@ def _parse_fields(tokens, fields, optional=()) -> dict:
 
 def _block_name(tokens) -> str:
     name = tokens[1] if len(tokens) > 1 else ""
-    if not _NAME_RE.match(name):
+    if not _NAME_RE.fullmatch(name):
         raise ValueError(f"invalid block name {name!r}")
     return name
 
@@ -287,7 +283,7 @@ def _kernel(raw: str) -> tuple[int, int]:
 
 def _names(raw: str) -> list[str]:
     names = raw.split(",")
-    if not all(_NAME_RE.match(n) for n in names):
+    if not all(_NAME_RE.fullmatch(n) for n in names):
         raise ValueError(f"expects block names joined by ',', got {raw!r}")
     return names
 
@@ -301,9 +297,7 @@ _BLOCK_FIELDS = {
 def parse_network(text: str, source="<ir>") -> NetworkIR:
     """Parse IR text into a validated NetworkIR; errors name ``source``.
 
-    Exclusion flags are the union of explicit ``excluded`` tokens and the
-    structural rules of :func:`auto_excluded`; explicit flags can only add
-    exclusions, never remove the structural ones.
+    An ``excluded`` token adds to the exclusions NetworkIR derives.
     """
     blocks = []
     edges = []
@@ -316,8 +310,6 @@ def parse_network(text: str, source="<ir>") -> NetworkIR:
         edges.extend((p, name) for p in f.get("prev", ()))
 
     _read_records(text, source, IRSyntaxError, {"block": block})
-    flagged = auto_excluded(blocks, edges)
-    blocks = [replace(b, excluded=True) if b.name in flagged else b for b in blocks]
     try:
         return NetworkIR(blocks, edges)
     except IRValidationError as exc:

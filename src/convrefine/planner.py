@@ -108,7 +108,7 @@ class BlockTerms(NamedTuple):
 
     x_plus = (n_plus/n_total)*xi and x_minus = (n_minus/n_total)*xi, with xi
     the mean n_plus/n_total of the block's later stages.  Case "a" blocks
-    never stretch, so only x_minus is floored for them.
+    never stretch, so their x_plus is not floored.
     """
 
     case: str  # "a" or "b"
@@ -116,8 +116,9 @@ class BlockTerms(NamedTuple):
     x_minus: float
 
     @property
-    def floored(self) -> tuple[float, ...]:
-        return (self.x_minus,) if self.case == "a" else (self.x_plus, self.x_minus)
+    def floored(self) -> tuple[float, float]:
+        """The terms floored for the stretch and the split; 0.0 stands for none."""
+        return (self.x_plus if self.case == "b" else 0.0), self.x_minus
 
 
 def block_terms(ir: NetworkIR, tallies) -> dict[str, BlockTerms]:
@@ -213,9 +214,9 @@ def factor_grid(ir: NetworkIR, terms, lams):
     stretched = np.zeros((len(ir.blocks), 1), dtype=bool)
     for i, b in enumerate(ir.blocks):
         t = terms.get(b.name)
-        if t is not None:  # case a floors only x-
+        if t is not None:
             stretched[i] = t.case == "b"
-            x[i, :, 0] = t.x_plus if t.case == "b" else 0.0, t.x_minus
+            x[i, :, 0] = t.floored
     lams = np.asarray(lams, dtype=float)
     floors = psi(x, lams)
     return np.where(stretched, 1.0 + lams * floors[:, 0], 1.0), floors[:, 1]

@@ -33,7 +33,6 @@ class DegenerateClassWarning(UserWarning):
 class SeparationTally:
     """Separation change of one layer relative to its predecessor."""
 
-    layer_name: str
     n_plus: int  # ordered pairs whose correlation strictly decreased
     n_minus: int  # ordered pairs whose correlation strictly increased
     n_ties: int
@@ -45,8 +44,7 @@ class SeparationTally:
             raise ValueError("tally counts must be non-negative, total positive")
         if sum(counts) != self.n_total:
             raise ValueError(
-                f"tally for {self.layer_name or '<anon>'}: "
-                f"{self.n_plus}+{self.n_minus}+{self.n_ties} != {self.n_total}"
+                f"tally counts {self.n_plus}+{self.n_minus}+{self.n_ties} != {self.n_total}"
             )
 
 
@@ -99,12 +97,7 @@ def check_tie_tol(tie_tol: float) -> None:
         raise ValueError(f"tie_tol must be non-negative and finite, got {tie_tol}")
 
 
-def separation_tally(
-    prev: np.ndarray,
-    cur: np.ndarray,
-    tie_tol: float = 1e-6,
-    layer_name: str = "",
-) -> SeparationTally:
+def separation_tally(prev: np.ndarray, cur: np.ndarray, tie_tol: float = 1e-6) -> SeparationTally:
     """Count class pairs whose correlation moved between two layers.
 
     A pair counts toward n_plus when cur < prev - tie_tol, toward n_minus
@@ -123,13 +116,7 @@ def separation_tally(
     total = m * m
     plus = int(np.count_nonzero((diff < -tie_tol) & mask))
     minus = int(np.count_nonzero((diff > tie_tol) & mask))
-    return SeparationTally(
-        layer_name=layer_name,
-        n_plus=plus,
-        n_minus=minus,
-        n_ties=total - plus - minus,
-        n_total=total,
-    )
+    return SeparationTally(n_plus=plus, n_minus=minus, n_ties=total - plus - minus, n_total=total)
 
 
 def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
@@ -177,8 +164,7 @@ def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
         if len(sizes) > 1:
             raise ValueError(f"layers disagree on the number of classes: {sorted(sizes)}")
         if len(preds) == 1:
-            tallies[b.name] = separation_tally(matrix_of[preds[0]], matrix_of[b.name],
-                                               tie_tol, b.name)
+            tallies[b.name] = separation_tally(matrix_of[preds[0]], matrix_of[b.name], tie_tol)
         if not keep_matrices:
             for name in [k for k in matrix_of if last[k] == i]:
                 del matrix_of[name]
@@ -188,7 +174,7 @@ def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
         stacked = np.concatenate([kept[p] for p in preds], axis=1)
         stacked = correlation_layer("+".join(preds), stacked, strict)
         for name in consumers:
-            tallies[name] = separation_tally(stacked, matrix_of[name], tie_tol, name)
+            tallies[name] = separation_tally(stacked, matrix_of[name], tie_tol)
             if not keep_matrices:
                 del matrix_of[name]
     return matrix_of, {b.name: tallies[b.name] for b in ir.blocks if b.name in tallies}

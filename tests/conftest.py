@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from convrefine import featio
-from convrefine.netir import ConvBlock, NetworkIR, auto_excluded
+from convrefine.netir import ConvBlock, NetworkIR
 from convrefine.planner import _FLOOR_SNAP, PlanEntry, RefinementPlan
 from convrefine.sepstats import SeparationTally
 
@@ -18,7 +18,7 @@ def class_means(name, feats, labels, num_classes=None):
     """Class means of in-memory pooled features, summed as a streamed dump is.
 
     ``num_classes`` defaults to one more than the largest label, as in
-    ``load_manifest``.
+    ``scan_manifest``.
     """
     labels = np.asarray(labels, dtype=np.int64)
     feats = np.asarray(feats, dtype=np.float64)
@@ -69,7 +69,6 @@ def chain_ir(widths, in0=3, kernel=3, bias=False, groups=None):
     edges = []
     prev_out = in0
     for i, (w, g) in enumerate(zip(widths, groups)):
-        excluded = i == 0 or i == len(widths) - 1
         blocks.append(
             ConvBlock(
                 name=f"conv{i}",
@@ -80,7 +79,6 @@ def chain_ir(widths, in0=3, kernel=3, bias=False, groups=None):
                 group=g,
                 stage=i,
                 has_bias=bias,
-                excluded=excluded,
             )
         )
         if i:
@@ -90,50 +88,35 @@ def chain_ir(widths, in0=3, kernel=3, bias=False, groups=None):
 
 
 def random_chain_tallies(rng, num_classes, num_stages):
-    """Stage-ordered tallies for a chain: None at stage 0, random after.
+    """Random (name, tally) pairs of a chain's blocks conv1.. in stage order.
 
-    The diagonal never moves, so n_plus + n_minus never exceeds M^2 - M.
+    Stage 0 has no predecessor and so no tally.  The diagonal never moves,
+    so n_plus + n_minus never exceeds M^2 - M.
     """
     total = num_classes * num_classes
     offdiag = total - num_classes
-    out = [None]
+    out = []
     for i in range(1, num_stages):
         plus = int(rng.integers(0, offdiag + 1))
         minus = int(rng.integers(0, offdiag - plus + 1))
-        out.append(
-            SeparationTally(
-                layer_name=f"conv{i}",
-                n_plus=plus,
-                n_minus=minus,
-                n_ties=total - plus - minus,
-                n_total=total,
-            )
-        )
+        out.append((f"conv{i}", SeparationTally(plus, minus, total - plus - minus, total)))
     return out
 
 
 def random_split_only_tallies(rng, num_classes, num_stages):
-    """Chain tallies with n_plus < n_minus everywhere: nothing ever stretches."""
+    """Chain (name, tally) pairs with n_plus < n_minus everywhere: nothing ever stretches."""
     total = num_classes * num_classes
     offdiag = total - num_classes
-    out = [None]
+    out = []
     for i in range(1, num_stages):
         minus = int(rng.integers(1, offdiag + 1))
         plus = int(rng.integers(0, min(minus, offdiag - minus + 1)))
-        out.append(
-            SeparationTally(
-                layer_name=f"conv{i}",
-                n_plus=plus,
-                n_minus=minus,
-                n_ties=total - plus - minus,
-                n_total=total,
-            )
-        )
+        out.append((f"conv{i}", SeparationTally(plus, minus, total - plus - minus, total)))
     return out
 
 
 def random_ir(rng, max_stages=4):
-    """Small random DAG with exclusion flags honoring the structural rules."""
+    """Small random DAG; about a fifth of its blocks carry an explicit exclusion flag."""
     num_stages = int(rng.integers(1, max_stages + 1))
     blocks = []
     edges = []
@@ -174,13 +157,6 @@ def random_ir(rng, max_stages=4):
             edges.extend((p.name, name) for p in preds)
         blocks.extend(stage_blocks)
         prev_stage = stage_blocks
-    flagged = auto_excluded(blocks, edges)
-    blocks = [
-        b if (b.excluded or b.name not in flagged)
-        else ConvBlock(b.name, b.in_channels, b.out_channels, b.kernel_h, b.kernel_w,
-                       b.group, b.stage, b.has_bias, True)
-        for b in blocks
-    ]
     return NetworkIR(blocks, edges)
 
 

@@ -22,9 +22,9 @@ from convrefine.evalkit import (
     write_activation_dumps,
 )
 from convrefine.featio import (
-    load_manifest,
     read_labels_file,
     read_tensor_file,
+    scan_manifest,
     write_labels_file,
     write_tensor_file,
 )
@@ -61,10 +61,8 @@ def criterion(number, label, budget_s):
     assert elapsed < budget_s, f"criterion {number} exceeded its {budget_s}s budget"
 
 
-def _tally(name, plus, minus, total):
-    return SeparationTally(
-        layer_name=name, n_plus=plus, n_minus=minus, n_ties=total - plus - minus, n_total=total
-    )
+def _tally(plus, minus, total):
+    return SeparationTally(n_plus=plus, n_minus=minus, n_ties=total - plus - minus, n_total=total)
 
 
 def test_criterion_1_equivalence_point():
@@ -73,10 +71,10 @@ def test_criterion_1_equivalence_point():
         # n+/nT = n-/nT = 0.375 and xi = 2/3 from the three subsequent stages
         ir = chain_ir([16] * 6)
         tallies = {
-            "conv1": _tally("conv1", 6, 6, 16),
-            "conv2": _tally("conv2", 12, 0, 16),
-            "conv3": _tally("conv3", 12, 0, 16),
-            "conv4": _tally("conv4", 8, 0, 16),
+            "conv1": _tally(6, 6, 16),
+            "conv2": _tally(12, 0, 16),
+            "conv3": _tally(12, 0, 16),
+            "conv4": _tally(8, 0, 16),
         }
         plan = build_plan(ir, tallies, 0.25)
         entry = plan.per_block["conv1"]
@@ -93,7 +91,7 @@ def test_criterion_2_lambda_o_bound():
             m = int(rng.integers(2, 7))
             length = int(rng.integers(3, 9))
             seq = random_chain_tallies(rng, m, length)
-            tallies = {t.layer_name: t for t in seq if t is not None}
+            tallies = dict(seq)
             ir = chain_ir([m * 8] * length)
             probe = build_plan(ir, tallies, 0.25)
             if probe.lambda_o <= 0:
@@ -170,10 +168,10 @@ def test_criterion_4_exact_rational_oracle():
             m = int(rng.integers(2, 7))
             length = int(rng.integers(3, 9))
             seq = random_chain_tallies(rng, m, length)
-            per_layer = {i + 1: (t.n_plus, t.n_minus) for i, t in enumerate(seq) if t is not None}
+            per_layer = {layer: (t.n_plus, t.n_minus) for layer, (_, t) in enumerate(seq, start=2)}
             lam = lam_grid[int(rng.integers(0, len(lam_grid)))]
             ir = chain_ir([m * 8] * length)
-            tallies = {t.layer_name: t for t in seq if t is not None}
+            tallies = dict(seq)
             plan = build_plan(ir, tallies, float(lam))
             reference, bound = _rational_reference(per_layer, m, length, lam)
             for layer, (stretch, split, case) in reference.items():
@@ -203,7 +201,7 @@ def test_criterion_5_end_to_end_case_discrimination(tmp_path):
         )
         sets, labels = synth_activations(profile, seed=7)
         manifest = write_activation_dumps(tmp_path, sets, labels, spatial=(2, 2), seed=7)
-        means = load_manifest(manifest, ir)
+        means = dict(scan_manifest(manifest, ir))
         plan = build_plan(ir, network_statistics(ir, means)[1], 0.25)
         rise = plan.per_block["conv2"]  # correlations rose: separation dropped
         assert (rise.case, rise.stretch) == ("a", 1.0)
@@ -246,7 +244,7 @@ def test_criterion_7_split_monotonicity_and_size():
             m = int(rng.integers(2, 7))
             length = int(rng.integers(4, 9))
             seq = random_chain_tallies(rng, m, length)
-            tallies = {t.layer_name: t for t in seq if t is not None}
+            tallies = dict(seq)
             ir = chain_ir([m * 8] * length)
             probe = build_plan(ir, tallies, 0.25)
             hi = max(probe.lambda_o * 1.2, 0.3)
@@ -277,7 +275,7 @@ def test_criterion_7_split_monotonicity_and_size():
             m = int(rng.integers(2, 7))
             length = int(rng.integers(4, 9))
             seq = random_split_only_tallies(rng, m, length)
-            tallies = {t.layer_name: t for t in seq if t is not None}
+            tallies = dict(seq)
             ir = chain_ir([1024] * length)
             probe = build_plan(ir, tallies, 0.25)
             if probe.lambda_o <= 0:

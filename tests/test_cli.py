@@ -17,8 +17,8 @@ from convrefine import cli, netir, sepstats
 from convrefine.cli import main
 from convrefine.evalkit import write_truth_file
 from convrefine.featio import (
-    load_manifest,
     read_labels_file,
+    scan_manifest,
     write_labels_file,
     write_tensor_file,
 )
@@ -60,6 +60,14 @@ def _run(*argv):
     return main([str(a) for a in argv])
 
 
+def _target_profile(matrix, rho=None) -> bytes:
+    """A 3-class profile whose layer l1 has target ``matrix``, and layer l2 ``rho`` if given."""
+    layers = [{"name": "l1", "width": 4, "matrix": matrix}]
+    if rho is not None:
+        layers.append({"name": "l2", "width": 4, "rho": rho})
+    return json.dumps({"num_classes": 3, "images_per_class": 2, "layers": layers}).encode()
+
+
 def _degenerate_class_one(workdir, layer="conv4"):
     """Overwrite ``layer``'s dump so that class 1 has a constant mean."""
     labels = read_labels_file(workdir / "dumps" / "labels.atlb")
@@ -76,7 +84,7 @@ def test_analyze_outputs(workdir, capsys):
     with pytest.warns(DegenerateClassWarning, match=r"layer conv4: .* class\(es\) \[1\]"):
         rc = _run("analyze", "--ir", workdir / "net.ir", "--manifest", manifest, "--out", out)
     assert rc == 0
-    means = load_manifest(manifest, parse_network(CHAIN_IR))
+    means = dict(scan_manifest(manifest, parse_network(CHAIN_IR)))
     for i in range(6):
         assert (out / "analysis" / f"conv{i}.corr.pgm").exists()
         with warnings.catch_warnings():
@@ -98,6 +106,17 @@ def test_analyze_deterministic(workdir):
                     workdir / "dumps" / "manifest.txt", "--out", workdir / d) == 0
     for rel in ["analysis/conv3.corr.csv", "analysis/conv3.corr.pgm", "analysis/tallies.txt"]:
         assert (workdir / "r1" / rel).read_bytes() == (workdir / "r2" / rel).read_bytes()
+
+
+def test_analyze_without_tallies_writes_one_line_end(workdir):
+    # a lone block has no predecessor, so no tally
+    (workdir / "one.ir").write_text(CHAIN_IR.splitlines()[0] + "\n")
+    manifest = workdir / "dumps" / "one.txt"
+    manifest.write_text("layer conv0 conv0.atns\nlabels labels.atlb\n")
+    rc = _run("analyze", "--ir", workdir / "one.ir", "--manifest", manifest,
+              "--out", workdir / "run")
+    assert rc == 0
+    assert (workdir / "run" / "analysis" / "tallies.txt").read_bytes() == b"\n"
 
 
 def test_plan_and_apply(workdir, capsys):
@@ -594,9 +613,21 @@ def test_ir_errors_name_the_file(workdir, capsys, text, message):
         ("profile", b'{"num_classes": 3, "images_per_class": 1,'
                     b' "layers": [{"name": "a", "width": 3, "rho": 0.1}]}',
          ": layers[0]: bad value 3 for 'width': too small for 3 classes, need at least 4\n"),
+        *(("profile", _target_profile(matrix), form) for matrix, form in [
+            ([[1, 0], [0, 1]], ": layer l1: target must be 3x3\n"),
+            ([[1, 0.5, 0], [0, 1, 0], [0, 0, 1]], ": layer l1: target must be symmetric\n"),
+            ([[2, 0, 0], [0, 1, 0], [0, 0, 1]], ": layer l1: target diagonal must be 1\n"),
+            ([[1, 2, 0], [2, 1, 0], [0, 0, 1]],
+             ": layer l1: target entries must lie in [-1, 1]\n"),
+        ]),
+        ("profile", _target_profile([[1, 0.1, 0.1], [0.1, 1, 0.1], [0.1, 0.1, 1]], rho=-0.9),
+         ": layer l2: target correlation matrix is not positive semidefinite"
+         " (min eigenvalue -0.8)\n"),
     ],
     ids=["ir", "plan", "manifest", "profile", "manifest-not-utf8", "profile-not-utf8",
-         "profile-one-class", "profile-no-images", "profile-narrow-layer"],
+         "profile-one-class", "profile-no-images", "profile-narrow-layer",
+         "profile-target-shape", "profile-target-asymmetric", "profile-target-diagonal",
+         "profile-target-range", "profile-target-indefinite"],
 )
 def test_text_input_errors_name_file_and_line(workdir, capsys, kind, text, form):
     bad = workdir / "dumps" / f"bad.{kind}"
@@ -727,6 +758,17 @@ def test_synth_profile_bad_type_reported(tmp_path, capsys, step, value, where, k
     assert not (tmp_path / "dumps").exists()
 
 
+@pytest.mark.parametrize("noise", [1e39, 1e308])
+def test_synth_huge_noise_is_refused_by_the_dump_writer_alone(tmp_path, capsys, noise):
+    # 1e39 overflows only the float32 dump; 1e308 already the float64 features
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(dict(PROFILE, noise=noise)))
+    rc = _run("synth", "--profile", path, "--out", tmp_path / "dumps")
+    assert rc == 1
+    dump = tmp_path / "dumps" / "conv0.atns"
+    assert capsys.readouterr().err == f"error: {dump}: refusing to write non-finite values\n"
+
+
 def test_warning_lines_name_category_not_source(workdir):
     # test_sweep's grid rounds widths; a degenerate class warns in analyze
     common = ["--ir", workdir / "net.ir", "--manifest", workdir / "dumps" / "manifest.txt"]
@@ -818,7 +860,7 @@ def test_analyze_shares_write_the_same_bytes(workdir, capsys, monkeypatch):
     assert _analyze(workdir, workdir / "nofork") == 0
     trees.append(_tree(workdir / "nofork" / "analysis"))
     assert all(tree == trees[0] for tree in trees)
-    means = load_manifest(workdir / "dumps" / "manifest.txt", parse_network(CHAIN_IR))
+    means = dict(scan_manifest(workdir / "dumps" / "manifest.txt", parse_network(CHAIN_IR)))
     for i in range(6):
         expected = reference_csv(correlation_layer(f"conv{i}", means[f"conv{i}"]))
         assert trees[0][f"conv{i}.corr.csv"] == expected.encode("ascii")

@@ -15,7 +15,7 @@ from convrefine.evalkit import (
     write_activation_dumps,
     write_truth_file,
 )
-from convrefine.featio import TensorFormatError, load_manifest
+from convrefine.featio import TensorFormatError, scan_manifest
 from convrefine.netir import parse_network
 from convrefine.planner import build_plan
 from convrefine.sepstats import correlation_layer, network_statistics
@@ -220,7 +220,7 @@ def test_synth_forces_cases_through_file_roundtrip(tmp_path):
     # correlations rise at conv2 (case a there) then fall (case b after)
     sets, labels = synth_activations(_profile([0.1, 0.3, 0.6, 0.4, 0.2, 0.05], m=4), seed=7)
     manifest = write_activation_dumps(tmp_path, sets, labels, spatial=(2, 2), seed=7)
-    tallies = network_statistics(ir, load_manifest(manifest, ir))[1]
+    tallies = network_statistics(ir, dict(scan_manifest(manifest, ir)))[1]
     plan = build_plan(ir, tallies, 0.25)
     assert plan.per_block["conv2"].case == "a"
     assert plan.per_block["conv2"].split >= 2

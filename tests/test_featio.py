@@ -12,10 +12,9 @@ from convrefine.evalkit import read_truth_file, write_truth_file
 from convrefine.featio import (
     ManifestError,
     TensorFormatError,
-    load_manifest,
     read_labels_file,
-    scan_manifest,
     read_tensor_file,
+    scan_manifest,
     write_labels_file,
     write_tensor_file,
 )
@@ -118,7 +117,7 @@ def _pooled(tensor):
         write_tensor_file(tmp / "t.atns", tensor)
         write_labels_file(tmp / "labels.atlb", np.arange(tensor.shape[0]))
         (tmp / "m.txt").write_text("layer t t.atns\nlabels labels.atlb\n")
-        return load_manifest(tmp / "m.txt")["t"]
+        return scan_manifest(tmp / "m.txt")["t"]
 
 
 def test_pool_hand_example():
@@ -189,7 +188,7 @@ def test_manifest_two_layers(tmp_path):
         {"a": rng.standard_normal((4, 8)), "b": rng.standard_normal((4, 6, 2, 2))},
         np.array([0, 1, 0, 1]),
     )
-    means = load_manifest(manifest)
+    means = dict(scan_manifest(manifest))
     assert sorted(means) == ["a", "b"]
     assert means["a"].shape == (2, 8)
     assert means["b"].shape == (2, 6)  # pooled from rank 4
@@ -200,7 +199,7 @@ def test_manifest_count_mismatch(tmp_path):
         tmp_path, {"a": np.zeros((4, 3))}, np.array([0, 1, 0, 1, 1])
     )
     with pytest.raises(ManifestError, match="4 images .* 5 labels"):
-        load_manifest(manifest)
+        dict(scan_manifest(manifest))
 
 
 def test_manifest_cross_checks_against_ir(tmp_path):
@@ -214,32 +213,32 @@ def test_manifest_cross_checks_against_ir(tmp_path):
         np.array([0, 1]),
     )
     with pytest.raises(ManifestError, match="no such block"):
-        load_manifest(manifest, ir)
+        dict(scan_manifest(manifest, ir))
 
     manifest = _write_dumps(
         tmp_path, {"a": np.zeros((2, 8)), "b": np.zeros((2, 5))}, np.array([0, 1])
     )
     with pytest.raises(ManifestError, match="block declares 6"):
-        load_manifest(manifest, ir)
+        dict(scan_manifest(manifest, ir))
 
 
 def test_manifest_structural_errors(tmp_path):
     empty = tmp_path / "m.txt"
     empty.write_text("labels l.atlb\n")
     with pytest.raises(ManifestError, match="lists no layers"):
-        load_manifest(empty)
+        dict(scan_manifest(empty))
     empty.write_text("# nothing\n")
     with pytest.raises(ManifestError, match="lists no layers"):
-        load_manifest(empty)
+        dict(scan_manifest(empty))
     nolabels = tmp_path / "m2.txt"
     write_tensor_file(tmp_path / "a.atns", np.zeros((1, 2)))
     nolabels.write_text("layer a a.atns\n")
     with pytest.raises(ManifestError, match="no labels line"):
-        load_manifest(nolabels)
+        dict(scan_manifest(nolabels))
     dup = tmp_path / "m3.txt"
     dup.write_text("layer a a.atns\nlayer a a.atns\nlabels l.atlb\n")
     with pytest.raises(ManifestError, match="duplicate layer"):
-        load_manifest(dup)
+        dict(scan_manifest(dup))
 
 
 def _reference_means(tensor, labels, num_classes):
@@ -268,7 +267,7 @@ def test_streamed_means_equal_row_means(tmp_path, monkeypatch, chunk_values, sha
     labels = rng.integers(0, 3, size=shape[0])  # classes interleave across chunks
     labels[:3] = [0, 1, 2]
     manifest = _write_dumps(tmp_path, {"a": tensor}, labels)
-    got = load_manifest(manifest)["a"]
+    got = scan_manifest(manifest)["a"]
     np.testing.assert_array_equal(got, _reference_means(tensor, labels, 3))
 
 
@@ -287,7 +286,7 @@ def test_streamed_non_finite_reports_global_index(tmp_path, monkeypatch, shape, 
     write_labels_file(tmp_path / "labels.atlb", np.arange(shape[0]) % 2)
     (tmp_path / "m.txt").write_text("layer a a.atns\nlabels labels.atlb\n")
     with pytest.raises(TensorFormatError, match=f"a.atns: non-finite value at flat index {index}$"):
-        load_manifest(tmp_path / "m.txt")
+        dict(scan_manifest(tmp_path / "m.txt"))
 
 
 def test_streamed_empty_class_names_layer(tmp_path):
@@ -295,11 +294,11 @@ def test_streamed_empty_class_names_layer(tmp_path):
         tmp_path, {"a": np.ones((4, 3)), "b": np.ones((4, 3))}, np.array([0, 2, 0, 2])
     )
     with pytest.raises(ValueError, match="layer a: class 1 has no images"):
-        load_manifest(manifest)
+        dict(scan_manifest(manifest))
     # a label near 2^32 names the first empty class without a 2^32-row array
     manifest = _write_dumps(tmp_path, {"a": np.ones((2, 3))}, np.array([0, 2**32 - 1]))
     with pytest.raises(ValueError, match="layer a: class 1 has no images"):
-        load_manifest(manifest)
+        dict(scan_manifest(manifest))
 
 
 def test_classes_counted_once_per_manifest(tmp_path, monkeypatch):
@@ -309,13 +308,13 @@ def test_classes_counted_once_per_manifest(tmp_path, monkeypatch):
     count = featio._class_counts
     monkeypatch.setattr(featio, "_class_counts",
                         lambda name, *args: calls.append(name) or count(name, *args))
-    means = load_manifest(_write_dumps(tmp_path, feats, labels))
+    means = dict(scan_manifest(_write_dumps(tmp_path, feats, labels)))
     assert list(means) == ["a", "b", "c"]
     assert calls == ["a"]
     # the first layer's image count is checked before the classes are counted
     feats["a"] = np.ones((5, 2))
     with pytest.raises(ValueError, match="layer a: 5 images in .* but 6 labels"):
-        load_manifest(_write_dumps(tmp_path, feats, np.array([0, 2, 0, 2, 0, 2])))
+        dict(scan_manifest(_write_dumps(tmp_path, feats, np.array([0, 2, 0, 2, 0, 2]))))
 
 
 TWO_STAGES = parse_network(
@@ -345,7 +344,7 @@ def test_header_faults_come_before_any_payload_fault(tmp_path, fault, message):
         data = (tmp_path / "b.atns").read_bytes()
         (tmp_path / "b.atns").write_bytes(b"XTNS" + data[4:])
     with pytest.raises(ValueError, match=message):
-        load_manifest(manifest, TWO_STAGES)
+        dict(scan_manifest(manifest, TWO_STAGES))
     # the scan alone reads no payload and so reports the same fault
     with pytest.raises(ValueError, match=message):
         scan_manifest(manifest, TWO_STAGES)
@@ -391,7 +390,7 @@ def test_header_sizes_do_not_wrap(tmp_path):
     write_labels_file(tmp_path / "labels.atlb", np.zeros(1 << 16))
     (tmp_path / "m.txt").write_text("layer a huge.atns\nlabels labels.atlb\n")
     with pytest.raises(TensorFormatError, match="huge.atns: truncated payload"):
-        load_manifest(tmp_path / "m.txt")
+        dict(scan_manifest(tmp_path / "m.txt"))
 
 
 def test_chunked_write_checks_every_chunk(tmp_path):

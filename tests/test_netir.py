@@ -10,7 +10,6 @@ from convrefine.netir import (
     IRSyntaxError,
     IRValidationError,
     NetworkIR,
-    auto_excluded,
     param_count,
     parse_network,
     serialize_network,
@@ -144,9 +143,15 @@ def test_stage_gap_rejected():
         )
 
 
-def test_programmatic_construction_requires_exclusion_flags():
-    with pytest.raises(IRValidationError, match="excluded flag"):
-        NetworkIR([ConvBlock("a", 3, 4, 1, 1, stage=0, excluded=False)], [])
+def test_programmatic_construction_derives_exclusion_flags():
+    # conv0 is input-fed and conv3 terminal; the flag given to conv1 adds to them
+    given = [ConvBlock(f"conv{i}", 3 if i == 0 else 8, 8, 3, 3, stage=i, excluded=i == 1)
+             for i in range(4)]
+    ir = NetworkIR(given, [(f"conv{i}", f"conv{i + 1}") for i in range(3)])
+    assert [b.excluded for b in ir.blocks] == [True, True, False, True]
+    assert ir.blocks[1] is given[1] and ir.blocks[2] is given[2]  # no flag to add, no new block
+    assert dataclasses.replace(ir, blocks=given) == ir
+    assert parse_network(serialize_network(ir), "rt.ir") == ir
 
 
 def test_analysis_sequence_linear_chain():
@@ -295,11 +300,7 @@ def valid_dags(draw):
             in_ch = sum(p.out_channels for p in preds) or draw(st.integers(1, 8))
             blocks.append(ConvBlock(name, in_ch, draw(st.integers(1, 8)), 1, 1, stage=stage))
             edges.extend((p.name, name) for p in preds)
-    flagged = auto_excluded(blocks, edges)
-    blocks = [
-        dataclasses.replace(b, excluded=b.name in flagged or draw(st.booleans()))
-        for b in blocks
-    ]
+    blocks = [dataclasses.replace(b, excluded=draw(st.booleans())) for b in blocks]
     return NetworkIR(draw(st.permutations(blocks)), draw(st.permutations(edges)))
 
 
@@ -337,6 +338,13 @@ def test_index_matches_scan_on_fixtures(fixture, request):
              ConvBlock("b", 8, 4, 1, 1, stage=1, excluded=True)],
             [("a", "b"), ("a", "b")],
             "duplicate edge (a, b)",
+        ),
+        # a name its own IR text could not carry: "$" matches before a final newline
+        (
+            [ConvBlock("a\n", 3, 8, 3, 3, excluded=True),
+             ConvBlock("b", 8, 8, 3, 3, stage=1, excluded=True)],
+            [("a\n", "b")],
+            "invalid block name 'a\\n'",
         ),
     ],
 )

@@ -35,10 +35,8 @@ from conftest import (
 )
 
 
-def _tally(name, plus, minus, total):
-    return SeparationTally(
-        layer_name=name, n_plus=plus, n_minus=minus, n_ties=total - plus - minus, n_total=total
-    )
+def _tally(plus, minus, total):
+    return SeparationTally(n_plus=plus, n_minus=minus, n_ties=total - plus - minus, n_total=total)
 
 
 def _chain_terms(tallied, total, excluded=()):
@@ -50,7 +48,7 @@ def _chain_terms(tallied, total, excluded=()):
     ir = chain_ir([16] * (len(tallied) + 1))
     ir = NetworkIR([dataclasses.replace(b, excluded=b.excluded or b.name in excluded)
                     for b in ir.blocks], ir.edges)
-    tallies = {f"conv{i}": _tally(f"conv{i}", plus, minus, total)
+    tallies = {f"conv{i}": _tally(plus, minus, total)
                for i, (plus, minus) in enumerate(tallied, start=1)}
     return block_terms(ir, tallies)
 
@@ -120,10 +118,10 @@ def _plan_for(plus, minus, subsequent_ratio=0.625, lam=0.25):
     n = 16
     sub = int(subsequent_ratio * n)
     tallies = {
-        "conv1": _tally("conv1", plus, minus, n),
-        "conv2": _tally("conv2", sub, 0, n),
-        "conv3": _tally("conv3", sub, 0, n),
-        "conv4": _tally("conv4", 0, 0, n),
+        "conv1": _tally(plus, minus, n),
+        "conv2": _tally(sub, 0, n),
+        "conv3": _tally(sub, 0, n),
+        "conv4": _tally(0, 0, n),
     }
     return build_plan(ir, tallies, lam)
 
@@ -148,13 +146,13 @@ def test_build_plan_excludes_first_and_last():
 
 def test_build_plan_tally_mismatch():
     ir = chain_ir([16] * 4)
-    tallies = {"conv1": _tally("conv1", 0, 0, 16)}
+    tallies = {"conv1": _tally(0, 0, 16)}
     with pytest.raises(PlanError, match="no tally for block conv2"):
         build_plan(ir, tallies, 0.25)
     tallies = {
-        "conv1": _tally("conv1", 0, 0, 16),
-        "conv2": _tally("conv2", 0, 0, 16),
-        "ghost": _tally("ghost", 0, 0, 16),
+        "conv1": _tally(0, 0, 16),
+        "conv2": _tally(0, 0, 16),
+        "ghost": _tally(0, 0, 16),
     }
     with pytest.raises(PlanError, match="unknown block 'ghost'"):
         build_plan(ir, tallies, 0.25)
@@ -180,7 +178,7 @@ def test_factors_come_from_block_terms(seed, lam):
     m = int(rng.integers(2, 7))
     length = int(rng.integers(3, 9))
     ir = chain_ir([m * 8] * length)
-    tallies = {t.layer_name: t for t in random_chain_tallies(rng, m, length) if t is not None}
+    tallies = dict(random_chain_tallies(rng, m, length))
     terms = block_terms(ir, tallies)
     assert list(terms) == [b.name for b in ir.blocks if not b.excluded]
     for name, t in terms.items():
@@ -220,7 +218,7 @@ def test_one_set_of_terms_serves_every_lambda(seed, lams):
     for b in ir.blocks:
         plus = int(rng.integers(0, offdiag + 1))
         minus = int(rng.integers(0, offdiag - plus + 1))
-        tallies[b.name] = _tally(b.name, plus, minus, total)
+        tallies[b.name] = _tally(plus, minus, total)
     terms = block_terms(ir, tallies)
     for lam in lams:
         try:
@@ -241,13 +239,13 @@ def test_one_set_of_terms_serves_every_lambda(seed, lams):
 def test_lambda_upper_bound_single_case_b_layer():
     # conv1 is case b with terms 0.3 (plus) and 0.1 (minus); conv2, which
     # provides its xi, sits in the final window position and has xi 0
-    tallies = {"conv1": _tally("conv1", 60, 20, 100), "conv2": _tally("conv2", 50, 0, 100)}
+    tallies = {"conv1": _tally(60, 20, 100), "conv2": _tally(50, 0, 100)}
     plan = build_plan(chain_ir([16] * 4), tallies, 0.25)
     assert plan.lambda_o == pytest.approx(0.3)
 
 
 def test_lambda_upper_bound_all_zero():
-    tallies = {f"conv{i}": _tally(f"conv{i}", 0, 0, 16) for i in range(1, 4)}
+    tallies = {f"conv{i}": _tally(0, 0, 16) for i in range(1, 4)}
     assert build_plan(chain_ir([16] * 5), tallies, 0.25).lambda_o == 0.0
 
 
@@ -269,10 +267,10 @@ def test_stage_ratios_average_within_stage():
     ]
     edges = [("in0", "a1"), ("a1", "m1"), ("a1", "m2"), ("m1", "t1"), ("m2", "t1")]
     tallies = {
-        "a1": _tally("a1", 16, 0, 16),
-        "m1": _tally("m1", 8, 0, 16),
-        "m2": _tally("m2", 4, 0, 16),
-        "t1": _tally("t1", 16, 0, 16),
+        "a1": _tally(16, 0, 16),
+        "m1": _tally(8, 0, 16),
+        "m2": _tally(4, 0, 16),
+        "t1": _tally(16, 0, 16),
     }
     terms = block_terms(NetworkIR(blocks, edges), tallies)
     assert terms["a1"] == BlockTerms("b", 0.375, 0.0)
@@ -369,7 +367,7 @@ def test_small_lambda_stretch_reads_back():
     # conv1's x+ is 1/256, so at lambda 1.7e-9 it stretches by 2,297,794
     # steps, and the float 1 + lambda*k lies 6.5e-8 steps off a whole count
     ir = chain_ir([16] * 4)
-    tallies = {f"conv{i}": _tally(f"conv{i}", 1, 0, 16) for i in (1, 2, 3)}
+    tallies = {f"conv{i}": _tally(1, 0, 16) for i in (1, 2, 3)}
     plan = build_plan(ir, tallies, 1.7e-9)
     assert plan.per_block["conv1"].stretch == 1.0 + 1.7e-9 * 2_297_794
     assert parse_plan(serialize_plan(plan)).per_block == plan.per_block
@@ -395,7 +393,7 @@ def test_every_plan_the_planner_writes_reads_back(seed, data):
     for b in ir.blocks:
         plus = data.draw(st.integers(0, offdiag))
         minus = 0 if minus_free else data.draw(st.integers(0, offdiag - plus))
-        tallies[b.name] = _tally(b.name, plus, minus, total)
+        tallies[b.name] = _tally(plus, minus, total)
     top = 2 * lambda_o(block_terms(ir, tallies)) or 1.0  # any positive lambda_o exceeds 1e-4
     # log10 lambda, often in the decades where the float 1 + lambda*k keeps
     # only some of the digits of k
@@ -424,7 +422,7 @@ def test_every_plan_the_planner_writes_reads_back(seed, data):
 def test_subnormal_lambda_is_refused_as_too_small(lam, message):
     # conv1 and conv2 tally 1 plus and 0 minus of 16: only the stretch floors x/lambda
     ir = chain_ir([16] * 4)
-    tallies = {f"conv{i}": _tally(f"conv{i}", 1, 0, 16) for i in (1, 2)}
+    tallies = {f"conv{i}": _tally(1, 0, 16) for i in (1, 2)}
     if message is None:
         assert build_plan(ir, tallies, lam).per_block["conv1"].stretch > 1.0
     else:
@@ -438,9 +436,7 @@ def test_split_factors_non_increasing_in_lambda():
         m = int(rng.integers(2, 7))
         length = int(rng.integers(3, 9))
         ir = chain_ir([m * 8] * length)
-        tallies = {
-            t.layer_name: t for t in random_chain_tallies(rng, m, length) if t is not None
-        }
+        tallies = dict(random_chain_tallies(rng, m, length))
         grid = np.linspace(0.02, 1.0, 25)
         prev_splits = None
         for lam in grid:
@@ -458,13 +454,13 @@ def test_lambda_o_closes_every_factor():
         m = int(rng.integers(2, 7))
         length = int(rng.integers(3, 9))
         seq = random_chain_tallies(rng, m, length)
-        tallies = {t.layer_name: t for t in seq if t is not None}
+        tallies = dict(seq)
         ir = chain_ir([m * 8] * length)
         plan = build_plan(ir, tallies, 0.25)
         if plan.lambda_o <= 0:
             continue
         done += 1
-        per_layer = {i + 1: (t.n_plus, t.n_minus) for i, t in enumerate(seq) if t is not None}
+        per_layer = {layer: (t.n_plus, t.n_minus) for layer, (_, t) in enumerate(seq, start=2)}
         bound = _rational_plan(per_layer, m, length, Fraction(1, 4))[1]
         assert plan.lambda_o == pytest.approx(float(bound), rel=1e-12)
         closed = build_plan(ir, tallies, plan.lambda_o * (1 + 1e-9))
@@ -513,12 +509,10 @@ def test_build_plan_matches_exact_rational_oracle():
         m = int(rng.integers(2, 7))
         length = int(rng.integers(3, 9))
         seq = random_chain_tallies(rng, m, length)
-        per_layer = {
-            i + 1: (t.n_plus, t.n_minus) for i, t in enumerate(seq) if t is not None
-        }
+        per_layer = {layer: (t.n_plus, t.n_minus) for layer, (_, t) in enumerate(seq, start=2)}
         lam = lam_grid[int(rng.integers(0, len(lam_grid)))]
         ir = chain_ir([m * 8] * length)
-        tallies = {t.layer_name: t for t in seq if t is not None}
+        tallies = dict(seq)
         plan = build_plan(ir, tallies, float(lam))
         oracle, bound = _rational_plan(per_layer, m, length, lam)
         for layer_1based, (stretch, split, case) in oracle.items():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from collections.abc import Mapping
 from typing import NamedTuple
@@ -139,8 +140,8 @@ def test_tally_boundary_is_tie():
 
 
 def test_tally_sum_invariant_enforced():
-    with pytest.raises(ValueError, match="!="):
-        SeparationTally(layer_name="x", n_plus=1, n_minus=1, n_ties=1, n_total=4)
+    with pytest.raises(ValueError, match=re.escape("tally counts 1+1+1 != 4")):
+        SeparationTally(n_plus=1, n_minus=1, n_ties=1, n_total=4)
 
 
 def _tally_oracle(prev, cur, tol):
@@ -315,9 +316,7 @@ def eager_network_statistics(ir, means_by_layer, tie_tol=1e-6, strict=False):
         else:
             stacked = np.concatenate([means_by_layer[p] for p in preds], axis=1)
             prev_matrix = stacked_of[preds] = _eager_correlation("+".join(preds), stacked, strict)
-        tallies[b.name] = separation_tally(
-            prev_matrix, matrix_of[b.name], tie_tol=tie_tol, layer_name=b.name
-        )
+        tallies[b.name] = separation_tally(prev_matrix, matrix_of[b.name], tie_tol=tie_tol)
     return matrix_of, tallies
 
 

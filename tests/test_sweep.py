@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convrefine import cli
-from convrefine.netir import ConvBlock, NetworkIR, auto_excluded, param_count, parse_network
+from convrefine.netir import ConvBlock, NetworkIR, param_count, parse_network
 from convrefine.planner import block_terms, lambda_o, plan_from_terms
 from convrefine.rewriter import apply_plan
 from convrefine.sepstats import SeparationTally
@@ -70,9 +70,8 @@ def grouped_irs(draw):
             blocks.append(ConvBlock(name, in_ch, out, kernel, kernel, group, stage,
                                     draw(st.booleans())))
             edges.extend((p.name, name) for p in preds)
-    flagged = auto_excluded(blocks, edges)
     blocks = [ConvBlock(b.name, b.in_channels, b.out_channels, b.kernel_h, b.kernel_w, b.group,
-                        b.stage, b.has_bias, b.name in flagged or draw(st.integers(0, 4)) == 0)
+                        b.stage, b.has_bias, draw(st.integers(0, 4)) == 0)
               for b in blocks]
     return NetworkIR(blocks, edges)
 
@@ -87,7 +86,7 @@ def tallies_for(draw, ir):
             continue
         plus = draw(st.integers(0, offdiag))
         minus = draw(st.integers(0, offdiag - plus))
-        tallies[b.name] = SeparationTally(b.name, plus, minus, total - plus - minus, total)
+        tallies[b.name] = SeparationTally(plus, minus, total - plus - minus, total)
     return tallies
 
 
@@ -146,8 +145,8 @@ def test_grid_rows_match_the_per_lambda_loop(data):
         check_factors(ir, terms, want[0])
 
 
-def _tally(name, plus, minus, total=16):
-    return SeparationTally(name, plus, minus, total - plus - minus, total)
+def _tally(plus, minus, total=16):
+    return SeparationTally(plus, minus, total - plus - minus, total)
 
 
 # Two primes whose product is just inside u32: block a's width must be a
@@ -160,7 +159,7 @@ block c in={P * Q} out={Q} k=3x3 group={Q} stage=1 prev=a bias
 block d in={P + Q} out=8 k=1x1 group=1 stage=2 prev=b,c
 block e in=8 out=8 k=1x1 group=1 stage=3 prev=d
 """
-COPRIME_TALLIES = {"b": _tally("b", 2, 12), "c": _tally("c", 1, 13), "d": _tally("d", 12, 2)}
+COPRIME_TALLIES = {"b": _tally(2, 12), "c": _tally(1, 13), "d": _tally(12, 2)}
 
 # b and c fill d's in-width to the u32 bound; at lambda 0.5 b stretches by
 # 1.5 and stays inside it, but their concatenation does not
@@ -171,7 +170,7 @@ block c in=8 out={2**31 - 1} k=1x1 group=1 stage=1 prev=a
 block d in={2**32 - 1} out=8 k=1x1 group=1 stage=2 prev=b,c
 block e in=8 out=8 k=1x1 group=1 stage=3 prev=d
 """
-CONCAT_TALLIES = {"b": _tally("b", 12, 2), "c": _tally("c", 1, 2), "d": _tally("d", 12, 2)}
+CONCAT_TALLIES = {"b": _tally(12, 2), "c": _tally(1, 2), "d": _tally(12, 2)}
 
 # b feeds no block, so only its own width leaves u32 when it stretches by 1.5
 DEAD_END_IR = f"""\
@@ -181,7 +180,7 @@ block c in=8 out=8 k=1x1 group=1 stage=1 prev=a
 block d in=8 out=8 k=1x1 group=1 stage=2 prev=c
 block e in=8 out=8 k=1x1 group=1 stage=3 prev=d
 """
-DEAD_END_TALLIES = {"b": _tally("b", 12, 2), "c": _tally("c", 1, 2), "d": _tally("d", 12, 2)}
+DEAD_END_TALLIES = {"b": _tally(12, 2), "c": _tally(1, 2), "d": _tally(12, 2)}
 
 
 @pytest.mark.parametrize("text, tallies, lam, error, warning", [

@@ -1,22 +1,30 @@
-"""Every malformed IR, plan or manifest ends in its format's error, naming the file.
+"""Every malformed IR, plan, manifest or synth profile ends in an error naming the file.
 
-Inputs are small soups of each grammar's own tokens plus separators, comment
-marks, empty values and non-ASCII text.  A parser either succeeds or raises
-its ValueError subclass, whose message starts with the source name and, for
-an error on one line, with ``<source>:<n>:`` for a record line n (neither
-blank nor a ``#`` comment).
+Text inputs are small soups of each grammar's own tokens plus separators,
+comment marks, empty values and non-ASCII text.  A parser either succeeds or
+raises its ValueError subclass, whose message starts with the source name
+and, for an error on one line, with ``<source>:<n>:`` for a record line n
+(neither blank nor a ``#`` comment).  Synth profiles are valid small
+profiles mutated key by key, run through the command line.
 """
 
+import contextlib
+import io
+import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convrefine.cli import main
 from convrefine.featio import (
     ManifestError,
     TensorFormatError,
-    load_manifest,
+    scan_manifest,
     write_labels_file,
     write_tensor_file,
 )
@@ -93,10 +101,99 @@ def test_manifest_soup_fails_only_with_file_and_line(dump_dir, text):
     path = dump_dir / "m.txt"
     path.write_text(text, encoding="utf-8")
     try:
-        load_manifest(path)
+        dict(scan_manifest(path))
     except ManifestError as exc:
         # lines as the file reads back: a lone "\r" ends a line there
         assert_names_source(str(exc), path, path.read_text(encoding="utf-8"), per_line=None)
     except (TensorFormatError, FileNotFoundError) as exc:
         # the manifest parsed; a file it names is missing or of the wrong kind
         assert str(dump_dir) in str(exc)
+
+
+_DELETE = object()
+
+
+def _bad(*extra):
+    """Values of the wrong type or range for any profile key, plus ``extra``."""
+    return [None, "x", [], {}, True, math.nan, math.inf, -math.inf, -1, 0, *extra]
+
+
+@st.composite
+def mutated_profiles(draw):
+    """A valid profile of at most 4 classes, 4 images a class and width 16,
+    with up to two of its keys deleted or given a bad value.
+
+    No value asks for more: a bad count or width is small, and only the
+    float keys (noise, rho, matrix entries) get huge values.
+    """
+    def sample(values):
+        return draw(st.sampled_from(values))
+
+    m = draw(st.integers(2, 4))
+    identity = np.eye(m).tolist()
+    layers = []
+    for i in range(draw(st.integers(1, 3))):
+        layer = {"name": f"l{i}", "width": draw(st.integers(m + 1, 16))}
+        if draw(st.booleans()):
+            layer["rho"] = draw(st.floats(-0.2, 0.9))
+        else:
+            layer["matrix"] = identity
+        layers.append(layer)
+    profile = {"num_classes": m, "images_per_class": draw(st.integers(1, 4)), "layers": layers}
+    if draw(st.booleans()):
+        profile["noise"] = sample([0.0, 0.05, 1.0, 1e39])  # 1e39 overflows float32
+
+    def nudged(i, j, value):
+        rows = [list(row) for row in identity]
+        rows[i][j] = value
+        return rows
+
+    bad = {
+        "num_classes": _bad(1, 2.5, "3", 8),
+        "images_per_class": _bad(4, "2", 1.5),
+        "noise": _bad(1e39, 1e308, -1e-9, 0.0),
+        "layers": _bad([None], ["x"], [{}]),
+        "name": _bad("", "a b", "a\n", "é", "l0"),  # "l0" is a duplicate past layer 0
+        "width": _bad(1, m, "8", 16),
+        "rho": _bad(-0.9, 1.0, 1.5, 1e39, -1e39),
+        "matrix": _bad(
+            identity[:-1], [row + [0.0] for row in identity] + [[0.0] * (m + 1)],
+            [identity[0], identity[1][:-1], *identity[2:]], identity[0], [identity],
+            nudged(0, 1, 0.5), nudged(0, 0, 2.0), nudged(0, 1, math.nan),
+            nudged(1, 1, math.inf), [[v if (i, j) != (0, 1) else "x" for j, v in enumerate(row)]
+                                     for i, row in enumerate(identity)],
+            [[1e39 if i != j else 1.0 for j in range(m)] for i in range(m)],
+            [[-1.0 if i != j else 1.0 for j in range(m)] for i in range(m)],
+        ),
+    }
+    spots = [(holder, key) for holder in (profile, *layers) for key in holder]
+    spots.append((profile, "noise"))  # also when it was left out
+    for _ in range(sample([0, 1, 1, 2])):
+        holder, key = sample(spots)
+        value = sample([_DELETE, *bad[key]])
+        if value is _DELETE:
+            holder.pop(key, None)
+        else:
+            holder[key] = value
+    if draw(st.integers(0, 5)) == 0:  # a layer with both targets
+        layers[0].update(rho=0.1, matrix=identity)
+    return profile
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_profiles(), st.booleans())
+def test_synth_fuzz_fails_only_naming_the_profile(profile, flat):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "profile.json", Path(tmp) / "dumps"
+        path.write_text(json.dumps(profile))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            rc = main(["synth", "--profile", str(path), "--out", str(out), *(["--flat"] if flat else [])])
+    err = stderr.getvalue()
+    if rc == 0:
+        assert err == ""
+        return
+    assert rc == 1 and err.count("\n") == 1, err
+    # a huge noise overflows float32 only when a dump is written
+    refused = rf"error: {re.escape(str(out))}/l\d\.atns: refusing to write non-finite values\n"
+    assert err.startswith(f"error: {path}: ") or re.fullmatch(refused, err), err
