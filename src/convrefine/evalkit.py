@@ -226,13 +226,32 @@ def _profile_field(obj, key: str, where: str, kind=None):
 
 
 def _int_at_least(low: int, rule: str):
-    """Converter of an integer field that must be at least ``low``, as ``rule`` says."""
+    """Converter of a JSON integer field that must be at least ``low``, as ``rule`` says."""
     def convert(value) -> int:
-        n = int(value)
-        if n < low:
+        if type(value) is not int:  # also refuses bool
+            raise ValueError("expected a JSON integer")
+        if value < low:
             raise ValueError(rule)
-        return n
+        return value
     return convert
+
+
+def _number(value) -> float:
+    """A JSON number as a float; strings and booleans are refused."""
+    if type(value) not in (int, float):
+        raise ValueError("expected a JSON number")
+    return float(value)
+
+
+def _numbers(value) -> np.ndarray:
+    """Nested lists of JSON numbers as a float64 array."""
+    nodes = [value]
+    for node in nodes:  # grows while it is walked, so every nesting level is seen
+        if isinstance(node, list):
+            nodes.extend(node)
+        else:
+            _number(node)
+    return np.asarray(value, dtype=np.float64)
 
 
 def load_profile(path) -> SynthProfile:
@@ -240,13 +259,14 @@ def load_profile(path) -> SynthProfile:
 
     Schema: {"num_classes": M, "images_per_class": n, "noise": optional,
     "layers": [{"name": ..., "width": ..., "rho": r | "matrix": [[...]]}]}.
-    A missing or wrongly typed key raises ValueError naming the file and
-    the key, as do fewer than 2 classes or 1 image per class, a width not
-    above M, a negative or non-finite noise, an M x n image count beyond
-    the labels file's u32, and a layer name that is not a unique block
-    name.  Nothing of size M x M is built before M is checked.  Bytes that
-    are not UTF-8 name the file; text that is not JSON names the file and
-    the line.
+    Counts and widths must be JSON integers; noise, rho and matrix entries
+    JSON numbers, never strings or booleans.  A missing or wrongly typed
+    key raises ValueError naming the file and the key, as do fewer than 2
+    classes or 1 image per class, a width not above M, a negative or
+    non-finite noise, an M x n image count beyond the labels file's u32,
+    and a layer name that is not a unique block name.  Nothing of size
+    M x M is built before M is checked.  Bytes that are not UTF-8 name the
+    file; text that is not JSON names the file and the line.
     """
     try:
         raw = json.loads(read_text(path))
@@ -273,15 +293,13 @@ def load_profile(path) -> SynthProfile:
         width = _profile_field(entry, "width", where, _int_at_least(
             m + 1, f"too small for {m} classes, need at least {m + 1}"))
         if "matrix" in entry:
-            target = _profile_field(
-                entry, "matrix", where, lambda v: np.asarray(v, dtype=np.float64)
-            )
+            target = _profile_field(entry, "matrix", where, _numbers)
         elif "rho" in entry:
-            target = uniform_target(m, _profile_field(entry, "rho", where, float))
+            target = uniform_target(m, _profile_field(entry, "rho", where, _number))
         else:
             raise ValueError(f"{where}: profile has no 'rho' or 'matrix' key")
         layers[name] = SynthLayer(name=name, width=width, target=target)
-    noise = _profile_field(raw, "noise", str(path), float) if "noise" in raw else 0.05
+    noise = _profile_field(raw, "noise", str(path), _number) if "noise" in raw else 0.05
     if not 0 <= noise < math.inf:
         raise ValueError(f"{path}: bad value {raw['noise']!r} for 'noise': must be finite, >= 0")
     return SynthProfile(

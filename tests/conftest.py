@@ -1,14 +1,14 @@
 import math
 import struct
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import oracle
 import pytest
 
 from convrefine import featio
-from convrefine.netir import ConvBlock, NetworkIR
-from convrefine.planner import _FLOOR_SNAP, PlanEntry, RefinementPlan
+from convrefine.netir import ConvBlock, NetworkIR, serialize_network
+from convrefine.planner import PlanEntry, RefinementPlan
 from convrefine.sepstats import SeparationTally
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -40,13 +40,20 @@ def reference_csv(rows) -> str:
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
 
 
-def snapped_floor(x: float, lam: float) -> int:
-    """floor(x / lam) in exact arithmetic, snapped as the planner snaps."""
-    q = Fraction(x) / Fraction(lam)
-    nearest = round(q)
-    if abs(q - nearest) <= Fraction(_FLOOR_SNAP) * max(1, abs(q)):
-        return nearest
-    return math.floor(q)
+def tally(plus, minus, total=16):
+    """A SeparationTally whose pairs that neither separate nor merge are ties."""
+    return SeparationTally(plus, minus, total - plus - minus, total)
+
+
+def exact_terms(ir, tallies):
+    """bench/oracle.py's exact {block: (x+, x-, case)} of ``ir``, None where excluded.
+
+    The oracle reads the IR's text, so it derives the exclusions itself.
+    """
+    return oracle.block_terms(
+        oracle.parse_ir(serialize_network(ir)),
+        {n: oracle.Tally(t.n_plus, t.n_minus, t.n_ties, t.n_total, 0) for n, t in tallies.items()},
+    )
 
 
 def identity_plan(ir, lam=0.25):
@@ -99,7 +106,7 @@ def random_chain_tallies(rng, num_classes, num_stages):
     for i in range(1, num_stages):
         plus = int(rng.integers(0, offdiag + 1))
         minus = int(rng.integers(0, offdiag - plus + 1))
-        out.append((f"conv{i}", SeparationTally(plus, minus, total - plus - minus, total)))
+        out.append((f"conv{i}", tally(plus, minus, total)))
     return out
 
 
@@ -111,7 +118,7 @@ def random_split_only_tallies(rng, num_classes, num_stages):
     for i in range(1, num_stages):
         minus = int(rng.integers(1, offdiag + 1))
         plus = int(rng.integers(0, min(minus, offdiag - minus + 1)))
-        out.append((f"conv{i}", SeparationTally(plus, minus, total - plus - minus, total)))
+        out.append((f"conv{i}", tally(plus, minus, total)))
     return out
 
 

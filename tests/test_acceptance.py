@@ -4,13 +4,13 @@ Each criterion runs at its stated tolerance and time budget and prints one
 PASS/FAIL line (visible with ``pytest -s`` or in captured output).
 """
 
-import math
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 import numpy as np
+import oracle
 import pytest
 
 from convrefine.evalkit import (
@@ -31,20 +31,17 @@ from convrefine.featio import (
 from convrefine.netir import ConvBlock, param_count, parse_network, serialize_network
 from convrefine.planner import PlanEntry, build_plan
 from convrefine.rewriter import apply_plan
-from convrefine.sepstats import (
-    SeparationTally,
-    correlation_layer,
-    network_statistics,
-    separation_tally,
-)
+from convrefine.sepstats import correlation_layer, network_statistics, separation_tally
 
 from conftest import (
     chain_ir,
     class_means,
+    exact_terms,
     is_identity,
     random_chain_tallies,
     random_ir,
     random_split_only_tallies,
+    tally,
 )
 
 
@@ -61,20 +58,16 @@ def criterion(number, label, budget_s):
     assert elapsed < budget_s, f"criterion {number} exceeded its {budget_s}s budget"
 
 
-def _tally(plus, minus, total):
-    return SeparationTally(n_plus=plus, n_minus=minus, n_ties=total - plus - minus, n_total=total)
-
-
 def test_criterion_1_equivalence_point():
     with criterion(1, "split 2 and stretch 1.25 coincide at term 0.25, lambda 0.25", 1.0):
         # one block carrying equal tallies whose term lands exactly on 0.25:
         # n+/nT = n-/nT = 0.375 and xi = 2/3 from the three subsequent stages
         ir = chain_ir([16] * 6)
         tallies = {
-            "conv1": _tally(6, 6, 16),
-            "conv2": _tally(12, 0, 16),
-            "conv3": _tally(12, 0, 16),
-            "conv4": _tally(8, 0, 16),
+            "conv1": tally(6, 6, 16),
+            "conv2": tally(12, 0, 16),
+            "conv3": tally(12, 0, 16),
+            "conv4": tally(8, 0, 16),
         }
         plan = build_plan(ir, tallies, 0.25)
         entry = plan.per_block["conv1"]
@@ -136,48 +129,21 @@ def test_criterion_3_group_arithmetic_anchor():
         assert param_count(refined)["conv_2"] * 2 == param_count(ir)["conv_2"]
 
 
-def _rational_reference(per_layer, num_classes, num_layers, lam):
-    total = num_classes * num_classes
-
-    def xi_exact(l):
-        terms = [Fraction(per_layer[i][0], total) for i in range(l + 1, num_layers)]
-        return sum(terms) / len(terms) if terms else Fraction(0)
-
-    out = {}
-    bound = []
-    for l in range(2, num_layers):
-        n_plus, n_minus = per_layer[l]
-        x = xi_exact(l)
-        x_plus = Fraction(n_plus, total) * x
-        x_minus = Fraction(n_minus, total) * x
-        split = 2 ** math.floor(x_minus / lam)
-        if n_plus < n_minus:
-            out[l] = (Fraction(1), split, "a")
-            bound.append(x_minus)
-        else:
-            out[l] = (1 + lam * math.floor(x_plus / lam), split, "b")
-            bound.extend((x_plus, x_minus))
-    return out, max(bound) if bound else Fraction(0)
-
-
 def test_criterion_4_exact_rational_oracle():
-    with criterion(4, "planner matches exact-rational reference on 1000 instances", 30.0):
+    with criterion(4, "planner matches bench/oracle.py's exact plan on 1000 instances", 30.0):
         rng = np.random.default_rng(4004)
         lam_grid = [Fraction(k, 32) for k in range(1, 41)]
         for _ in range(1000):
             m = int(rng.integers(2, 7))
             length = int(rng.integers(3, 9))
-            seq = random_chain_tallies(rng, m, length)
-            per_layer = {layer: (t.n_plus, t.n_minus) for layer, (_, t) in enumerate(seq, start=2)}
+            tallies = dict(random_chain_tallies(rng, m, length))
             lam = lam_grid[int(rng.integers(0, len(lam_grid)))]
             ir = chain_ir([m * 8] * length)
-            tallies = dict(seq)
             plan = build_plan(ir, tallies, float(lam))
-            reference, bound = _rational_reference(per_layer, m, length, lam)
-            for layer, (stretch, split, case) in reference.items():
-                entry = plan.per_block[f"conv{layer - 1}"]
-                assert entry.case == case
-                assert entry.split == split
+            exact, bound = oracle.exact_plan(exact_terms(ir, tallies), lam)
+            for name, (stretch, split, case) in exact.items():
+                entry = plan.per_block[name]
+                assert (entry.case, entry.split) == (case, split)
                 assert entry.stretch == float(stretch)  # dyadic lambda keeps this exact
             assert plan.lambda_o == pytest.approx(float(bound), rel=1e-12, abs=1e-15)
 
@@ -320,34 +286,26 @@ def test_criterion_8_roundtrips(tmp_path):
             np.testing.assert_array_equal(read_labels_file(lpath), labels)
 
 
-def _precision_oracle(scores, truth, k):
-    tp = fp = 0
-    for i in range(scores.shape[0]):
-        positives = {j for j in range(scores.shape[1]) if truth[i, j]}
-        if not positives:
-            continue
-        ranked = sorted(range(scores.shape[1]), key=lambda j: (-scores[i, j], j))
-        for j in ranked[: min(len(positives), k)]:
-            if j in positives:
-                tp += 1
-            else:
-                fp += 1
-    return tp / (tp + fp)
-
-
 def test_criterion_9_precision_at_k():
-    with criterion(9, "precision@k matches the exhaustive oracle and 5-label reading", 5.0):
+    with criterion(9, "precision@k matches bench/oracle.py's ranking and the 5-label reading",
+                   5.0):
         rng = np.random.default_rng(909)
         for _ in range(300):
             n = int(rng.integers(1, 11))
             m = int(rng.integers(2, 7))
             scores = rng.standard_normal((n, m))
             truth = (rng.random((n, m)) < 0.4).astype(int)
-            truth[int(rng.integers(0, n))] = 1  # keep at least one labelled image
+            row = int(rng.integers(0, n))  # keep at least one labelled image:
+            if rng.random() < 0.5:
+                truth[row] = 1  # one with every label
+            else:
+                truth[row, int(rng.integers(0, m))] = 1  # or one forced label
+            skipped = (truth.sum(axis=1) == 0).any()
             for k in range(1, m + 1):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    assert precision_at_k(scores, truth, k) == _precision_oracle(scores, truth, k)
+                with pytest.warns(UserWarning, match="has no positive labels; skipped") \
+                        if skipped else nullcontext():
+                    got = precision_at_k(scores, truth, k)
+                assert got == float(oracle.precision_exhaustive(scores, truth, k))
         # an image with 5 positive labels and those 5 ranked on top is perfect
         scores = np.array([[0.9, 0.8, 0.7, 0.6, 0.5, 0.1, 0.05, 0.01]])
         truth = np.array([[1, 1, 1, 1, 1, 0, 0, 0]])

@@ -623,11 +623,32 @@ def test_ir_errors_name_the_file(workdir, capsys, text, message):
         ("profile", _target_profile([[1, 0.1, 0.1], [0.1, 1, 0.1], [0.1, 0.1, 1]], rho=-0.9),
          ": layer l2: target correlation matrix is not positive semidefinite"
          " (min eigenvalue -0.8)\n"),
+        # a count must be a JSON integer, and a real value a JSON number
+        *(("profile", json.dumps(dict(PROFILE, **change)).encode(), form)
+          for change, form in [
+              ({"num_classes": "3"},
+               ": bad value '3' for 'num_classes': expected a JSON integer\n"),
+              ({"num_classes": 2.9},
+               ": bad value 2.9 for 'num_classes': expected a JSON integer\n"),
+              ({"images_per_class": True},
+               ": bad value True for 'images_per_class': expected a JSON integer\n"),
+              ({"layers": [{"name": "l1", "width": "8", "rho": 0.2}]},
+               ": layers[0]: bad value '8' for 'width': expected a JSON integer\n"),
+              ({"noise": True}, ": bad value True for 'noise': expected a JSON number\n"),
+              ({"layers": [{"name": "l1", "width": 8, "rho": "0.2"}]},
+               ": layers[0]: bad value '0.2' for 'rho': expected a JSON number\n"),
+          ]),
+        *(("profile", _target_profile(matrix), f": layers[0]: bad value {matrix!r} for 'matrix':"
+                                               " expected a JSON number\n")
+          for matrix in ([[1, "0.5", 0], ["0.5", 1, 0], [0, 0, 1]],
+                         [[True, 0, 0], [0, 1, 0], [0, 0, 1]])),
     ],
     ids=["ir", "plan", "manifest", "profile", "manifest-not-utf8", "profile-not-utf8",
          "profile-one-class", "profile-no-images", "profile-narrow-layer",
          "profile-target-shape", "profile-target-asymmetric", "profile-target-diagonal",
-         "profile-target-range", "profile-target-indefinite"],
+         "profile-target-range", "profile-target-indefinite", "profile-classes-text",
+         "profile-classes-float", "profile-images-bool", "profile-width-text",
+         "profile-noise-bool", "profile-rho-text", "profile-matrix-text", "profile-matrix-bool"],
 )
 def test_text_input_errors_name_file_and_line(workdir, capsys, kind, text, form):
     bad = workdir / "dumps" / f"bad.{kind}"
@@ -734,8 +755,8 @@ def test_synth_profile_missing_key_reported(tmp_path, capsys, drop, where):
         ((), {"noise": -1}, "", "noise"),
         ((), {"noise": float("nan")}, "", "noise"),
         ((), {"noise": float("inf")}, "", "noise"),
-        # 4 x 1e308 images: more than a labels file's u32 count can hold
-        ((), {"images_per_class": 1e308}, "", "images_per_class"),
+        # 4 x 2**30 images: more than a labels file's u32 count can hold
+        ((), {"images_per_class": 2**30}, "", "images_per_class"),
         (("layers", 1), {"name": "a b"}, ": layers[1]", "name"),
         (("layers", 1), {"name": "conv0"}, ": layers[1]", "name"),
     ],

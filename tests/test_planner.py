@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,20 +24,16 @@ from convrefine.planner import (
     serialize_plan,
 )
 from convrefine.rewriter import apply_plan
-from convrefine.sepstats import SeparationTally
 
 from conftest import (
     chain_ir,
+    exact_terms,
     identity_plan,
     is_identity,
     random_chain_tallies,
     random_ir,
-    snapped_floor,
+    tally,
 )
-
-
-def _tally(plus, minus, total):
-    return SeparationTally(n_plus=plus, n_minus=minus, n_ties=total - plus - minus, n_total=total)
 
 
 def _chain_terms(tallied, total, excluded=()):
@@ -48,7 +45,7 @@ def _chain_terms(tallied, total, excluded=()):
     ir = chain_ir([16] * (len(tallied) + 1))
     ir = NetworkIR([dataclasses.replace(b, excluded=b.excluded or b.name in excluded)
                     for b in ir.blocks], ir.edges)
-    tallies = {f"conv{i}": _tally(plus, minus, total)
+    tallies = {f"conv{i}": tally(plus, minus, total)
                for i, (plus, minus) in enumerate(tallied, start=1)}
     return block_terms(ir, tallies)
 
@@ -104,12 +101,13 @@ def test_psi_is_the_exact_snapped_floor_elementwise(pairs):
     xs, lams = (np.array(v) for v in zip(*pairs))
     floors = psi(xs, lams)
     assert floors.dtype == np.float64 and floors.shape == xs.shape
-    want = [snapped_floor(x, lam) for x, lam in pairs]
+    want = [oracle.snapped_floor(Fraction(x) / Fraction(lam)) for x, lam in pairs]
     assert floors.tolist() == want
     assert [psi(x, lam).tolist() for x, lam in pairs] == want
     # broadcasting a column of terms against a row of lambdas
     grid = psi(xs[:, None], lams[None, :])
-    assert grid.tolist() == [[snapped_floor(x, lam) for lam in lams.tolist()] for x in xs.tolist()]
+    assert grid.tolist() == [[oracle.snapped_floor(Fraction(x) / Fraction(lam))
+                              for lam in lams.tolist()] for x in xs.tolist()]
 
 
 def _plan_for(plus, minus, subsequent_ratio=0.625, lam=0.25):
@@ -118,10 +116,10 @@ def _plan_for(plus, minus, subsequent_ratio=0.625, lam=0.25):
     n = 16
     sub = int(subsequent_ratio * n)
     tallies = {
-        "conv1": _tally(plus, minus, n),
-        "conv2": _tally(sub, 0, n),
-        "conv3": _tally(sub, 0, n),
-        "conv4": _tally(0, 0, n),
+        "conv1": tally(plus, minus, n),
+        "conv2": tally(sub, 0, n),
+        "conv3": tally(sub, 0, n),
+        "conv4": tally(0, 0, n),
     }
     return build_plan(ir, tallies, lam)
 
@@ -146,13 +144,13 @@ def test_build_plan_excludes_first_and_last():
 
 def test_build_plan_tally_mismatch():
     ir = chain_ir([16] * 4)
-    tallies = {"conv1": _tally(0, 0, 16)}
+    tallies = {"conv1": tally(0, 0, 16)}
     with pytest.raises(PlanError, match="no tally for block conv2"):
         build_plan(ir, tallies, 0.25)
     tallies = {
-        "conv1": _tally(0, 0, 16),
-        "conv2": _tally(0, 0, 16),
-        "ghost": _tally(0, 0, 16),
+        "conv1": tally(0, 0, 16),
+        "conv2": tally(0, 0, 16),
+        "ghost": tally(0, 0, 16),
     }
     with pytest.raises(PlanError, match="unknown block 'ghost'"):
         build_plan(ir, tallies, 0.25)
@@ -180,17 +178,14 @@ def test_factors_come_from_block_terms(seed, lam):
     ir = chain_ir([m * 8] * length)
     tallies = dict(random_chain_tallies(rng, m, length))
     terms = block_terms(ir, tallies)
-    assert list(terms) == [b.name for b in ir.blocks if not b.excluded]
+    exact = exact_terms(ir, tallies)
+    assert list(terms) == [name for name, e in exact.items() if e is not None]
     for name, t in terms.items():
-        tally = tallies[name]
-        # xi: the mean n_plus/n_total of the later stages, the final one left out
-        stage = ir.block(name).stage
-        window = [tallies[f"conv{i}"].n_plus / tallies[f"conv{i}"].n_total
-                  for i in range(stage + 1, length - 1)]
-        x = sum(window) / len(window) if window else 0.0
-        assert t.x_plus == (tally.n_plus / tally.n_total) * x
-        assert t.x_minus == (tally.n_minus / tally.n_total) * x
-        assert t.case == ("a" if tally.n_plus < tally.n_minus else "b")
+        # the float terms round a few times, on at most six window ratios
+        x_plus, x_minus, case = exact[name]
+        assert (t.x_plus, t.x_minus) == pytest.approx((float(x_plus), float(x_minus)),
+                                                      rel=2**-48, abs=0)
+        assert t.case == case
     past_u32 = [(name, int(psi(t.x_minus, lam))) for name, t in terms.items()
                 if psi(t.x_minus, lam) >= 32]
     if past_u32:  # the first such block in IR order is named, before any split is built
@@ -218,7 +213,7 @@ def test_one_set_of_terms_serves_every_lambda(seed, lams):
     for b in ir.blocks:
         plus = int(rng.integers(0, offdiag + 1))
         minus = int(rng.integers(0, offdiag - plus + 1))
-        tallies[b.name] = _tally(plus, minus, total)
+        tallies[b.name] = tally(plus, minus, total)
     terms = block_terms(ir, tallies)
     for lam in lams:
         try:
@@ -239,13 +234,13 @@ def test_one_set_of_terms_serves_every_lambda(seed, lams):
 def test_lambda_upper_bound_single_case_b_layer():
     # conv1 is case b with terms 0.3 (plus) and 0.1 (minus); conv2, which
     # provides its xi, sits in the final window position and has xi 0
-    tallies = {"conv1": _tally(60, 20, 100), "conv2": _tally(50, 0, 100)}
+    tallies = {"conv1": tally(60, 20, 100), "conv2": tally(50, 0, 100)}
     plan = build_plan(chain_ir([16] * 4), tallies, 0.25)
     assert plan.lambda_o == pytest.approx(0.3)
 
 
 def test_lambda_upper_bound_all_zero():
-    tallies = {f"conv{i}": _tally(0, 0, 16) for i in range(1, 4)}
+    tallies = {f"conv{i}": tally(0, 0, 16) for i in range(1, 4)}
     assert build_plan(chain_ir([16] * 5), tallies, 0.25).lambda_o == 0.0
 
 
@@ -267,10 +262,10 @@ def test_stage_ratios_average_within_stage():
     ]
     edges = [("in0", "a1"), ("a1", "m1"), ("a1", "m2"), ("m1", "t1"), ("m2", "t1")]
     tallies = {
-        "a1": _tally(16, 0, 16),
-        "m1": _tally(8, 0, 16),
-        "m2": _tally(4, 0, 16),
-        "t1": _tally(16, 0, 16),
+        "a1": tally(16, 0, 16),
+        "m1": tally(8, 0, 16),
+        "m2": tally(4, 0, 16),
+        "t1": tally(16, 0, 16),
     }
     terms = block_terms(NetworkIR(blocks, edges), tallies)
     assert terms["a1"] == BlockTerms("b", 0.375, 0.0)
@@ -367,7 +362,7 @@ def test_small_lambda_stretch_reads_back():
     # conv1's x+ is 1/256, so at lambda 1.7e-9 it stretches by 2,297,794
     # steps, and the float 1 + lambda*k lies 6.5e-8 steps off a whole count
     ir = chain_ir([16] * 4)
-    tallies = {f"conv{i}": _tally(1, 0, 16) for i in (1, 2, 3)}
+    tallies = {f"conv{i}": tally(1, 0, 16) for i in (1, 2, 3)}
     plan = build_plan(ir, tallies, 1.7e-9)
     assert plan.per_block["conv1"].stretch == 1.0 + 1.7e-9 * 2_297_794
     assert parse_plan(serialize_plan(plan)).per_block == plan.per_block
@@ -393,7 +388,7 @@ def test_every_plan_the_planner_writes_reads_back(seed, data):
     for b in ir.blocks:
         plus = data.draw(st.integers(0, offdiag))
         minus = 0 if minus_free else data.draw(st.integers(0, offdiag - plus))
-        tallies[b.name] = _tally(plus, minus, total)
+        tallies[b.name] = tally(plus, minus, total)
     top = 2 * lambda_o(block_terms(ir, tallies)) or 1.0  # any positive lambda_o exceeds 1e-4
     # log10 lambda, often in the decades where the float 1 + lambda*k keeps
     # only some of the digits of k
@@ -422,7 +417,7 @@ def test_every_plan_the_planner_writes_reads_back(seed, data):
 def test_subnormal_lambda_is_refused_as_too_small(lam, message):
     # conv1 and conv2 tally 1 plus and 0 minus of 16: only the stretch floors x/lambda
     ir = chain_ir([16] * 4)
-    tallies = {f"conv{i}": _tally(1, 0, 16) for i in (1, 2)}
+    tallies = {f"conv{i}": tally(1, 0, 16) for i in (1, 2)}
     if message is None:
         assert build_plan(ir, tallies, lam).per_block["conv1"].stretch > 1.0
     else:
@@ -453,75 +448,18 @@ def test_lambda_o_closes_every_factor():
     while done < 100:
         m = int(rng.integers(2, 7))
         length = int(rng.integers(3, 9))
-        seq = random_chain_tallies(rng, m, length)
-        tallies = dict(seq)
+        tallies = dict(random_chain_tallies(rng, m, length))
         ir = chain_ir([m * 8] * length)
         plan = build_plan(ir, tallies, 0.25)
         if plan.lambda_o <= 0:
             continue
         done += 1
-        per_layer = {layer: (t.n_plus, t.n_minus) for layer, (_, t) in enumerate(seq, start=2)}
-        bound = _rational_plan(per_layer, m, length, Fraction(1, 4))[1]
+        bound = oracle.exact_plan(exact_terms(ir, tallies), Fraction(1, 4))[1]
         assert plan.lambda_o == pytest.approx(float(bound), rel=1e-12)
         closed = build_plan(ir, tallies, plan.lambda_o * (1 + 1e-9))
         assert is_identity(closed)
         open_ = build_plan(ir, tallies, plan.lambda_o * 0.999)
         assert not is_identity(open_)
-
-
-def _rational_plan(per_layer, num_classes, num_layers, lam: Fraction):
-    """Straight transcription of the stretch/split equations in exact arithmetic.
-
-    per_layer: dict 1-based layer -> (n_plus, n_minus) for layers 2..L.
-    Layers 1 and L are excluded; factors come out for 2..L-1 only.
-    Returns ({layer: (stretch, split, case)}, lambda_o) as Fractions/ints.
-    """
-    total = num_classes * num_classes
-    L = num_layers
-
-    def xi_exact(l):
-        terms = [Fraction(per_layer[i][0], total) for i in range(l + 1, L)]
-        if not terms:
-            return Fraction(0)
-        return sum(terms) / len(terms)
-
-    out = {}
-    bound_terms = []
-    for l in range(2, L):
-        n_plus, n_minus = per_layer[l]
-        x = xi_exact(l)
-        x_plus = Fraction(n_plus, total) * x
-        x_minus = Fraction(n_minus, total) * x
-        split = 2 ** math.floor(x_minus / lam)
-        if n_plus < n_minus:
-            out[l] = (Fraction(1), split, "a")
-            bound_terms.append(x_minus)
-        else:
-            out[l] = (1 + lam * math.floor(x_plus / lam), split, "b")
-            bound_terms.extend((x_plus, x_minus))
-    return out, max(bound_terms) if bound_terms else Fraction(0)
-
-
-def test_build_plan_matches_exact_rational_oracle():
-    rng = np.random.default_rng(23)
-    lam_grid = [Fraction(k, 32) for k in range(1, 41)]
-    for _ in range(300):
-        m = int(rng.integers(2, 7))
-        length = int(rng.integers(3, 9))
-        seq = random_chain_tallies(rng, m, length)
-        per_layer = {layer: (t.n_plus, t.n_minus) for layer, (_, t) in enumerate(seq, start=2)}
-        lam = lam_grid[int(rng.integers(0, len(lam_grid)))]
-        ir = chain_ir([m * 8] * length)
-        tallies = dict(seq)
-        plan = build_plan(ir, tallies, float(lam))
-        oracle, bound = _rational_plan(per_layer, m, length, lam)
-        for layer_1based, (stretch, split, case) in oracle.items():
-            entry = plan.per_block[f"conv{layer_1based - 1}"]
-            assert entry.case == case
-            assert entry.split == split
-            # lambda is dyadic, so the float stretch is exact
-            assert entry.stretch == float(stretch)
-        assert plan.lambda_o == pytest.approx(float(bound), rel=1e-12, abs=1e-15)
 
 
 def test_identity_plan_is_identity():

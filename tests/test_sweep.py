@@ -5,6 +5,7 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,9 +13,8 @@ from convrefine import cli
 from convrefine.netir import ConvBlock, NetworkIR, param_count, parse_network
 from convrefine.planner import block_terms, lambda_o, plan_from_terms
 from convrefine.rewriter import apply_plan
-from convrefine.sepstats import SeparationTally
 
-from conftest import snapped_floor
+from conftest import tally
 
 
 def reference_rows(ir, terms, grid, lam_o):
@@ -86,7 +86,7 @@ def tallies_for(draw, ir):
             continue
         plus = draw(st.integers(0, offdiag))
         minus = draw(st.integers(0, offdiag - plus))
-        tallies[b.name] = SeparationTally(plus, minus, total - plus - minus, total)
+        tallies[b.name] = tally(plus, minus, total)
     return tallies
 
 
@@ -126,9 +126,10 @@ def check_factors(ir, terms, rows):
             if t is None:
                 assert (stretch, split) == (1.0, 1)
                 continue
-            assert split == 2 ** snapped_floor(t.x_minus, lam)
-            want = 1.0 if t.case == "a" else 1.0 + lam * snapped_floor(t.x_plus, lam)
-            assert stretch == want
+            plus, minus = (oracle.snapped_floor(Fraction(x) / Fraction(lam))
+                           for x in (t.x_plus, t.x_minus))
+            assert split == 2 ** minus
+            assert stretch == (1.0 if t.case == "a" else 1.0 + lam * plus)
 
 
 @settings(max_examples=150, deadline=None)
@@ -145,10 +146,6 @@ def test_grid_rows_match_the_per_lambda_loop(data):
         check_factors(ir, terms, want[0])
 
 
-def _tally(plus, minus, total=16):
-    return SeparationTally(plus, minus, total - plus - minus, total)
-
-
 # Two primes whose product is just inside u32: block a's width must be a
 # multiple of both, and b's and c's groups multiply by their splits.
 P, Q = 65537, 65521
@@ -159,7 +156,7 @@ block c in={P * Q} out={Q} k=3x3 group={Q} stage=1 prev=a bias
 block d in={P + Q} out=8 k=1x1 group=1 stage=2 prev=b,c
 block e in=8 out=8 k=1x1 group=1 stage=3 prev=d
 """
-COPRIME_TALLIES = {"b": _tally(2, 12), "c": _tally(1, 13), "d": _tally(12, 2)}
+COPRIME_TALLIES = {"b": tally(2, 12), "c": tally(1, 13), "d": tally(12, 2)}
 
 # b and c fill d's in-width to the u32 bound; at lambda 0.5 b stretches by
 # 1.5 and stays inside it, but their concatenation does not
@@ -170,7 +167,7 @@ block c in=8 out={2**31 - 1} k=1x1 group=1 stage=1 prev=a
 block d in={2**32 - 1} out=8 k=1x1 group=1 stage=2 prev=b,c
 block e in=8 out=8 k=1x1 group=1 stage=3 prev=d
 """
-CONCAT_TALLIES = {"b": _tally(12, 2), "c": _tally(1, 2), "d": _tally(12, 2)}
+CONCAT_TALLIES = {"b": tally(12, 2), "c": tally(1, 2), "d": tally(12, 2)}
 
 # b feeds no block, so only its own width leaves u32 when it stretches by 1.5
 DEAD_END_IR = f"""\
@@ -180,7 +177,7 @@ block c in=8 out=8 k=1x1 group=1 stage=1 prev=a
 block d in=8 out=8 k=1x1 group=1 stage=2 prev=c
 block e in=8 out=8 k=1x1 group=1 stage=3 prev=d
 """
-DEAD_END_TALLIES = {"b": _tally(12, 2), "c": _tally(1, 2), "d": _tally(12, 2)}
+DEAD_END_TALLIES = {"b": tally(12, 2), "c": tally(1, 2), "d": tally(12, 2)}
 
 
 @pytest.mark.parametrize("text, tallies, lam, error, warning", [
