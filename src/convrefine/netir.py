@@ -17,6 +17,7 @@ their channel concatenation, in the order the ``prev=`` list gives.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -58,8 +59,11 @@ class NetworkIR:
     """A validated DAG of conv blocks.
 
     Construction raises IRValidationError naming the first invariant the
-    blocks and edges violate, then sets the excluded flag on every block
-    :func:`auto_excluded` names; a flag given can only add exclusions.
+    blocks and edges violate, then sets the excluded flag on the blocks the
+    analysis must skip: those fed by the network input, the final stage,
+    and the penultimate stage too when both hold several blocks, i.e. the
+    network ends in an inception-style unit.  A flag given can only add
+    exclusions.
     Blocks are kept in canonical (stage, name) order; edges are kept
     grouped by consumer, preserving the per-consumer predecessor order
     because that order defines how input channels concatenate.  The lookup
@@ -80,8 +84,11 @@ class NetworkIR:
         consumers: dict[str, list[str]] = {}
         for producer, consumer in edges:
             consumers.setdefault(producer, []).append(consumer)
-        flagged = auto_excluded(blocks, edges)
-        blocks = tuple(replace(b, excluded=True) if b.name in flagged and not b.excluded else b
+        last = blocks[-1].stage
+        sizes = Counter(b.stage for b in blocks)
+        tail = last - 1 if sizes[last] >= 2 and sizes[last - 1] >= 2 else last
+        blocks = tuple(replace(b, excluded=True)
+                       if not b.excluded and (b.stage >= tail or b.name not in preds) else b
                        for b in blocks)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "edges", edges)
@@ -101,26 +108,6 @@ class NetworkIR:
 
     def consumers(self, name: str) -> tuple[str, ...]:
         return self._consumers.get(name, ())
-
-
-def auto_excluded(blocks, edges) -> set[str]:
-    """Names of blocks the analysis must skip, derived from structure.
-
-    Skipped are: blocks fed by the network input (no predecessor), blocks in
-    the final stage, and — when the final two stages both hold several blocks,
-    i.e. the network ends in an inception-style unit — the penultimate stage
-    as well.
-    """
-    consumers = {c for _, c in edges}
-    out = {b.name for b in blocks if b.name not in consumers}
-    last = max((b.stage for b in blocks), default=0)
-    by_stage: dict[int, list] = {}
-    for b in blocks:
-        by_stage.setdefault(b.stage, []).append(b)
-    out.update(b.name for b in by_stage.get(last, ()))
-    if last >= 1 and len(by_stage.get(last, ())) >= 2 and len(by_stage.get(last - 1, ())) >= 2:
-        out.update(b.name for b in by_stage[last - 1])
-    return out
 
 
 def validate_network(blocks, edges) -> dict[str, tuple[str, ...]]:
@@ -175,8 +162,7 @@ def validate_network(blocks, edges) -> dict[str, tuple[str, ...]]:
     missing = sorted(set(range(blocks[-1].stage)) - {b.stage for b in blocks})
     if missing:
         raise IRValidationError(
-            f"stage indices must cover 0..{blocks[-1].stage} exactly"
-            f" (missing {missing}, out of range [])"
+            f"stage indices must cover 0..{blocks[-1].stage} exactly (missing {missing})"
         )
 
     preds = {k: tuple(v) for k, v in grouped.items()}

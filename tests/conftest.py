@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import oracle
 import pytest
+from hypothesis import strategies as st
 
 from convrefine import featio
 from convrefine.netir import ConvBlock, NetworkIR, serialize_network
@@ -56,12 +57,11 @@ def exact_terms(ir, tallies):
     )
 
 
-def identity_plan(ir, lam=0.25):
-    """A plan that leaves every block untouched."""
-    entries = {
-        b.name: PlanEntry(stretch=1.0, split=1, case="x" if b.excluded else "b")
-        for b in ir.blocks
-    }
+def plan_of(ir, overrides=(), lam=0.25):
+    """A plan with the entries of ``overrides`` that leaves every other block untouched."""
+    entries = {b.name: PlanEntry(stretch=1.0, split=1, case="x" if b.excluded else "b")
+               for b in ir.blocks}
+    entries.update(overrides)
     return RefinementPlan(per_block=entries, lambda_used=lam, lambda_o=0.0)
 
 
@@ -94,77 +94,102 @@ def chain_ir(widths, in0=3, kernel=3, bias=False, groups=None):
     return NetworkIR(blocks, edges)
 
 
-def random_chain_tallies(rng, num_classes, num_stages):
+def random_chain_tallies(rng, num_classes, num_stages, split_only=False):
     """Random (name, tally) pairs of a chain's blocks conv1.. in stage order.
 
     Stage 0 has no predecessor and so no tally.  The diagonal never moves,
-    so n_plus + n_minus never exceeds M^2 - M.
+    so n_plus + n_minus never exceeds M^2 - M.  With ``split_only``, n_plus
+    < n_minus everywhere, so nothing ever stretches.
     """
     total = num_classes * num_classes
     offdiag = total - num_classes
     out = []
     for i in range(1, num_stages):
-        plus = int(rng.integers(0, offdiag + 1))
-        minus = int(rng.integers(0, offdiag - plus + 1))
+        if split_only:
+            minus = int(rng.integers(1, offdiag + 1))
+            plus = int(rng.integers(0, min(minus, offdiag - minus + 1)))
+        else:
+            plus = int(rng.integers(0, offdiag + 1))
+            minus = int(rng.integers(0, offdiag - plus + 1))
         out.append((f"conv{i}", tally(plus, minus, total)))
     return out
 
 
-def random_split_only_tallies(rng, num_classes, num_stages):
-    """Chain (name, tally) pairs with n_plus < n_minus everywhere: nothing ever stretches."""
-    total = num_classes * num_classes
-    offdiag = total - num_classes
-    out = []
-    for i in range(1, num_stages):
-        minus = int(rng.integers(1, offdiag + 1))
-        plus = int(rng.integers(0, min(minus, offdiag - minus + 1)))
-        out.append((f"conv{i}", tally(plus, minus, total)))
-    return out
+@st.composite
+def network_parts(draw, min_width=1, max_stages=6):
+    """The blocks and edges of a valid IR, shuffled, to be handed to NetworkIR.
 
+    1 to ``max_stages`` stages hold 1-3 blocks each.  A block takes 0-3
+    producers from any earlier stage, so concatenations, skipped stages and
+    inception-style ends all occur; names sort apart from draw order.  Each
+    group is a common divisor, from 1, 2, 3, 4, 5, 9 and 15, of the block's
+    in-width and its producers' widths, the larger of two picks; the
+    out-width is the group times a factor from 1, 2, 3, 5, 6 and 15, at
+    least ``min_width``.  So coprime groups often meet on one producer,
+    where a width must be a multiple of their lcm.  About a fifth of the
+    blocks carry an exclusion flag.
 
-def random_ir(rng, max_stages=4):
-    """Small random DAG; about a fifth of its blocks carry an explicit exclusion flag."""
-    num_stages = int(rng.integers(1, max_stages + 1))
-    blocks = []
-    edges = []
-    prev_stage = []
-    name_idx = 0
-    for stage in range(num_stages):
-        stage_blocks = []
-        for _ in range(int(rng.integers(1, 4))):
-            name = f"b{name_idx}"
-            name_idx += 1
-            if prev_stage and rng.random() < 0.85:
-                k = int(rng.integers(1, len(prev_stage) + 1))
-                picks = list(rng.choice(len(prev_stage), size=k, replace=False))
-                preds = [prev_stage[i] for i in picks]
-            else:
-                preds = []
-            in_ch = sum(p.out_channels for p in preds) if preds else int(rng.integers(1, 9))
-            out_ch = int(rng.integers(1, 9)) * 4
-            divisors = [
-                g for g in (1, 2, 4)
-                if in_ch % g == 0 and out_ch % g == 0
-                and all(p.out_channels % g == 0 for p in preds)
-            ]
-            group = int(rng.choice(divisors))
-            stage_blocks.append(
-                ConvBlock(
-                    name=name,
-                    in_channels=in_ch,
-                    out_channels=out_ch,
-                    kernel_h=int(rng.integers(1, 6)),
-                    kernel_w=int(rng.integers(1, 6)),
-                    group=group,
-                    stage=stage,
-                    has_bias=bool(rng.random() < 0.5),
-                    excluded=bool(rng.random() < 0.2),
-                )
-            )
+    Hypothesis draws the stage sizes, so a failing graph shrinks to the
+    fewest blocks; one seeded Random draws the rest, since a Hypothesis draw
+    per field makes generation four times slower.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=max_stages))
+    rnd = draw(st.randoms(use_true_random=True))
+    blocks, edges = [], []
+    for stage, size in enumerate(sizes):
+        earlier = list(blocks)
+        for _ in range(size):
+            name = rnd.choice(["z", "m", "b-", "_a"]) + str(len(blocks))
+            preds = rnd.sample(earlier, rnd.randint(0, min(3, len(earlier))))
+            in_ch = sum(p.out_channels for p in preds) or \
+                rnd.randint(1, 4) * rnd.choice([1, 3, 5, 15])
+            common = math.gcd(in_ch, *(p.out_channels for p in preds))
+            divisors = [g for g in (1, 2, 3, 4, 5, 9, 15) if common % g == 0]
+            group = max(rnd.choice(divisors), rnd.choice(divisors))
+            unit = group * rnd.choice([1, 2, 3, 5, 6, 15])
+            out = unit * (-(-min_width // unit) + rnd.randint(0, 1))
+            blocks.append(ConvBlock(name, in_ch, out, rnd.randint(1, 5), rnd.randint(1, 5),
+                                    group, stage, rnd.random() < 0.5, rnd.random() < 0.2))
             edges.extend((p.name, name) for p in preds)
-        blocks.extend(stage_blocks)
-        prev_stage = stage_blocks
-    return NetworkIR(blocks, edges)
+    rnd.shuffle(blocks)
+    rnd.shuffle(edges)
+    return blocks, edges
+
+
+def networks(min_width=1, max_stages=6):
+    """Random valid IRs: :func:`network_parts` handed to NetworkIR."""
+    return network_parts(min_width, max_stages).map(lambda parts: NetworkIR(*parts))
+
+
+@st.composite
+def tallies_for(draw, ir):
+    """A tally of M^2 ordered class pairs, M in 2..6, for every block with a predecessor.
+
+    The diagonal never moves, so n_plus + n_minus never exceeds M^2 - M.
+    Now and then no block has a minus count, so that every split is 1.
+    """
+    m = draw(st.integers(2, 6))
+    offdiag = m * m - m
+    minus_free = draw(st.integers(0, 3)) == 0
+    tallies = {}
+    for b in ir.blocks:
+        if ir.predecessors(b.name):
+            plus = draw(st.integers(0, offdiag))
+            minus = 0 if minus_free else draw(st.integers(0, offdiag - plus))
+            tallies[b.name] = tally(plus, minus, m * m)
+    return tallies
+
+
+def enumerated_weights(in_ch, out_ch, group, kh, kw):
+    """Weights of a grouped conv, counted over every connected channel pair."""
+    per_in = in_ch // group
+    per_out = out_ch // group
+    weights = 0
+    for o in range(out_ch):
+        bundle = o // per_out
+        for _ in range(bundle * per_in, (bundle + 1) * per_in):
+            weights += kh * kw
+    return weights
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import oracle
 import pytest
+from hypothesis import given, settings
 
 from convrefine.evalkit import (
     SynthLayer,
@@ -36,11 +37,12 @@ from convrefine.sepstats import correlation_layer, network_statistics, separatio
 from conftest import (
     chain_ir,
     class_means,
+    enumerated_weights,
     exact_terms,
     is_identity,
+    networks,
+    plan_of,
     random_chain_tallies,
-    random_ir,
-    random_split_only_tallies,
     tally,
 )
 
@@ -105,26 +107,10 @@ def test_criterion_3_group_arithmetic_anchor():
         assert param_count(ir)["conv_2"] == 2_973_696
 
         # independent oracle: enumerate every connected channel pair
-        def enumerate_weights(in_ch, out_ch, group, k):
-            per_in, per_out = in_ch // group, out_ch // group
-            total = 0
-            for o in range(out_ch):
-                bundle = o // per_out
-                for _ in range(bundle * per_in, (bundle + 1) * per_in):
-                    total += k * k
-            return total
+        assert enumerated_weights(96, 256, 1, 11, 11) == 2_973_696
+        assert enumerated_weights(96, 256, 2, 11, 11) == 1_486_848
 
-        assert enumerate_weights(96, 256, 1, 11) == 2_973_696
-        assert enumerate_weights(96, 256, 2, 11) == 1_486_848
-
-        from convrefine.planner import RefinementPlan
-
-        plan = RefinementPlan(
-            {"conv_1": PlanEntry(1.0, 1, "x"), "conv_2": PlanEntry(1.0, 2, "a")},
-            lambda_used=0.25,
-            lambda_o=0.0,
-        )
-        refined = apply_plan(ir, plan)
+        refined = apply_plan(ir, plan_of(ir, {"conv_2": PlanEntry(1.0, 2, "a")}))
         assert param_count(refined)["conv_2"] == 1_486_848
         assert param_count(refined)["conv_2"] * 2 == param_count(ir)["conv_2"]
 
@@ -240,7 +226,7 @@ def test_criterion_7_split_monotonicity_and_size():
         while done < 20:
             m = int(rng.integers(2, 7))
             length = int(rng.integers(4, 9))
-            seq = random_split_only_tallies(rng, m, length)
+            seq = random_chain_tallies(rng, m, length, split_only=True)
             tallies = dict(seq)
             ir = chain_ir([1024] * length)
             probe = build_plan(ir, tallies, 0.25)
@@ -264,14 +250,17 @@ def test_criterion_7_split_monotonicity_and_size():
 
 def test_criterion_8_roundtrips(tmp_path):
     with criterion(8, "IR and tensor/label files round-trip on fuzzed inputs", 30.0):
-        rng = np.random.default_rng(808)
-        for _ in range(1000):
-            ir = random_ir(rng)
+        @settings(max_examples=1000, deadline=None)
+        @given(networks())
+        def ir_roundtrips(ir):
             text = serialize_network(ir)
             again = parse_network(text)
             assert again == ir
             assert serialize_network(again) == text
-        for i in range(1000):
+
+        ir_roundtrips()
+        rng = np.random.default_rng(808)
+        for _ in range(1000):
             if rng.random() < 0.5:
                 shape = (int(rng.integers(1, 5)), int(rng.integers(1, 9)))
             else:

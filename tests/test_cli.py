@@ -1,7 +1,6 @@
 import argparse
 import json
 import os
-import pickle
 import re
 import subprocess
 import sys
@@ -945,43 +944,6 @@ def test_analyze_failed_share_is_rewritten(workdir, capsys, monkeypatch, failure
     assert out == f"analyzed 6 layers, 5 tallies -> {workdir / 'cpus2' / 'analysis'}\n"
     assert err == ""
     assert _tree(workdir / "cpus2" / "analysis") == _tree(workdir / "cpus1" / "analysis")
-
-
-class TwoPartError(ValueError):
-    """Pickles, but its one-argument args cannot rebuild it."""
-
-    def __init__(self, layer, what):
-        super().__init__(f"{layer} {what}")
-
-
-@pytest.mark.parametrize("kind", ["unpicklable", "no-round-trip"])
-def test_analyze_child_failure_that_cannot_be_pickled(workdir, capsys, monkeypatch, kind):
-    if kind == "unpicklable":
-        class LocalError(ValueError):
-            pass
-
-        exc = LocalError("conv3 cannot be written")
-        with pytest.raises((pickle.PicklingError, AttributeError)):
-            pickle.dumps(exc)
-    else:
-        exc = TwoPartError("conv3", "cannot be written")
-        with pytest.raises(TypeError):
-            pickle.loads(pickle.dumps(exc))
-    write_csv = sepstats.write_correlation_csv
-
-    def failing_csv(path, matrix):
-        if Path(path).name == "conv3.corr.csv":
-            raise exc
-        write_csv(path, matrix)
-
-    monkeypatch.setattr(sepstats, "write_correlation_csv", failing_csv)
-    errors = []
-    for n in (1, 2):
-        _set_cpus(monkeypatch, n)
-        assert _analyze(workdir, workdir / f"cpus{n}") == 1
-        _no_child_left()
-        errors.append(capsys.readouterr().err)
-    assert errors == ["error: conv3 cannot be written\n"] * 2
 
 
 def test_analyze_fresh_process_matches_in_process(workdir, capsys):

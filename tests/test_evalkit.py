@@ -94,6 +94,10 @@ def test_truth_file_roundtrip(tmp_path):
     path.write_bytes(b"WHAT" + bytes(10))
     with pytest.raises(TensorFormatError, match="bad magic"):
         read_truth_file(path)
+    for bad in ([1, 0], [[1, 2]]):  # rank 1; an entry other than 0 or 1
+        with pytest.raises(ValueError, match="^truth must be a rank-2 array of 0/1$"):
+            write_truth_file(tmp_path / "bad.atmh", bad)
+    assert not (tmp_path / "bad.atmh").exists()
 
 
 def _profile(rhos, m=4, width=16, images=5):
@@ -157,6 +161,15 @@ def test_synth_infeasible_target():
 def test_synth_width_too_small():
     with pytest.raises(ValueError, match="width 4 too small"):
         synth_activations(_profile([0.1], width=4), seed=0)
+
+
+@pytest.mark.parametrize("profile, message", [
+    (_profile([0.1], m=1), "need at least 2 classes"),
+    (_profile([0.1], images=0), "need at least 1 image per class"),
+], ids=["one-class", "no-images"])
+def test_synth_refuses_too_little_data(profile, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        synth_activations(profile, seed=0)
 
 
 def test_synth_identical_layers_tally_all_ties(tmp_path):

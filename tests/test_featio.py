@@ -98,6 +98,15 @@ def test_labels_writer_refuses_labels_past_u32(tmp_path):
     assert read_labels_file(path).tolist() == [2**32 - 1, 3]
 
 
+@pytest.mark.parametrize("labels", [[3, -1], [[0, 1]]], ids=["negative", "rank-2"])
+def test_labels_writer_refuses_what_is_not_a_label_vector(tmp_path, labels):
+    path = tmp_path / "l.atlb"
+    message = f"{path}: labels must be a 1-D array of non-negative integers"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_labels_file(path, np.array(labels))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("shape", [(0, 4), (2, 0), (3, 2, 0, 1), (2**32, 1)],
                          ids=["no-images", "no-channels", "no-rows", "past-u32"])
 def test_tensor_writer_refuses_dims_the_reader_refuses(tmp_path, shape):
@@ -239,6 +248,15 @@ def test_manifest_structural_errors(tmp_path):
     dup.write_text("layer a a.atns\nlayer a a.atns\nlabels l.atlb\n")
     with pytest.raises(ManifestError, match="duplicate layer"):
         dict(scan_manifest(dup))
+    dup.write_text("layer a a.atns\nlabels l.atlb\nlabels l.atlb\n")
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(dup))}:3: duplicate labels line$"):
+        dict(scan_manifest(dup))
+    write_labels_file(tmp_path / "none.atlb", np.array([], dtype=np.int64))
+    unlabelled = tmp_path / "m4.txt"
+    unlabelled.write_text("layer a a.atns\nlabels none.atlb\n")
+    message = f"{tmp_path / 'none.atlb'}: labels file is empty"
+    with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
+        dict(scan_manifest(unlabelled))
 
 
 def _reference_means(tensor, labels, num_classes):

@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
+import math
 import re
 
-import numpy as np
+import oracle
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from convrefine.netir import (
     ConvBlock,
@@ -17,7 +19,7 @@ from convrefine.netir import (
 from convrefine.planner import PlanEntry, RefinementPlan
 from convrefine.rewriter import RewriteError, apply_plan
 
-from conftest import chain_ir
+from conftest import chain_ir, enumerated_weights, network_parts, networks
 
 
 def test_parse_minimal_block():
@@ -99,6 +101,9 @@ def test_parse_syntax_errors_carry_line_numbers():
         parse_network("block conv1 in=3 out=4 k=3 group=1 stage=0\n")
     with pytest.raises(IRSyntaxError, match="duplicate"):
         parse_network("block conv1 in=3 in=3 out=4 k=1x1 group=1 stage=0\n")
+    with pytest.raises(IRSyntaxError, match="^<ir>:1: prev expects block names joined by ',',"
+                                            " got 'a,,b'$"):
+        parse_network("block c in=3 out=4 k=1x1 group=1 stage=1 prev=a,,b\n")
 
 
 def test_validation_errors():
@@ -135,7 +140,8 @@ def test_concat_in_channels():
 
 
 def test_stage_gap_rejected():
-    with pytest.raises(IRValidationError, match="stage indices"):
+    with pytest.raises(IRValidationError,
+                       match=r"^<ir>: stage indices must cover 0\.\.3 exactly \(missing \[2\]\)$"):
         parse_network(
             "block a in=3 out=4 k=1x1 group=1 stage=0\n"
             "block b in=4 out=4 k=1x1 group=1 stage=1 prev=a\n"
@@ -179,18 +185,6 @@ def test_analysis_sequence_retains_excluded_blocks(vgg11_text):
     assert not flags["conv3_1"]
 
 
-def _enumerate_connections(in_ch, out_ch, group, kh, kw):
-    # every connected (input channel, output channel) pair carries kh*kw weights
-    per_in = in_ch // group
-    per_out = out_ch // group
-    weights = 0
-    for o in range(out_ch):
-        g = o // per_out
-        for i in range(g * per_in, (g + 1) * per_in):
-            weights += kh * kw
-    return weights
-
-
 def _block_count(block):
     """param_count of ``block`` alone, as a one-block IR."""
     return param_count(NetworkIR([block], []))[block.name]
@@ -201,8 +195,8 @@ def test_param_count_group_anchor():
     halved = ConvBlock("c", 96, 256, 11, 11, group=2, stage=0, excluded=True)
     assert _block_count(dense) == 2_973_696
     assert _block_count(halved) == 1_486_848
-    assert _block_count(dense) == _enumerate_connections(96, 256, 1, 11, 11)
-    assert _block_count(halved) == _enumerate_connections(96, 256, 2, 11, 11)
+    assert _block_count(dense) == enumerated_weights(96, 256, 1, 11, 11)
+    assert _block_count(halved) == enumerated_weights(96, 256, 2, 11, 11)
 
 
 def test_param_count_bias():
@@ -231,82 +225,69 @@ def test_param_count_scales_exactly_with_group(in_per_group, out_per_group, grou
     dense = ConvBlock("c", in_ch, out_ch, kh, kw, group=1, stage=0, excluded=True)
     assert _block_count(dense) % group == 0
     assert _block_count(grouped) == _block_count(dense) // group
-    assert _block_count(grouped) == _enumerate_connections(in_ch, out_ch, group, kh, kw)
-
-
-def test_fuzzed_roundtrip():
-    from conftest import random_ir
-
-    rng = np.random.default_rng(1234)
-    for _ in range(300):
-        ir = random_ir(rng)
-        text = serialize_network(ir)
-        again = parse_network(text)
-        assert again == ir
-        assert serialize_network(again) == text
-
-
-# Reference lookups: a plain scan of the canonical tuples, which the index
-# must reproduce exactly, order included.
-def _scan_block(ir, name):
-    for b in ir.blocks:
-        if b.name == name:
-            return b
-    raise KeyError(name)
-
-
-def _scan_predecessors(ir, name):
-    return tuple(p for p, c in ir.edges if c == name)
-
-
-def _scan_consumers(ir, name):
-    return tuple(c for p, c in ir.edges if p == name)
+    assert _block_count(grouped) == enumerated_weights(in_ch, out_ch, group, kh, kw)
 
 
 def _assert_lookups_match_scan(ir, names):
+    # the reference: a plain scan of the canonical tuples, which the index
+    # must reproduce exactly, order included
     for name in names:
-        assert ir.predecessors(name) == _scan_predecessors(ir, name)
-        assert ir.consumers(name) == _scan_consumers(ir, name)
-        try:
-            expected = _scan_block(ir, name)
-        except KeyError:
+        assert ir.predecessors(name) == tuple(p for p, c in ir.edges if c == name)
+        assert ir.consumers(name) == tuple(c for p, c in ir.edges if p == name)
+        scanned = [b for b in ir.blocks if b.name == name]
+        if scanned:
+            assert ir.block(name) is scanned[0]
+        else:
             with pytest.raises(KeyError):
                 ir.block(name)
-        else:
-            assert ir.block(name) is expected
 
 
-@st.composite
-def valid_dags(draw):
-    """A valid IR whose blocks and edges are handed over in shuffled order.
-
-    Predecessors come from any earlier stage, in drawn order, and names are
-    unrelated to stages, so (stage, name) sorting and per-consumer edge order
-    both matter.
-    """
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
-    names = iter(draw(st.lists(
-        st.text("abcdef_", min_size=1, max_size=3),
-        min_size=sum(sizes), max_size=sum(sizes), unique=True,
-    )))
-    blocks, edges = [], []
-    for stage, size in enumerate(sizes):
-        earlier = list(blocks)
-        for _ in range(size):
-            name = next(names)
-            preds = []
-            if earlier:
-                preds = draw(st.lists(st.sampled_from(earlier), unique=True, max_size=4))
-            in_ch = sum(p.out_channels for p in preds) or draw(st.integers(1, 8))
-            blocks.append(ConvBlock(name, in_ch, draw(st.integers(1, 8)), 1, 1, stage=stage))
-            edges.extend((p.name, name) for p in preds)
-    blocks = [dataclasses.replace(b, excluded=draw(st.booleans())) for b in blocks]
-    return NetworkIR(draw(st.permutations(blocks)), draw(st.permutations(edges)))
-
-
-@given(valid_dags())
-def test_index_matches_scan_on_random_dags(ir):
+@given(network_parts())
+def test_index_matches_scan_on_random_dags(parts):
+    blocks, edges = parts
+    ir = NetworkIR(blocks, edges)
+    # blocks in (stage, name) order; edges grouped by consumer in block order,
+    # each consumer's producers in the order they were handed over
+    assert [(b.stage, b.name) for b in ir.blocks] == sorted((b.stage, b.name) for b in blocks)
+    assert ir.edges == tuple((p, b.name) for b in ir.blocks for p, c in edges if c == b.name)
+    # excluded: the flags given, and the blocks bench/oracle.py excludes by structure
+    handed = [oracle.IRBlock(*dataclasses.astuple(b), [p for p, c in edges if c == b.name])
+              for b in blocks]
+    assert {b.name for b in ir.blocks if b.excluded} == \
+        oracle.structural_exclusions(handed) | {b.name for b in blocks if b.excluded}
     _assert_lookups_match_scan(ir, [b.name for b in ir.blocks] + ["ghost"])
+
+
+def _stage_sizes(ir):
+    return [sum(b.stage == s for b in ir.blocks) for s in range(ir.num_stages)]
+
+
+def _coprime_consumer_groups(ir):
+    return any(math.gcd(x, y) == 1 < min(x, y) for b in ir.blocks for x, y in
+               itertools.combinations([ir.block(c).group for c in ir.consumers(b.name)], 2))
+
+
+GRAPH_FAMILIES = {
+    "concatenation": lambda ir, parts: any(len(ir.predecessors(b.name)) > 1 for b in ir.blocks),
+    "skipped-stage": lambda ir, parts: any(ir.block(c).stage > ir.block(p).stage + 1
+                                           for p, c in ir.edges),
+    "coprime-groups": lambda ir, parts: _coprime_consumer_groups(ir),
+    "inception-end": lambda ir, parts: min(_stage_sizes(ir)[-2:]) > 1 < ir.num_stages,
+    # a flag that no structural rule would set
+    "explicit-exclusion": lambda ir, parts: any(b.excluded and ir.predecessors(b.name)
+                                                and b.stage < ir.num_stages - 2
+                                                for b in ir.blocks),
+    "non-canonical-order": lambda ir, parts: ([b.name for b in parts[0]]
+                                              != [b.name for b in ir.blocks]
+                                              and tuple(parts[1]) != ir.edges),
+}
+
+
+@pytest.mark.parametrize("family", GRAPH_FAMILIES)
+def test_networks_reach_every_graph_family(family):
+    has = GRAPH_FAMILIES[family]
+    find(network_parts(), lambda parts: has(NetworkIR(*parts), parts),  # any example will do
+         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
 
 
 @pytest.mark.parametrize("fixture", ["vgg11_text", "inception_text"])
@@ -345,6 +326,19 @@ def test_index_matches_scan_on_fixtures(fixture, request):
              ConvBlock("b", 8, 8, 3, 3, stage=1, excluded=True)],
             [("a\n", "b")],
             "invalid block name 'a\\n'",
+        ),
+        # a width of zero; a stage before the first
+        ([ConvBlock("a", 0, 4, 1, 1, excluded=True)], [],
+         "block a: in_channels must be positive, got 0"),
+        ([ConvBlock("a", 3, 4, 1, 1, stage=-1, excluded=True)], [],
+         "block a: stage must be non-negative"),
+        # a group that divides the concatenated width but not one producer's
+        (
+            [ConvBlock("a", 3, 3, 1, 1, excluded=True),
+             ConvBlock("b", 3, 3, 1, 1, excluded=True),
+             ConvBlock("c", 6, 4, 1, 1, group=2, stage=1, excluded=True)],
+            [("a", "c"), ("b", "c")],
+            "block c: group 2 does not divide out_channels 3 of predecessor a",
         ),
     ],
 )
@@ -416,7 +410,7 @@ def plans_for(draw, ir):
 def test_apply_plan_builds_what_full_construction_builds(data):
     # a refined IR is built and validated like any other: it keeps the
     # source's edges and blocks but for widths and groups, and indexes them
-    ir = data.draw(valid_dags())
+    ir = data.draw(networks())
     plan = data.draw(plans_for(ir))
     try:
         got = apply_plan(ir, plan)

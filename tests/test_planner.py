@@ -28,10 +28,11 @@ from convrefine.rewriter import apply_plan
 from conftest import (
     chain_ir,
     exact_terms,
-    identity_plan,
     is_identity,
+    networks,
+    plan_of,
     random_chain_tallies,
-    random_ir,
+    tallies_for,
     tally,
 )
 
@@ -154,6 +155,9 @@ def test_build_plan_tally_mismatch():
     }
     with pytest.raises(PlanError, match="unknown block 'ghost'"):
         build_plan(ir, tallies, 0.25)
+    tallies = {"conv1": tally(0, 0, 16), "conv2": tally(0, 0, 9)}
+    with pytest.raises(PlanError, match=re.escape("tallies disagree on n_total: [9, 16]")):
+        build_plan(ir, tallies, 0.25)
 
 
 def test_split_factor_examples():
@@ -201,19 +205,12 @@ def test_factors_come_from_block_terms(seed, lam):
         assert entry.stretch == (1.0 if t.case == "a" else 1.0 + lam * psi(t.x_plus, lam))
 
 
-@given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.01, 2), min_size=1, max_size=5))
+@given(st.data(), st.lists(st.floats(0.01, 2), min_size=1, max_size=5))
 @settings(max_examples=50)
-def test_one_set_of_terms_serves_every_lambda(seed, lams):
+def test_one_set_of_terms_serves_every_lambda(data, lams):
     # sweep computes block_terms once and plans every grid lambda from it
-    rng = np.random.default_rng(seed)
-    ir = random_ir(rng)
-    m = int(rng.integers(2, 7))
-    total, offdiag = m * m, m * m - m
-    tallies = {}
-    for b in ir.blocks:
-        plus = int(rng.integers(0, offdiag + 1))
-        minus = int(rng.integers(0, offdiag - plus + 1))
-        tallies[b.name] = tally(plus, minus, total)
+    ir = data.draw(networks())
+    tallies = data.draw(tallies_for(ir))
     terms = block_terms(ir, tallies)
     for lam in lams:
         try:
@@ -284,6 +281,8 @@ def test_plan_roundtrip():
 def test_plan_validation():
     with pytest.raises(PlanError, match="power of two"):
         RefinementPlan({"a": PlanEntry(1.0, 3, "a")}, 0.25, 0.0)
+    with pytest.raises(PlanError, match="stretch 0.5 below 1"):
+        RefinementPlan({"a": PlanEntry(0.5, 1, "b")}, 0.25, 0.0)
     with pytest.raises(PlanError, match="forbids stretching"):
         RefinementPlan({"a": PlanEntry(1.25, 2, "a")}, 0.25, 0.0)
     with pytest.raises(PlanError, match="excluded blocks cannot split"):
@@ -325,6 +324,9 @@ def test_lambda_must_be_positive_and_finite(lam):
          "line 3: stretch must be finite, got nan"),
         ("lambda=0.25\nlambda_o=0.5\nplan a stretch=x split=1 case=b\n",
          "line 3: stretch expects a number, got 'x'"),
+        ("lambda=0.25\nlambda=0.5\nlambda_o=0.5\n", "line 2: duplicate lambda"),
+        ("lambda=0.25\nlambda_o=0.5\nplan a stretch=1.0 split=1 case=b\n"
+         "plan a stretch=1.0 split=1 case=a\n", "line 4: duplicate plan entry for a"),
     ],
 )
 def test_parse_plan_rejects_bad_values_with_line(text, message):
@@ -374,21 +376,13 @@ def _names_a_block(message, ir):
 
 
 @pytest.mark.filterwarnings("ignore::convrefine.rewriter.WidthRoundingWarning")
-@given(st.integers(0, 2**32 - 1), st.data())
+@given(st.data())
 @settings(max_examples=200)
-def test_every_plan_the_planner_writes_reads_back(seed, data):
-    rng = np.random.default_rng(seed)
-    ir = random_ir(rng, max_stages=8)
-    m = data.draw(st.integers(2, 6))
-    total, offdiag = m * m, m * m - m
-    # with no minus count anywhere every split is 1, so that a tiny lambda
-    # reaches the stretches instead of a split past u32
-    minus_free = data.draw(st.booleans())
-    tallies = {}
-    for b in ir.blocks:
-        plus = data.draw(st.integers(0, offdiag))
-        minus = 0 if minus_free else data.draw(st.integers(0, offdiag - plus))
-        tallies[b.name] = tally(plus, minus, total)
+def test_every_plan_the_planner_writes_reads_back(data):
+    ir = data.draw(networks(max_stages=8))
+    # now and then no tally has a minus count and every split is 1, so that
+    # a tiny lambda reaches the stretches instead of a split past u32
+    tallies = data.draw(tallies_for(ir))
     top = 2 * lambda_o(block_terms(ir, tallies)) or 1.0  # any positive lambda_o exceeds 1e-4
     # log10 lambda, often in the decades where the float 1 + lambda*k keeps
     # only some of the digits of k
@@ -464,4 +458,4 @@ def test_lambda_o_closes_every_factor():
 
 def test_identity_plan_is_identity():
     ir = chain_ir([8] * 4)
-    assert is_identity(identity_plan(ir))
+    assert is_identity(plan_of(ir))

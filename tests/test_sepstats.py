@@ -5,6 +5,7 @@ from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +21,7 @@ from convrefine.sepstats import (
     write_correlation_pgm,
 )
 
-from conftest import reference_csv
-from test_netir import valid_dags
+from conftest import networks, reference_csv
 
 
 TWO_BLOCKS = parse_network(
@@ -69,6 +69,21 @@ def test_matrix_invariants_random():
 def test_needs_two_hidden_units():
     with pytest.raises(ValueError, match="at least 2 hidden units"):
         correlation_layer("l", [[1.0], [2.0]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: correlation_layer("l", np.ones((2, 3, 1))), "layer l: class means must be rank 2"),
+    (lambda: separation_tally(np.eye(2), np.eye(3)),
+     "matrices must be square and same size, got (2, 2) vs (3, 3)"),
+    (lambda: separation_tally(np.ones((2, 3)), np.ones((2, 3))),
+     "matrices must be square and same size, got (2, 3) vs (2, 3)"),
+    # the counts sum to the total, so only the sign check refuses them
+    (lambda: SeparationTally(n_plus=-1, n_minus=2, n_ties=3, n_total=4),
+     "tally counts must be non-negative, total positive"),
+], ids=["rank-3-means", "sizes-differ", "not-square", "negative-count"])
+def test_statistics_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_stack_two_layers():
@@ -145,19 +160,11 @@ def test_tally_sum_invariant_enforced():
 
 
 def _tally_oracle(prev, cur, tol):
-    m = prev.shape[0]
-    plus = minus = ties = 0
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                ties += 1
-            elif cur[i, j] < prev[i, j] - tol:
-                plus += 1
-            elif cur[i, j] > prev[i, j] + tol:
-                minus += 1
-            else:
-                ties += 1
-    return plus, minus, ties
+    """bench/oracle.py's tally of block c, fed by block p alone."""
+    blocks = [oracle.IRBlock("p", 1, 1, 1, 1, 1, 0),
+              oracle.IRBlock("c", 1, 1, 1, 1, 1, 1, prev=["p"])]
+    t = oracle.tallies(blocks, {"p": prev, "c": cur}, {}, tol)["c"]
+    return t.plus, t.minus, t.ties
 
 
 def test_tally_matches_exhaustive_oracle():
@@ -365,7 +372,7 @@ def dags_with_means(draw):
     A constant class holds the same value in every layer, so that a
     concatenation of layers where it is constant is degenerate too.
     """
-    ir = draw(valid_dags())
+    ir = draw(networks())
     m = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))

@@ -1,6 +1,5 @@
 """`sweep`'s array grid against the per-lambda loop it replaces."""
 
-import math
 import warnings
 from fractions import Fraction
 
@@ -10,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convrefine import cli
-from convrefine.netir import ConvBlock, NetworkIR, param_count, parse_network
+from convrefine.netir import param_count, parse_network
 from convrefine.planner import block_terms, lambda_o, plan_from_terms
 from convrefine.rewriter import apply_plan
 
-from conftest import tally
+from conftest import networks, tallies_for, tally
 
 
 def reference_rows(ir, terms, grid, lam_o):
@@ -43,51 +42,6 @@ def outcome(run):
         except ValueError as exc:
             result = f"error: {exc}"
     return result, [f"warning: {w.category.__name__}: {w.message}" for w in caught]
-
-
-@st.composite
-def grouped_irs(draw):
-    """A valid IR with concatenating blocks and odd group factors.
-
-    Widths are multiples of 3, 5 or 15 more often than not, so that odd
-    groups of producers and consumers meet in one width.
-    """
-    sizes = draw(st.lists(st.integers(1, 3), min_size=4, max_size=6))
-    blocks, edges = [], []
-    for stage, size in enumerate(sizes):
-        earlier = list(blocks)
-        for _ in range(size):
-            name = f"b{len(blocks)}"
-            preds = []
-            if earlier:
-                preds = draw(st.lists(st.sampled_from(earlier), unique=True, min_size=1,
-                                      max_size=3))
-            in_ch = sum(p.out_channels for p in preds) or draw(st.sampled_from([3, 15]))
-            common = math.gcd(in_ch, *(p.out_channels for p in preds))
-            group = draw(st.sampled_from([g for g in (1, 2, 3, 5, 9, 15) if common % g == 0]))
-            out = group * draw(st.integers(1, 3)) * draw(st.sampled_from([1, 3, 5, 15]))
-            kernel = draw(st.integers(1, 3))
-            blocks.append(ConvBlock(name, in_ch, out, kernel, kernel, group, stage,
-                                    draw(st.booleans())))
-            edges.extend((p.name, name) for p in preds)
-    blocks = [ConvBlock(b.name, b.in_channels, b.out_channels, b.kernel_h, b.kernel_w, b.group,
-                        b.stage, b.has_bias, draw(st.integers(0, 4)) == 0)
-              for b in blocks]
-    return NetworkIR(blocks, edges)
-
-
-@st.composite
-def tallies_for(draw, ir):
-    m = draw(st.integers(2, 6))
-    total, offdiag = m * m, m * m - m
-    tallies = {}
-    for b in ir.blocks:
-        if b.excluded:
-            continue
-        plus = draw(st.integers(0, offdiag))
-        minus = draw(st.integers(0, offdiag - plus))
-        tallies[b.name] = tally(plus, minus, total)
-    return tallies
 
 
 @st.composite
@@ -135,7 +89,7 @@ def check_factors(ir, terms, rows):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_grid_rows_match_the_per_lambda_loop(data):
-    ir = data.draw(grouped_irs())
+    ir = data.draw(networks())
     terms = block_terms(ir, data.draw(tallies_for(ir)))
     grid = data.draw(grids_for(terms))
     lam_o = lambda_o(terms)
