@@ -48,6 +48,9 @@ class SeparationTally:
             )
 
 
+_NORM_ROWS = 64  # rows per block of correlation_layer's squared-norm temporary
+
+
 def correlation_layer(name: str, means, strict: bool = False) -> np.ndarray:
     """(M, M) Pearson correlation of every ordered pair of rows of ``means``.
 
@@ -56,9 +59,10 @@ def correlation_layer(name: str, means, strict: bool = False) -> np.ndarray:
     has no defined correlation; its row and column are set to 0 and a
     warning names the class (strict mode raises instead).  Non-degenerate
     diagonal entries are exactly 1 and the matrix is exactly symmetric with
-    entries in [-1, 1].
+    entries in [-1, 1].  The means are read in C order, so the bits do not
+    depend on the memory layout of ``means``.
     """
-    g = np.asarray(means, dtype=np.float64)
+    g = np.ascontiguousarray(means, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError(f"layer {name}: class means must be rank 2")
     if g.shape[1] < 2:
@@ -67,7 +71,12 @@ def correlation_layer(name: str, means, strict: bool = False) -> np.ndarray:
             f" got {g.shape[1]}"
         )
     centered = g - g.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered * centered).sum(axis=1))
+    # The squares are held one block of rows at a time; a C-order row sums
+    # in the same order whatever block holds it, so the norms keep their bits.
+    norms = np.empty(len(centered))
+    for lo in range(0, len(centered), _NORM_ROWS):
+        block = centered[lo : lo + _NORM_ROWS]
+        np.sqrt((block * block).sum(axis=1), out=norms[lo : lo + _NORM_ROWS])
     degenerate = [int(i) for i in np.flatnonzero(norms == 0.0)]
     if degenerate:
         msg = (
@@ -184,16 +193,27 @@ def write_correlation_csv(path, matrix: np.ndarray) -> None:
     """One matrix row per line, cells joined by ``,``, ``\\n`` line ends.
 
     Each cell is ``repr`` of the float64 value, Python's shortest text that
-    reads back to the same float.  Each distinct bit pattern is formatted
-    once (a correlation matrix is symmetric, so that halves the ``repr``
-    calls); bits rather than values keep ``-0.0`` apart from ``0.0``.
+    reads back to the same float.  ``matrix`` must be square and symmetric
+    bit for bit, as every ``correlation_layer`` result is; anything else
+    raises ValueError before the file is opened.  Row i formats only its
+    cells from the diagonal on; the text of each cell (i, j) right of the
+    diagonal is handed down to line j, so each text is made once and about
+    M^2/4 of them are held at once.
     """
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    bits, inverse = np.unique(matrix.view(np.uint64).ravel(), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{path}: correlation matrix must be square, got shape {matrix.shape}")
+    bits = matrix.view(np.uint64)  # bits, so that -0.0 and 0.0 (or two NaNs) differ
+    if not np.array_equal(bits, bits.T):
+        raise ValueError(f"{path}: correlation matrix must be symmetric bit for bit")
+    handed = [[] for _ in range(len(matrix))]  # handed[j]: column j's texts from rows above
     with open(path, "w") as fh:
-        for row in inverse.reshape(matrix.shape):
-            fh.write(",".join(text[row].tolist()) + "\n")
+        for i, row in enumerate(matrix):
+            texts = list(map(repr, row[i:].tolist()))
+            line, handed[i] = handed[i], None
+            fh.write(",".join(line + texts) + "\n")
+            for below, text in zip(handed[i + 1 :], texts[1:]):
+                below.append(text)
 
 
 def write_correlation_pgm(path, matrix: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from collections.abc import Mapping
 from typing import NamedTuple
@@ -237,33 +238,70 @@ def test_csv_export_reparses(tmp_path):
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5e-310,
                   1e16, 1e-5, 1e-4, 9999999999999998.0, 0.1, 1.0, -1.0]
 
+# mirror cells that look alike but differ in their bits, in float64 and in float32
+BIT_MISMATCHES = [(0.0, -0.0), (math.nan, -math.nan),
+                  (math.nan, np.uint64(0x7FFC000000000000).view(np.float64).item()),
+                  (1.0, 1.0 + 2.0**-23)]
+
 
 @st.composite
 def csv_inputs(draw):
-    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    """A matrix in one of the forms the CSV writer takes, and whether it is valid.
+
+    Valid means square and symmetric bit for bit.  Up to 8 rows, so that
+    texts are handed down across several rows.  Invalid matrices are
+    non-square, or square with one mirror pair from ``BIT_MISMATCHES``.
+    """
+    rows = draw(st.integers(1, 8))
+    cols = rows if draw(st.integers(0, 3)) else draw(st.integers(1, 8).filter(lambda c: c != rows))
     # a small pool makes repeated values, and so shared text, common
     pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=6))
     cells = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
     matrix = np.array(cells, dtype=np.float64).reshape(rows, cols)
-    if rows == cols and draw(st.booleans()):
+    valid = rows == cols
+    if valid:
         matrix = np.where(np.tri(rows, dtype=bool), matrix.T, matrix)  # mirror the bits
+        if rows > 1 and draw(st.booleans()):
+            i, j = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True))
+            matrix[i, j], matrix[j, i] = draw(st.sampled_from(BIT_MISMATCHES))
+            valid = False
     form = draw(st.sampled_from(["c", "fortran", "float32", "list"]))
     if form == "fortran":
-        return np.asfortranarray(matrix)
-    if form == "float32":
-        with np.errstate(over="ignore"):
-            return matrix.astype(np.float32)
-    if form == "list":
-        return matrix.tolist()
-    return matrix
+        matrix = np.asfortranarray(matrix)
+    elif form == "float32":
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = matrix.astype(np.float32)
+    elif form == "list":
+        matrix = matrix.tolist()
+    return matrix, valid
 
 
 @given(csv_inputs())
 @settings(max_examples=200)
-def test_csv_export_matches_per_cell_repr(tmp_path_factory, matrix):
+def test_csv_export_matches_per_cell_repr(tmp_path_factory, case):
+    matrix, valid = case
     path = tmp_path_factory.mktemp("csv") / "c.csv"
-    write_correlation_csv(path, matrix)
-    assert path.read_bytes() == reference_csv(matrix).encode("ascii")
+    if valid:
+        write_correlation_csv(path, matrix)
+        assert path.read_bytes() == reference_csv(matrix).encode("ascii")
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: correlation matrix"):
+            write_correlation_csv(path, matrix)
+        assert not path.exists()
+
+
+def test_csv_export_holds_a_quarter_of_the_texts(tmp_path):
+    # about M^2/4 cell texts are live at once (1.8 MB here); a table of every
+    # distinct cell's text, formatted before the first row, peaks at 6.0 MB
+    means = np.random.default_rng(23).standard_normal((300, 400))
+    matrix = correlation_layer("l", means)
+    tracemalloc.start()
+    try:
+        write_correlation_csv(tmp_path / "c.csv", matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5e6
 
 
 def test_pgm_export_mapping(tmp_path):
@@ -300,6 +338,27 @@ def _eager_correlation(name, means, strict=False):
         corr[degenerate, :] = 0.0
         corr[:, degenerate] = 0.0
     return corr
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 200), st.integers(2, 40), st.integers(0, 2**32 - 1), st.booleans())
+def test_correlation_equals_the_eager_reference_bit_for_bit(m, h, seed, fortran):
+    # M spans several blocks of the row norms; row scales span 60 decades and
+    # some rows are constant, so every row's sum order shows in its bits; a
+    # Fortran-ordered copy of the means must give the same bits
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((m, h)) * 10.0 ** rng.integers(-30, 31, size=(m, 1))
+    constant = rng.random(m) < 0.1
+    means[constant] = rng.standard_normal((int(constant.sum()), 1))
+    given_means = np.asfortranarray(means) if fortran else means
+    with warnings.catch_warnings(record=True) as got_warned:
+        warnings.simplefilter("always")
+        got = correlation_layer("l", given_means)
+    with warnings.catch_warnings(record=True) as want_warned:
+        warnings.simplefilter("always")
+        want = _eager_correlation("l", means)
+    assert got.tobytes() == want.tobytes()
+    assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
 
 
 def eager_network_statistics(ir, means_by_layer, tie_tol=1e-6, strict=False):
