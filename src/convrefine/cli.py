@@ -147,14 +147,14 @@ def cmd_apply(args) -> int:
     return 0
 
 
-def _sweep_rows(ir, terms, grid, lam_o):
+def _sweep_rows(ir, tallies, terms, grid, lam_o):
     """The sweep.csv rows of the lambdas of ``grid``, in order.
 
     Every lambda is evaluated at once, in object arrays of Python ints.  A
     lambda that passes every check of a plan and of its refined IR gives
     its row and its rounding warnings from the arrays.  The first one that
-    does not is evaluated again on its own by plan_from_terms and
-    apply_plan, which raise its error.
+    does not is evaluated again on its own by build_plan and apply_plan,
+    which raise its error.  ``terms`` are the block_terms of ``tallies``.
     """
     kernel_h = np.array([b.kernel_h for b in ir.blocks], dtype=object)[:, None]
     kernel_w = np.array([b.kernel_w for b in ir.blocks], dtype=object)[:, None]
@@ -168,7 +168,7 @@ def _sweep_rows(ir, terms, grid, lam_o):
     for j, lam in enumerate(grid.tolist()):
         if not ok[j]:
             try:
-                rewriter.apply_plan(ir, planner.plan_from_terms(ir, terms, lam))
+                rewriter.apply_plan(ir, planner.build_plan(ir, tallies, lam))
             except ValueError as exc:
                 raise ValueError(f"lambda={lam!r}: {exc}") from None
             raise RuntimeError(f"lambda={lam!r}: apply_plan accepts the plan the grid rejects")
@@ -190,13 +190,14 @@ def cmd_sweep(args) -> int:
     if hi is not None and hi < lo:
         raise ValueError(f"sweep range is empty: [{lo}, {hi}]")
     ir = _read_ir(args.ir)
-    terms = planner.block_terms(ir, _statistics(args, ir, args.manifest)[1])
+    tallies = _statistics(args, ir, args.manifest)[1]
+    terms = planner.block_terms(ir, tallies)
     lam_o = planner.lambda_o(terms)
     grid = np.linspace(lo, max(lo, lam_o) if hi is None else hi, args.sweep_steps)
     header = ["lambda", "above_lambda_o", "conv_params"]
     for b in ir.blocks:
         header.extend((f"{b.name}_stretch", f"{b.name}_split"))
-    rows = [f"# lambda_o={lam_o!r}", ",".join(header), *_sweep_rows(ir, terms, grid, lam_o)]
+    rows = [f"# lambda_o={lam_o!r}", ",".join(header), *_sweep_rows(ir, tallies, terms, grid, lam_o)]
     base = _outdirs(args.out, "reports")
     path = base / "reports" / "sweep.csv"
     path.write_text("\n".join(rows) + "\n")

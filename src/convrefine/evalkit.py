@@ -44,21 +44,15 @@ def precision_at_k(scores, truth, k: int) -> float:
     n, m = scores.shape
     if not 1 <= k <= m:
         raise ValueError(f"k must be in 1..{m}, got {k}")
-    tp = 0
-    fp = 0
-    for i in range(n):
-        p = int(truth[i].sum())
-        if p == 0:
-            warnings.warn(f"image {i} has no positive labels; skipped", stacklevel=2)
-            continue
-        take = min(p, k)
-        top = np.argsort(-scores[i], kind="stable")[:take]
-        hits = int(truth[i, top].sum())
-        tp += hits
-        fp += take - hits
-    if tp + fp == 0:
+    p = truth.sum(axis=1)
+    for i in np.flatnonzero(p == 0).tolist():
+        warnings.warn(f"image {i} has no positive labels; skipped", stacklevel=2)
+    take = np.minimum(p, k)[:, None]
+    ranked = np.take_along_axis(truth, np.argsort(-scores, axis=1, kind="stable"), axis=1)
+    predictions = int(take.sum())
+    if predictions == 0:
         raise ValueError("no image produced predictions")
-    return tp / (tp + fp)
+    return int(ranked[np.arange(m) < take].sum()) / predictions
 
 
 def read_truth_file(path) -> np.ndarray:
@@ -156,14 +150,13 @@ def synth_activations(profile: SynthProfile, seed: int):
         q, _ = np.linalg.qr(basis)
         means = root @ q[:, 1 : m + 1].T  # (M, width), rows zero-mean
         if profile.noise > 0:
-            # In place: the features reuse the noise array.
+            # In place, one class at a time, since labels repeat class by class.
             feats = rng.standard_normal((n, layer.width))
-            for cls in range(m):
-                sel = labels == cls
-                feats[sel] -= feats[sel].mean(axis=0)
             with np.errstate(over="ignore"):  # the dump's writer refuses an overflow
-                feats *= profile.noise
-            feats += means[labels]
+                for rows, mean in zip(feats.reshape(m, -1, layer.width), means):
+                    rows -= rows.mean(axis=0)
+                    rows *= profile.noise
+                    rows += mean
         else:
             feats = means[labels]
         sets[layer.name] = feats

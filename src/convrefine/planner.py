@@ -174,19 +174,14 @@ def lambda_o(terms) -> float:
 
 
 def build_plan(ir: NetworkIR, tallies, lam: float) -> RefinementPlan:
-    """Stretch/split factors at ``lam`` for every block of the network."""
-    return plan_from_terms(ir, block_terms(ir, tallies), lam)
-
-
-def plan_from_terms(ir: NetworkIR, terms, lam: float) -> RefinementPlan:
-    """The plan at ``lam`` from the :func:`block_terms` of ``ir``.
+    """Stretch/split factors at ``lam`` for every block of the network.
 
     The factors are :func:`factor_grid`'s at the one lambda, and lambda_o
-    is :func:`lambda_o` of ``terms``.  ``terms`` is only read, so one result
-    of :func:`block_terms` serves every lambda of a sweep.  A split of
-    2**32 or more, or a term whose quotient by ``lam`` overflows, raises
-    PlanError naming the first such block.
+    is :func:`lambda_o` of the :func:`block_terms`.  A split of 2**32 or
+    more, or a term whose quotient by ``lam`` overflows, raises PlanError
+    naming the first such block.
     """
+    terms = block_terms(ir, tallies)
     check_lambda(lam)
     stretches, exponents = factor_grid(ir, terms, np.array([lam]))
     entries: dict[str, PlanEntry] = {}

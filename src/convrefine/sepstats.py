@@ -119,12 +119,11 @@ def separation_tally(prev: np.ndarray, cur: np.ndarray, tie_tol: float = 1e-6) -
     if prev.shape != cur.shape or prev.ndim != 2 or prev.shape[0] != prev.shape[1]:
         raise ValueError(f"matrices must be square and same size, got {prev.shape} vs {cur.shape}")
     check_tie_tol(tie_tol)
-    m = prev.shape[0]
     diff = cur - prev
-    mask = ~np.eye(m, dtype=bool)
-    total = m * m
-    plus = int(np.count_nonzero((diff < -tie_tol) & mask))
-    minus = int(np.count_nonzero((diff > tie_tol) & mask))
+    np.fill_diagonal(diff, 0.0)  # a tie, as tie_tol >= 0
+    total = diff.size
+    plus = int(np.count_nonzero(diff < -tie_tol))
+    minus = int(np.count_nonzero(diff > tie_tol))
     return SeparationTally(n_plus=plus, n_minus=minus, n_ties=total - plus - minus, n_total=total)
 
 

@@ -44,24 +44,8 @@ def test_tensor_rank4(tmp_path):
 
 def test_tensor_errors(tmp_path):
     path = tmp_path / "t.atns"
-    path.write_bytes(b"NOPE" + struct.pack("<HH2I", 1, 2, 2, 3) + b"\0" * 24)
-    with pytest.raises(TensorFormatError, match="bad magic"):
-        read_tensor_file(path)
-
-    path.write_bytes(b"ATNS" + struct.pack("<HH2I", 1, 2, 2, 3) + b"\0" * 20)
-    with pytest.raises(TensorFormatError, match="truncated payload"):
-        read_tensor_file(path)
-
-    path.write_bytes(b"ATNS" + struct.pack("<HH2I", 1, 2, 2, 3) + b"\0" * 28)
-    with pytest.raises(TensorFormatError, match="trailing data"):
-        read_tensor_file(path)
-
     path.write_bytes(b"ATNS" + struct.pack("<HH3I", 1, 3, 2, 3, 1) + b"\0" * 24)
     with pytest.raises(TensorFormatError, match="rank must be 2 or 4"):
-        read_tensor_file(path)
-
-    path.write_bytes(b"ATNS" + struct.pack("<HH2I", 9, 2, 2, 3) + b"\0" * 24)
-    with pytest.raises(TensorFormatError, match="version"):
         read_tensor_file(path)
 
     bad = np.array([[1.0, np.inf, 2.0]], dtype="<f4")

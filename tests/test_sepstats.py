@@ -183,6 +183,14 @@ def test_tally_matches_exhaustive_oracle():
             transposed.n_minus,
             transposed.n_ties,
         )
+    # a class constant in one layer has a zero row and column there, its
+    # diagonal too: that diagonal moves between 1 and 0 and still ties
+    with pytest.warns(DegenerateClassWarning):
+        flat = correlation_layer("l", [[2.0, 2.0, 2.0], [1.0, 2.0, 4.0], [3.0, 1.0, 2.0]])
+    full = correlation_layer("l", rng.standard_normal((3, 3)))
+    for prev, cur in ((flat, full), (full, flat)):
+        t = separation_tally(prev, cur, tie_tol=1e-6)
+        assert (t.n_plus, t.n_minus, t.n_ties) == _tally_oracle(prev, cur, 1e-6)
 
 
 def test_network_tallies_concatenates_predecessors():

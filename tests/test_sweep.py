@@ -10,17 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from convrefine import cli
 from convrefine.netir import param_count, parse_network
-from convrefine.planner import block_terms, lambda_o, plan_from_terms
+from convrefine.planner import block_terms, build_plan, lambda_o
 from convrefine.rewriter import apply_plan
 
 from conftest import networks, tallies_for, tally
 
 
-def reference_rows(ir, terms, grid, lam_o):
-    """The sweep.csv rows of ``grid``, one plan_from_terms and apply_plan per lambda."""
+def reference_rows(ir, tallies, grid, lam_o):
+    """The sweep.csv rows of ``grid``, one build_plan and apply_plan per lambda."""
     for lam in grid.tolist():
         try:
-            plan = plan_from_terms(ir, terms, lam)
+            plan = build_plan(ir, tallies, lam)
             refined = apply_plan(ir, plan)
         except ValueError as exc:
             raise ValueError(f"lambda={lam!r}: {exc}") from None
@@ -90,11 +90,12 @@ def check_factors(ir, terms, rows):
 @given(st.data())
 def test_grid_rows_match_the_per_lambda_loop(data):
     ir = data.draw(networks())
-    terms = block_terms(ir, data.draw(tallies_for(ir)))
+    tallies = data.draw(tallies_for(ir))
+    terms = block_terms(ir, tallies)
     grid = data.draw(grids_for(terms))
     lam_o = lambda_o(terms)
-    got = outcome(lambda: cli._sweep_rows(ir, terms, grid, lam_o))
-    want = outcome(lambda: reference_rows(ir, terms, grid, lam_o))
+    got = outcome(lambda: cli._sweep_rows(ir, tallies, terms, grid, lam_o))
+    want = outcome(lambda: reference_rows(ir, tallies, grid, lam_o))
     assert got == want
     if isinstance(want[0], list):
         check_factors(ir, terms, want[0])
@@ -153,14 +154,13 @@ DEAD_END_TALLIES = {"b": tally(12, 2), "c": tally(1, 2), "d": tally(12, 2)}
 def test_sweep_past_u32_stops_with_apply_plans_error(tmp_path, monkeypatch, capsys, text,
                                                      tallies, lam, error, warning):
     ir = parse_network(text)
-    terms = block_terms(ir, tallies)
     (tmp_path / "net.ir").write_text(text)
     monkeypatch.setattr(cli, "_statistics", lambda args, ir, manifest: ({}, tallies))
     out = tmp_path / "run"
     rc, printed = outcome(lambda: [cli.main([
         "sweep", "--ir", str(tmp_path / "net.ir"), "--manifest", str(tmp_path / "unread"),
         "--sweep-min", str(lam), "--sweep-max", "0.5", "--out", str(out)])])
-    want, warned = outcome(lambda: [apply_plan(ir, plan_from_terms(ir, terms, lam))])
+    want, warned = outcome(lambda: [apply_plan(ir, build_plan(ir, tallies, lam))])
     assert want.startswith(error)
     assert rc == [1]
     assert capsys.readouterr().err == want.replace("error: ", f"error: lambda={lam!r}: ") + "\n"
