@@ -269,7 +269,9 @@ class ManifestDumps(Mapping):
     """The dumps :func:`scan_manifest` checked; a lookup streams one into its class means.
 
     The dump's header is read again first and must not have changed.
-    Nothing is cached, so a caller holds only the means it keeps.
+    Nothing is cached: each lookup returns a new float64 array that nothing
+    else holds, so a caller holds only the means it keeps, and
+    ``sepstats.network_statistics`` may centre them in place.
     """
 
     def __init__(self, labels: np.ndarray, counts: np.ndarray, dumps: dict):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .featio import ManifestDumps
 from .netir import NetworkIR
 
 
@@ -48,7 +49,62 @@ class SeparationTally:
             )
 
 
-_NORM_ROWS = 64  # rows per block of correlation_layer's squared-norm temporary
+_NORM_ROWS = 64  # rows per block of every M x M or M x channels temporary
+
+
+def _unit_rows(name: str, g: np.ndarray, strict: bool) -> list[int]:
+    """Centre and scale the rows of ``g`` to unit norm in place; returns the degenerate rows.
+
+    ``g`` is a float64 C-order array that nothing else holds.  A constant
+    row keeps its zeros and is named in a warning (strict mode raises).
+    """
+    if g.ndim != 2:
+        raise ValueError(f"layer {name}: class means must be rank 2")
+    if g.shape[1] < 2:
+        raise ValueError(
+            f"layer {name}: need at least 2 hidden units for correlation,"
+            f" got {g.shape[1]}"
+        )
+    g -= g.mean(axis=1, keepdims=True)
+    # The squares are held one block of rows at a time; a C-order row sums
+    # in the same order whatever block holds it, so the norms keep their bits.
+    norms = np.empty(len(g))
+    for lo in range(0, len(g), _NORM_ROWS):
+        block = g[lo : lo + _NORM_ROWS]
+        np.sqrt((block * block).sum(axis=1), out=norms[lo : lo + _NORM_ROWS])
+    degenerate = [int(i) for i in np.flatnonzero(norms == 0.0)]
+    if degenerate:
+        msg = (
+            f"layer {name}: constant class mean vector(s) for"
+            f" class(es) {degenerate}; correlations set to 0"
+        )
+        if strict:
+            raise DegenerateClassError(msg)
+        # at the line that called correlation_layer or network_statistics
+        warnings.warn(msg, DegenerateClassWarning, stacklevel=3)
+    g /= np.where(norms == 0.0, 1.0, norms)[:, None]
+    return degenerate
+
+
+def _gram(unit: np.ndarray, degenerate: list[int]) -> np.ndarray:
+    """The correlation matrix of :func:`_unit_rows`' rows: symmetrised, clipped, unit diagonal.
+
+    Each pair's (a_ij + a_ji) / 2 is formed once, a block of rows at a time,
+    and written to both cells; the sum's bits do not depend on its order.
+    """
+    corr = unit @ unit.T
+    for lo in range(0, len(corr), _NORM_ROWS):
+        hi = lo + _NORM_ROWS
+        pair = corr[lo:hi, lo:] + corr[lo:, lo:hi].T
+        pair /= 2.0
+        np.clip(pair, -1.0, 1.0, out=pair)
+        corr[lo:hi, lo:] = pair
+        corr[lo:, lo:hi] = pair.T
+    np.fill_diagonal(corr, 1.0)
+    if degenerate:
+        corr[degenerate, :] = 0.0
+        corr[:, degenerate] = 0.0
+    return corr
 
 
 def correlation_layer(name: str, means, strict: bool = False) -> np.ndarray:
@@ -60,44 +116,11 @@ def correlation_layer(name: str, means, strict: bool = False) -> np.ndarray:
     warning names the class (strict mode raises instead).  Non-degenerate
     diagonal entries are exactly 1 and the matrix is exactly symmetric with
     entries in [-1, 1].  The means are read in C order, so the bits do not
-    depend on the memory layout of ``means``.
+    depend on the memory layout of ``means``, and a copy of them is
+    centred, so ``means`` is never written.
     """
-    g = np.ascontiguousarray(means, dtype=np.float64)
-    if g.ndim != 2:
-        raise ValueError(f"layer {name}: class means must be rank 2")
-    if g.shape[1] < 2:
-        raise ValueError(
-            f"layer {name}: need at least 2 hidden units for correlation,"
-            f" got {g.shape[1]}"
-        )
-    centered = g - g.mean(axis=1, keepdims=True)
-    # The squares are held one block of rows at a time; a C-order row sums
-    # in the same order whatever block holds it, so the norms keep their bits.
-    norms = np.empty(len(centered))
-    for lo in range(0, len(centered), _NORM_ROWS):
-        block = centered[lo : lo + _NORM_ROWS]
-        np.sqrt((block * block).sum(axis=1), out=norms[lo : lo + _NORM_ROWS])
-    degenerate = [int(i) for i in np.flatnonzero(norms == 0.0)]
-    if degenerate:
-        msg = (
-            f"layer {name}: constant class mean vector(s) for"
-            f" class(es) {degenerate}; correlations set to 0"
-        )
-        if strict:
-            raise DegenerateClassError(msg)
-        warnings.warn(msg, DegenerateClassWarning, stacklevel=2)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    centered /= safe[:, None]
-    corr = centered @ centered.T
-    # in place, the same operations in the same order; NumPy buffers corr.T
-    np.add(corr, corr.T, out=corr)
-    corr /= 2.0
-    np.clip(corr, -1.0, 1.0, out=corr)
-    np.fill_diagonal(corr, 1.0)
-    if degenerate:
-        corr[degenerate, :] = 0.0
-        corr[:, degenerate] = 0.0
-    return corr
+    g = np.array(means, dtype=np.float64, order="C")
+    return _gram(g, _unit_rows(name, g, strict))
 
 
 def check_tie_tol(tie_tol: float) -> None:
@@ -119,11 +142,13 @@ def separation_tally(prev: np.ndarray, cur: np.ndarray, tie_tol: float = 1e-6) -
     if prev.shape != cur.shape or prev.ndim != 2 or prev.shape[0] != prev.shape[1]:
         raise ValueError(f"matrices must be square and same size, got {prev.shape} vs {cur.shape}")
     check_tie_tol(tie_tol)
-    diff = cur - prev
-    np.fill_diagonal(diff, 0.0)  # a tie, as tie_tol >= 0
-    total = diff.size
-    plus = int(np.count_nonzero(diff < -tie_tol))
-    minus = int(np.count_nonzero(diff > tie_tol))
+    plus = minus = 0
+    for lo in range(0, len(cur), _NORM_ROWS):  # the difference is held a block of rows at a time
+        diff = cur[lo : lo + _NORM_ROWS] - prev[lo : lo + _NORM_ROWS]
+        np.fill_diagonal(diff[:, lo:], 0.0)  # a tie, as tie_tol >= 0
+        plus += int(np.count_nonzero(diff < -tie_tol))
+        minus += int(np.count_nonzero(diff > tie_tol))
+    total = cur.size
     return SeparationTally(n_plus=plus, n_minus=minus, n_ties=total - plus - minus, n_total=total)
 
 
@@ -145,6 +170,12 @@ def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
     in IR order, then for the concatenations, whose tallies follow the
     pass.  With ``keep_matrices`` false, each matrix is dropped once its
     last reader is tallied, and the first dict is empty.
+
+    The working set is one layer's means plus the two matrices a tally
+    compares: means streamed from a ``ManifestDumps``, which nothing else
+    holds, are centred and scaled in place unless a concatenation reads
+    them later, and the tally and the symmetrisation each hold one block of
+    64 rows.  Arrays from any other mapping are copied first, never written.
     """
     for b in ir.blocks:
         if b.name not in means_by_layer:
@@ -161,12 +192,18 @@ def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
             fed.setdefault(preds, []).append(b.name)
     stacked_inputs = {p for preds in fed for p in preds}
 
+    # A ManifestDumps lookup makes a new array that nothing else holds: it is
+    # centred in place unless a concatenation reads it later.  Any other
+    # source's arrays may be the caller's, so they are copied first.
+    streamed = isinstance(means_by_layer, ManifestDumps)
     matrix_of, kept, tallies, sizes = {}, {}, {}, set()
     for i, (b, preds) in enumerate(zip(ir.blocks, preds_of)):
         means = means_by_layer[b.name]
         if b.name in stacked_inputs:
             kept[b.name] = means
-        matrix_of[b.name] = correlation_layer(b.name, means, strict)
+        if not streamed or b.name in stacked_inputs:
+            means = np.array(means, dtype=np.float64, order="C")
+        matrix_of[b.name] = _gram(means, _unit_rows(b.name, means, strict))
         del means  # not held while the next dump streams
         sizes.add(matrix_of[b.name].shape[0])
         if len(sizes) > 1:
@@ -177,10 +214,12 @@ def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
             for name in [k for k in matrix_of if last[k] == i]:
                 del matrix_of[name]
 
-    # A shared concatenation warns once, as its matrix is computed once.
+    # A shared concatenation warns once, as its matrix is computed once; the
+    # concatenation is a new array, so it is centred in place.
     for preds, consumers in fed.items():
-        stacked = np.concatenate([kept[p] for p in preds], axis=1)
-        stacked = correlation_layer("+".join(preds), stacked, strict)
+        stacked = np.ascontiguousarray(np.concatenate([kept[p] for p in preds], axis=1),
+                                       dtype=np.float64)
+        stacked = _gram(stacked, _unit_rows("+".join(preds), stacked, strict))
         for name in consumers:
             tallies[name] = separation_tally(stacked, matrix_of[name], tie_tol)
             if not keep_matrices:
@@ -216,9 +255,13 @@ def write_correlation_csv(path, matrix: np.ndarray) -> None:
 
 
 def write_correlation_pgm(path, matrix: np.ndarray) -> None:
-    """8-bit P5 heatmap: correlation -1 maps to 0, +1 to 255."""
+    """8-bit P5 heatmap: correlation -1 maps to 0, +1 to 255, a block of 64 rows at a time."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    scaled = np.clip(np.rint((matrix + 1.0) * 127.5), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{matrix.shape[1]} {matrix.shape[0]}\n255\n".encode("ascii"))
-        fh.write(scaled.tobytes())
+        for lo in range(0, len(matrix), _NORM_ROWS):  # one block of rows at a time
+            scaled = matrix[lo : lo + _NORM_ROWS] + 1.0
+            scaled *= 127.5
+            np.rint(scaled, out=scaled)
+            np.clip(scaled, 0, 255, out=scaled)
+            fh.write(scaled.astype(np.uint8).tobytes())

@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -34,6 +35,40 @@ def poison(path, flat_index=0):
     (rank,) = struct.unpack_from("<H", data, 6)
     struct.pack_into("<f", data, 8 + 4 * rank + 4 * flat_index, math.nan)
     Path(path).write_bytes(bytes(data))
+
+
+def write_dumps(dest, feats_by_name, labels):
+    """ATNS dumps of ``feats_by_name``, a labels file and their manifest; returns its path."""
+    lines = []
+    for name, feats in feats_by_name.items():
+        featio.write_tensor_file(dest / f"{name}.atns", feats)
+        lines.append(f"layer {name} {name}.atns")
+    featio.write_labels_file(dest / "labels.atlb", labels)
+    lines.append("labels labels.atlb")
+    manifest = dest / "manifest.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+def shrink_after_recheck(monkeypatch, path, keep_bytes):
+    """Cut the dump at ``path`` to ``keep_bytes`` right after its header's second check.
+
+    The first check is the manifest scan's; the second is a lookup's, after
+    which the payload is streamed from the file it has open.  The dump must
+    be well over a read buffer (1 MB is), or the cut bytes are already read.
+    """
+    parse = featio._parse_tensor_header
+    checks = []
+
+    def parse_then_shrink(head, file_size, checked):
+        result = parse(head, file_size, checked)
+        if Path(checked) == Path(path):
+            checks.append(checked)
+            if len(checks) == 2:
+                os.truncate(path, keep_bytes)
+        return result
+
+    monkeypatch.setattr(featio, "_parse_tensor_header", parse_then_shrink)
 
 
 def reference_csv(rows) -> str:

@@ -25,7 +25,7 @@ from convrefine.netir import parse_network, serialize_network
 from convrefine.planner import parse_plan
 from convrefine.sepstats import DegenerateClassWarning, correlation_layer
 
-from conftest import FIXTURES, chain_ir, poison, reference_csv
+from conftest import FIXTURES, chain_ir, poison, reference_csv, shrink_after_recheck
 
 CHAIN_IR = "\n".join(
     f"block conv{i} in={3 if i == 0 else 16} out=16 k=3x3 group=1 stage={i}"
@@ -399,8 +399,8 @@ def test_sweep_checks_structure_once_and_shares_stacked_correlations(tmp_path, m
         return wrapper
 
     monkeypatch.setattr(netir, "validate_network", counted(structural, netir.validate_network))
-    monkeypatch.setattr(sepstats, "correlation_layer",
-                        counted(correlated, sepstats.correlation_layer))
+    # every matrix, streamed or copied, starts with its unit rows
+    monkeypatch.setattr(sepstats, "_unit_rows", counted(correlated, sepstats._unit_rows))
     assert _run("sweep", "--ir", tmp_path / "net.ir", "--manifest",
                 tmp_path / "dumps" / "manifest.txt", "--sweep-steps", "20",
                 "--out", tmp_path / "run") == 0
@@ -666,6 +666,16 @@ def test_text_input_errors_name_file_and_line(workdir, capsys, kind, text, form)
     assert err.startswith(f"error: {bad}{form}")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (workdir / "run").exists()
+
+
+def test_dump_that_shrinks_while_streamed_exits_1(workdir, capsys, monkeypatch):
+    path = workdir / "dumps" / "conv2.atns"
+    write_tensor_file(path, np.random.default_rng(3).standard_normal((20, 16, 32, 32)))  # 1.3 MB
+    shrink_after_recheck(monkeypatch, path, path.stat().st_size - 4)
+    rc = _run("plan", "--ir", workdir / "net.ir", "--manifest", workdir / "dumps" / "manifest.txt",
+              "--out", workdir / "run")
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: payload shrank while it was read\n"
 
 
 @pytest.mark.parametrize(

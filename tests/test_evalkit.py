@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,66 @@ def test_synth_deterministic_files(tmp_path):
         a = (tmp_path / "one" / name).read_bytes()
         b = (tmp_path / "two" / name).read_bytes()
         assert a == b
+
+
+def _eager_synth(profile, seed, spatial, dump_seed):
+    """synth_activations, then write_activation_dumps, whole arrays at once.
+
+    Each step is the one their docstrings state: per layer, means G =
+    sqrt(T) @ Q with Q's rows orthonormal and orthogonal to the all-ones
+    vector, then per-image noise re-centred within each class, scaled and
+    shifted by the class mean; with ``spatial``, zero-mean jitter over each
+    image's grid, drawn for the whole tensor from one generator.  Returns
+    (features, labels, {file name: bytes}).
+    """
+    m = profile.num_classes
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(m), profile.images_per_class)
+    feats = {}
+    for layer in profile.layers:
+        evals, evecs = np.linalg.eigh(np.asarray(layer.target, dtype=np.float64))
+        root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None)))
+        basis = np.column_stack([np.ones(layer.width), rng.standard_normal((layer.width, m))])
+        means = root @ np.linalg.qr(basis)[0][:, 1 : m + 1].T
+        noise = rng.standard_normal((labels.size, layer.width))
+        f = np.empty_like(noise)
+        for cls in range(m):
+            own = noise[labels == cls]
+            f[labels == cls] = (own - own.mean(axis=0)) * profile.noise + means[cls]
+        feats[layer.name] = f
+    jitter_rng = np.random.default_rng(dump_seed)
+    files = {}
+    for name in sorted(feats):
+        tensor = feats[name]
+        if spatial is not None:
+            jitter = jitter_rng.standard_normal(tensor.shape + spatial) * 0.01
+            tensor = jitter - jitter.mean(axis=(2, 3), keepdims=True) + tensor[:, :, None, None]
+        header = struct.pack(f"<4sHH{tensor.ndim}I", b"ATNS", 1, tensor.ndim, *tensor.shape)
+        files[f"{name}.atns"] = header + tensor.astype("<f4").tobytes()
+    files["labels.atlb"] = (struct.pack("<4sHI", b"ATLB", 1, labels.size)
+                            + labels.astype("<u4").tobytes())
+    files["manifest.txt"] = "".join(
+        [f"layer {name} {name}.atns\n" for name in sorted(feats)] + ["labels labels.atlb\n"]
+    ).encode()
+    return feats, labels, files
+
+
+@pytest.mark.parametrize("spatial", [None, (2, 3)], ids=["rank-2", "rank-4"])
+def test_synth_equals_the_eager_reference_byte_for_byte(tmp_path, spatial):
+    profile = SynthProfile(num_classes=3, images_per_class=6, noise=0.3, layers=(
+        SynthLayer("b", 5, uniform_target(3, 0.4)),
+        SynthLayer("a", 7, np.array([[1.0, -0.2, 0.5], [-0.2, 1.0, 0.1], [0.5, 0.1, 1.0]])),
+    ))
+    sets, labels = synth_activations(profile, seed=13)
+    write_activation_dumps(tmp_path, sets, labels, spatial=spatial, seed=17)
+    want_sets, want_labels, want_files = _eager_synth(profile, 13, spatial, 17)
+    assert labels.tobytes() == want_labels.tobytes()
+    assert sorted(sets) == sorted(want_sets)
+    for name, feats in want_sets.items():
+        assert sets[name].tobytes() == feats.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want_files)
+    for name, data in want_files.items():
+        assert (tmp_path / name).read_bytes() == data, name
 
 
 @pytest.mark.parametrize("chunk_values", [None, 40, 300])

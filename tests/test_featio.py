@@ -20,7 +20,7 @@ from convrefine.featio import (
 )
 from convrefine.netir import parse_network
 
-from conftest import class_means, poison
+from conftest import class_means, poison, shrink_after_recheck, write_dumps
 
 
 def test_tensor_header_layout_is_pinned(tmp_path):
@@ -162,21 +162,9 @@ def test_class_means_permutation_invariant():
     )
 
 
-def _write_dumps(tmp_path, feats_by_name, labels):
-    lines = []
-    for name, feats in feats_by_name.items():
-        write_tensor_file(tmp_path / f"{name}.atns", feats)
-        lines.append(f"layer {name} {name}.atns")
-    write_labels_file(tmp_path / "labels.atlb", labels)
-    lines.append("labels labels.atlb")
-    manifest = tmp_path / "manifest.txt"
-    manifest.write_text("\n".join(lines) + "\n")
-    return manifest
-
-
 def test_manifest_two_layers(tmp_path):
     rng = np.random.default_rng(5)
-    manifest = _write_dumps(
+    manifest = write_dumps(
         tmp_path,
         {"a": rng.standard_normal((4, 8)), "b": rng.standard_normal((4, 6, 2, 2))},
         np.array([0, 1, 0, 1]),
@@ -188,7 +176,7 @@ def test_manifest_two_layers(tmp_path):
 
 
 def test_manifest_count_mismatch(tmp_path):
-    manifest = _write_dumps(
+    manifest = write_dumps(
         tmp_path, {"a": np.zeros((4, 3))}, np.array([0, 1, 0, 1, 1])
     )
     with pytest.raises(ManifestError, match="4 images .* 5 labels"):
@@ -200,7 +188,7 @@ def test_manifest_cross_checks_against_ir(tmp_path):
         "block a in=3 out=8 k=3x3 group=1 stage=0\n"
         "block b in=8 out=6 k=3x3 group=1 stage=1 prev=a\n"
     )
-    manifest = _write_dumps(
+    manifest = write_dumps(
         tmp_path,
         {"a": np.zeros((2, 8)), "ghost": np.zeros((2, 6))},
         np.array([0, 1]),
@@ -208,7 +196,7 @@ def test_manifest_cross_checks_against_ir(tmp_path):
     with pytest.raises(ManifestError, match="no such block"):
         dict(scan_manifest(manifest, ir))
 
-    manifest = _write_dumps(
+    manifest = write_dumps(
         tmp_path, {"a": np.zeros((2, 8)), "b": np.zeros((2, 5))}, np.array([0, 1])
     )
     with pytest.raises(ManifestError, match="block declares 6"):
@@ -268,7 +256,7 @@ def test_streamed_means_equal_row_means(tmp_path, monkeypatch, chunk_values, sha
     tensor = rng.standard_normal(shape).astype(np.float32)
     labels = rng.integers(0, 3, size=shape[0])  # classes interleave across chunks
     labels[:3] = [0, 1, 2]
-    manifest = _write_dumps(tmp_path, {"a": tensor}, labels)
+    manifest = write_dumps(tmp_path, {"a": tensor}, labels)
     got = scan_manifest(manifest)["a"]
     np.testing.assert_array_equal(got, _reference_means(tensor, labels, 3))
 
@@ -292,13 +280,13 @@ def test_streamed_non_finite_reports_global_index(tmp_path, monkeypatch, shape, 
 
 
 def test_streamed_empty_class_names_layer(tmp_path):
-    manifest = _write_dumps(
+    manifest = write_dumps(
         tmp_path, {"a": np.ones((4, 3)), "b": np.ones((4, 3))}, np.array([0, 2, 0, 2])
     )
     with pytest.raises(ValueError, match="layer a: class 1 has no images"):
         dict(scan_manifest(manifest))
     # a label near 2^32 names the first empty class without a 2^32-row array
-    manifest = _write_dumps(tmp_path, {"a": np.ones((2, 3))}, np.array([0, 2**32 - 1]))
+    manifest = write_dumps(tmp_path, {"a": np.ones((2, 3))}, np.array([0, 2**32 - 1]))
     with pytest.raises(ValueError, match="layer a: class 1 has no images"):
         dict(scan_manifest(manifest))
 
@@ -310,13 +298,13 @@ def test_classes_counted_once_per_manifest(tmp_path, monkeypatch):
     count = featio._class_counts
     monkeypatch.setattr(featio, "_class_counts",
                         lambda name, *args: calls.append(name) or count(name, *args))
-    means = dict(scan_manifest(_write_dumps(tmp_path, feats, labels)))
+    means = dict(scan_manifest(write_dumps(tmp_path, feats, labels)))
     assert list(means) == ["a", "b", "c"]
     assert calls == ["a"]
     # the first layer's image count is checked before the classes are counted
     feats["a"] = np.ones((5, 2))
     with pytest.raises(ValueError, match="layer a: 5 images in .* but 6 labels"):
-        dict(scan_manifest(_write_dumps(tmp_path, feats, np.array([0, 2, 0, 2, 0, 2]))))
+        dict(scan_manifest(write_dumps(tmp_path, feats, np.array([0, 2, 0, 2, 0, 2]))))
 
 
 TWO_STAGES = parse_network(
@@ -340,7 +328,7 @@ def test_header_faults_come_before_any_payload_fault(tmp_path, fault, message):
         feats["b"] = rng.standard_normal((4, 5))
     if fault == "missing":
         del feats["c"]
-    manifest = _write_dumps(tmp_path, feats, np.array([0, 1, 0, 1]))
+    manifest = write_dumps(tmp_path, feats, np.array([0, 1, 0, 1]))
     poison(tmp_path / "a.atns")
     if fault == "magic":
         data = (tmp_path / "b.atns").read_bytes()
@@ -355,7 +343,7 @@ def test_header_faults_come_before_any_payload_fault(tmp_path, fault, message):
 def test_scan_reads_no_payload_and_streams_on_lookup(tmp_path):
     rng = np.random.default_rng(9)
     feats = {name: rng.standard_normal((4, 4)).astype(np.float32) for name in "abc"}
-    manifest = _write_dumps(tmp_path, feats, np.array([0, 1, 0, 1]))
+    manifest = write_dumps(tmp_path, feats, np.array([0, 1, 0, 1]))
     poison(tmp_path / "b.atns", 5)
     dumps = scan_manifest(manifest, TWO_STAGES)
     assert list(dumps) == ["a", "b", "c"] and len(dumps) == 3
@@ -371,7 +359,7 @@ def test_scan_reads_no_payload_and_streams_on_lookup(tmp_path):
     (None, r"a\.atns: truncated payload"),
 ])
 def test_stream_rechecks_the_header(tmp_path, shape, message):
-    manifest = _write_dumps(tmp_path, {"a": np.ones((4, 4))}, np.array([0, 1, 0, 1]))
+    manifest = write_dumps(tmp_path, {"a": np.ones((4, 4))}, np.array([0, 1, 0, 1]))
     dumps = scan_manifest(manifest)
     if shape is None:  # same header, payload cut short
         data = (tmp_path / "a.atns").read_bytes()
@@ -379,6 +367,17 @@ def test_stream_rechecks_the_header(tmp_path, shape, message):
     else:
         write_tensor_file(tmp_path / "a.atns", np.ones(shape))
     with pytest.raises((ManifestError, TensorFormatError), match=message):
+        dumps["a"]
+
+
+def test_dump_that_shrinks_after_the_header_recheck_names_the_file(tmp_path, monkeypatch):
+    # the header and the file size pass both checks; the payload then comes up short
+    manifest = write_dumps(tmp_path, {"a": np.ones((4, 1 << 16))}, np.array([0, 1, 0, 1]))
+    path = tmp_path / "a.atns"
+    shrink_after_recheck(monkeypatch, path, path.stat().st_size - 4)
+    dumps = scan_manifest(manifest)
+    with pytest.raises(TensorFormatError,
+                       match=f"^{re.escape(str(path))}: payload shrank while it was read$"):
         dumps["a"]
 
 

@@ -10,6 +10,7 @@ import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convrefine.featio import scan_manifest
 from convrefine.netir import parse_network
 from convrefine.sepstats import (
     DegenerateClassError,
@@ -22,7 +23,7 @@ from convrefine.sepstats import (
     write_correlation_pgm,
 )
 
-from conftest import networks, reference_csv
+from conftest import chain_ir, networks, reference_csv, write_dumps
 
 
 TWO_BLOCKS = parse_network(
@@ -298,18 +299,48 @@ def test_csv_export_matches_per_cell_repr(tmp_path_factory, case):
         assert not path.exists()
 
 
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+M_PINNED = 300
+ROW_BLOCK_BYTES = 64 * M_PINNED * 8  # one 64-row block of an M x M float64 matrix
+
+
 def test_csv_export_holds_a_quarter_of_the_texts(tmp_path):
     # about M^2/4 cell texts are live at once (1.8 MB here); a table of every
     # distinct cell's text, formatted before the first row, peaks at 6.0 MB
-    means = np.random.default_rng(23).standard_normal((300, 400))
-    matrix = correlation_layer("l", means)
-    tracemalloc.start()
-    try:
-        write_correlation_csv(tmp_path / "c.csv", matrix)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5e6
+    matrix = correlation_layer("l", np.random.default_rng(23).standard_normal((M_PINNED, 400)))
+    assert _traced_peak(lambda: write_correlation_csv(tmp_path / "c.csv", matrix)) <= 3.5e6
+
+
+def test_tally_works_in_row_blocks():
+    # 0.31 MB: a block's difference is made while the last one is live; the
+    # whole M x M difference and its two masks peak at 0.81 MB.  Class 200 is
+    # constant in ``cur``, so a diagonal cell of the fourth block moves, and ties.
+    rng = np.random.default_rng(29)
+    prev = correlation_layer("p", rng.standard_normal((M_PINNED, 40)))
+    means = rng.standard_normal((M_PINNED, 40))
+    means[200] = 1.0
+    with pytest.warns(DegenerateClassWarning):
+        cur = correlation_layer("c", means)
+    assert _traced_peak(lambda: separation_tally(prev, cur)) <= 3 * ROW_BLOCK_BYTES
+    t = separation_tally(prev, cur)
+    assert (t.n_plus, t.n_minus, t.n_ties) == _tally_oracle(prev, cur, 1e-6)
+
+
+def test_pgm_export_works_in_row_blocks(tmp_path):
+    # 0.31 MB, as for the tally; two M x M float64 temporaries peak at 1.44 MB
+    matrix = correlation_layer("l", np.random.default_rng(31).standard_normal((M_PINNED, 40)))
+    path = tmp_path / "c.pgm"
+    assert _traced_peak(lambda: write_correlation_pgm(path, matrix)) <= 3 * ROW_BLOCK_BYTES
+    whole = np.clip(np.rint((matrix + 1.0) * 127.5), 0, 255).astype(np.uint8)
+    assert path.read_bytes() == b"P5\n300 300\n255\n" + whole.tobytes()
 
 
 def test_pgm_export_mapping(tmp_path):
@@ -473,3 +504,44 @@ def test_streamed_statistics_equal_the_eager_reference(case, strict):
                 assert got.matrices[name].tobytes() == matrix.tobytes()
         else:
             assert got.matrices == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(dags_with_means(), st.booleans())
+def test_only_streamed_means_are_centred_in_place(tmp_path_factory, case, strict):
+    # A ManifestDumps lookup's means are centred in place unless a
+    # concatenation reads them later; a plain dict's arrays are never written.
+    # Each class has one image, whose features are its mean.
+    ir, means = case
+    labels = np.arange(len(next(iter(means.values()))))
+    dumps = scan_manifest(write_dumps(tmp_path_factory.mktemp("dumps"), means, labels), ir)
+    given_means = dict(dumps)
+    before = {name: g.tobytes() for name, g in given_means.items()}
+    for keep in (True, False):
+        streamed = _outcome(
+            lambda: network_statistics(ir, dumps, strict=strict, keep_matrices=keep))
+        copied = _outcome(
+            lambda: network_statistics(ir, given_means, strict=strict, keep_matrices=keep))
+        assert (streamed.tallies, streamed.error, streamed.warned) == (
+            copied.tallies, copied.error, copied.warned)
+        assert list(streamed.matrices) == list(copied.matrices)
+        for name, matrix in copied.matrices.items():
+            assert streamed.matrices[name].tobytes() == matrix.tobytes()
+        assert {name: g.tobytes() for name, g in given_means.items()} == before
+
+
+def test_streamed_chain_holds_one_layer_of_means_and_two_matrices(tmp_path):
+    # Matrices dominate here: 600 classes of 16 channels, one image each.
+    # A centred copy of the means, NumPy's buffer for the transpose and the
+    # whole tally difference each add a third matrix (2.9 MB): 9.0 MB.
+    m, width = 600, 16
+    ir = chain_ir([width] * 4)
+    rng = np.random.default_rng(37)
+    feats = {b.name: rng.standard_normal((m, width)) for b in ir.blocks}
+    dumps = scan_manifest(write_dumps(tmp_path, feats, rng.permutation(m)), ir)
+    peak = _traced_peak(lambda: network_statistics(ir, dumps, keep_matrices=False))
+    means, matrix = m * width * 8, m * m * 8
+    # the float32 and float64 copies of a chunk (here every image) and its flat indices
+    chunk = m * width * (4 + 8 + 8)
+    # two 64-row blocks of a symmetrisation or a tally, then 0.25 MB for small objects
+    assert peak <= means + 2 * matrix + chunk + 2 * 64 * m * 8 + 250_000
