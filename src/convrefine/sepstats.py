@@ -80,7 +80,7 @@ def _unit_rows(name: str, g: np.ndarray, strict: bool) -> list[int]:
         )
         if strict:
             raise DegenerateClassError(msg)
-        # at the line that called correlation_layer or network_statistics
+        # at the line that called network_statistics
         warnings.warn(msg, DegenerateClassWarning, stacklevel=3)
     g /= np.where(norms == 0.0, 1.0, norms)[:, None]
     return degenerate
@@ -105,22 +105,6 @@ def _gram(unit: np.ndarray, degenerate: list[int]) -> np.ndarray:
         corr[degenerate, :] = 0.0
         corr[:, degenerate] = 0.0
     return corr
-
-
-def correlation_layer(name: str, means, strict: bool = False) -> np.ndarray:
-    """(M, M) Pearson correlation of every ordered pair of rows of ``means``.
-
-    Row m of ``means`` is the mean feature vector of class m in layer
-    ``name``, which messages name.  A constant (zero-variance) mean vector
-    has no defined correlation; its row and column are set to 0 and a
-    warning names the class (strict mode raises instead).  Non-degenerate
-    diagonal entries are exactly 1 and the matrix is exactly symmetric with
-    entries in [-1, 1].  The means are read in C order, so the bits do not
-    depend on the memory layout of ``means``, and a copy of them is
-    centred, so ``means`` is never written.
-    """
-    g = np.array(means, dtype=np.float64, order="C")
-    return _gram(g, _unit_rows(name, g, strict))
 
 
 def check_tie_tol(tie_tol: float) -> None:
@@ -154,77 +138,73 @@ def separation_tally(prev: np.ndarray, cur: np.ndarray, tie_tol: float = 1e-6) -
 
 def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
                        strict: bool = False, keep_matrices: bool = True) -> tuple[dict, dict]:
-    """Per-block correlation matrices and tallies, each matrix computed once.
+    """Per-block correlation matrices and tallies, in one pass over the IR.
 
     Returns ({block: (M, M) matrix} in the IR's (stage, name) order,
     {block: SeparationTally} for the blocks that have a predecessor, in the
     same order).  A block is compared against the correlation matrix of its
-    direct predecessor; when a block consumes several producers, the
-    predecessor statistics come from the concatenation of their class-mean
-    features, in edge order, which is exactly the channel stack the block
-    sees.  Blocks fed by the same concatenation share its matrix.
+    direct predecessor; when a block consumes several producers, against
+    that of the concatenation of their class-mean features, in edge order,
+    which is exactly the channel stack the block sees.  Blocks fed by the
+    same concatenation share its matrix, formed at the first of them before
+    that block's means are read; warnings and strict errors come in this
+    stream order.  ``means_by_layer`` (a dict, or a lazy
+    :class:`featio.ManifestDumps`) is read once per block in IR order.  With
+    ``keep_matrices`` false the first dict is empty.
 
-    ``means_by_layer`` (a dict, or a lazy :class:`featio.ManifestDumps`)
-    is read once per block in IR order; only means that feed a
-    concatenation are kept.  Warnings and strict errors come for the blocks
-    in IR order, then for the concatenations, whose tallies follow the
-    pass.  With ``keep_matrices`` false, each matrix is dropped once its
-    last reader is tallied, and the first dict is empty.
-
-    The working set is one layer's means plus the two matrices a tally
-    compares: means streamed from a ``ManifestDumps``, which nothing else
-    holds, are centred and scaled in place unless a concatenation reads
-    them later, and the tally and the symmetrisation each hold one block of
-    64 rows.  Arrays from any other mapping are copied first, never written.
+    At each step the working set is the current layer's means, plus the
+    kept means of the concatenations still open, plus the live matrices
+    (each dropped after its last reader), plus the 64-row blocks of a
+    symmetrisation or a tally and the chunk buffers of a streamed dump.
+    Means streamed from a ``ManifestDumps``, which nothing else holds, are
+    centred in place unless a concatenation reads them later; arrays from
+    any other mapping are copied first, never written.
     """
+    check_tie_tol(tie_tol)
     for b in ir.blocks:
         if b.name not in means_by_layer:
             raise ValueError(f"no class means supplied for block {b.name}")
+    # A matrix is keyed by the blocks whose means it correlates: (name,) for
+    # a block's own, which is also its single-producer consumers' key.
     preds_of = [ir.predecessors(b.name) for b in ir.blocks]
-    # the step after which a matrix is read no more (the pass's end for a stacked tally)
-    last: dict[str, int] = {}
-    fed: dict[tuple[str, ...], list[str]] = {}  # concatenation -> the blocks it feeds
+    last: dict[tuple[str, ...], int] = {}  # the step after which a matrix is read no more
+    kept_until: dict[str, int] = {}  # a producer's means: the step its last concatenation forms
     for i, (b, preds) in enumerate(zip(ir.blocks, preds_of)):
-        last[b.name] = len(ir.blocks) if len(preds) > 1 else i
-        if len(preds) == 1:
-            last[preds[0]] = max(last[preds[0]], i)
-        elif preds:
-            fed.setdefault(preds, []).append(b.name)
-    stacked_inputs = {p for preds in fed for p in preds}
+        last[(b.name,)] = i
+        if len(preds) > 1 and preds not in last:
+            kept_until.update(dict.fromkeys(preds, i))
+        if preds:
+            last[preds] = i
 
-    # A ManifestDumps lookup makes a new array that nothing else holds: it is
-    # centred in place unless a concatenation reads it later.  Any other
-    # source's arrays may be the caller's, so they are copied first.
     streamed = isinstance(means_by_layer, ManifestDumps)
-    matrix_of, kept, tallies, sizes = {}, {}, {}, set()
+    live, kept, matrices, tallies, sizes = {}, {}, {}, {}, set()
     for i, (b, preds) in enumerate(zip(ir.blocks, preds_of)):
+        if len(preds) > 1 and preds not in live:
+            # the concatenation is a new array, so it is centred in place
+            stacked = np.ascontiguousarray(np.concatenate([kept[p] for p in preds], axis=1),
+                                           dtype=np.float64)
+            live[preds] = _gram(stacked, _unit_rows("+".join(preds), stacked, strict))
+            del stacked
+            for p in preds:
+                if kept_until[p] == i:
+                    del kept[p]
         means = means_by_layer[b.name]
-        if b.name in stacked_inputs:
+        if b.name in kept_until:
             kept[b.name] = means
-        if not streamed or b.name in stacked_inputs:
+        if not streamed or b.name in kept_until:
             means = np.array(means, dtype=np.float64, order="C")
-        matrix_of[b.name] = _gram(means, _unit_rows(b.name, means, strict))
+        live[(b.name,)] = _gram(means, _unit_rows(b.name, means, strict))
         del means  # not held while the next dump streams
-        sizes.add(matrix_of[b.name].shape[0])
+        sizes.add(len(live[(b.name,)]))
         if len(sizes) > 1:
             raise ValueError(f"layers disagree on the number of classes: {sorted(sizes)}")
-        if len(preds) == 1:
-            tallies[b.name] = separation_tally(matrix_of[preds[0]], matrix_of[b.name], tie_tol)
-        if not keep_matrices:
-            for name in [k for k in matrix_of if last[k] == i]:
-                del matrix_of[name]
-
-    # A shared concatenation warns once, as its matrix is computed once; the
-    # concatenation is a new array, so it is centred in place.
-    for preds, consumers in fed.items():
-        stacked = np.ascontiguousarray(np.concatenate([kept[p] for p in preds], axis=1),
-                                       dtype=np.float64)
-        stacked = _gram(stacked, _unit_rows("+".join(preds), stacked, strict))
-        for name in consumers:
-            tallies[name] = separation_tally(stacked, matrix_of[name], tie_tol)
-            if not keep_matrices:
-                del matrix_of[name]
-    return matrix_of, {b.name: tallies[b.name] for b in ir.blocks if b.name in tallies}
+        if keep_matrices:
+            matrices[b.name] = live[(b.name,)]
+        if preds:
+            tallies[b.name] = separation_tally(live[preds], live[(b.name,)], tie_tol)
+        for key in [k for k in live if last[k] == i]:
+            del live[key]
+    return matrices, tallies
 
 
 def write_correlation_csv(path, matrix: np.ndarray) -> None:
@@ -232,8 +212,8 @@ def write_correlation_csv(path, matrix: np.ndarray) -> None:
 
     Each cell is ``repr`` of the float64 value, Python's shortest text that
     reads back to the same float.  ``matrix`` must be square and symmetric
-    bit for bit, as every ``correlation_layer`` result is; anything else
-    raises ValueError before the file is opened.  Row i formats only its
+    bit for bit, as every matrix of :func:`network_statistics` is; anything
+    else raises ValueError before the file is opened.  Row i formats only its
     cells from the diagonal on; the text of each cell (i, j) right of the
     diagonal is handed down to line j, so each text is made once and about
     M^2/4 of them are held at once.

@@ -8,7 +8,7 @@ import oracle
 import pytest
 from hypothesis import strategies as st
 
-from convrefine import featio
+from convrefine import featio, sepstats
 from convrefine.netir import ConvBlock, NetworkIR, serialize_network
 from convrefine.planner import PlanEntry, RefinementPlan
 from convrefine.sepstats import SeparationTally
@@ -27,6 +27,21 @@ def class_means(name, feats, labels, num_classes=None):
     m = int(labels.max()) + 1 if num_classes is None else num_classes
     counts = featio._class_counts(name, labels, m)
     return featio._class_means(labels, counts, feats.shape[1], [(0, feats)])
+
+
+def correlation_layer(name, means, strict=False):
+    """(M, M) Pearson correlation of every ordered pair of rows of ``means``.
+
+    The reference composition of ``sepstats._unit_rows`` and
+    ``sepstats._gram``, the two steps of each matrix that
+    ``network_statistics`` forms.  Row m of ``means`` is the mean feature
+    vector of class m in layer ``name``, which messages name; a constant
+    row's row and column are 0 and a warning names its class (strict mode
+    raises).  The means are copied in C order, so the bits do not depend on
+    their memory layout and ``means`` is never written.
+    """
+    g = np.array(means, dtype=np.float64, order="C")
+    return sepstats._gram(g, sepstats._unit_rows(name, g, strict))
 
 
 def poison(path, flat_index=0):

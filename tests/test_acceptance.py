@@ -32,11 +32,12 @@ from convrefine.featio import (
 from convrefine.netir import ConvBlock, param_count, parse_network, serialize_network
 from convrefine.planner import PlanEntry, build_plan
 from convrefine.rewriter import apply_plan
-from convrefine.sepstats import correlation_layer, network_statistics, separation_tally
+from convrefine.sepstats import network_statistics, separation_tally
 
 from conftest import (
     chain_ir,
     class_means,
+    correlation_layer,
     enumerated_weights,
     exact_terms,
     is_identity,

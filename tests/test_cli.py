@@ -23,9 +23,17 @@ from convrefine.featio import (
 )
 from convrefine.netir import parse_network, serialize_network
 from convrefine.planner import parse_plan
-from convrefine.sepstats import DegenerateClassWarning, correlation_layer
+from convrefine.sepstats import DegenerateClassWarning
 
-from conftest import FIXTURES, chain_ir, poison, reference_csv, shrink_after_recheck
+from conftest import (
+    FIXTURES,
+    chain_ir,
+    correlation_layer,
+    poison,
+    reference_csv,
+    shrink_after_recheck,
+    write_dumps,
+)
 
 CHAIN_IR = "\n".join(
     f"block conv{i} in={3 if i == 0 else 16} out=16 k=3x3 group=1 stage={i}"
@@ -286,6 +294,38 @@ def test_degenerate_layer_reports_before_a_later_payload_fault(workdir, strict):
                                f"error: {dump}: non-finite value at flat index 0\n")
 
 
+# c reads the concatenation of a and b; class 1 is constant, at one value, in a, b and c
+DEGENERATE_CONCAT_IR = """\
+block a in=3 out=4 k=1x1 group=1 stage=0
+block b in=3 out=4 k=1x1 group=1 stage=0
+block c in=8 out=4 k=1x1 group=1 stage=1 prev=a,b
+block d in=4 out=4 k=1x1 group=1 stage=2 prev=c
+"""
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_degenerate_concatenation_reports_in_stream_order(tmp_path, strict):
+    (tmp_path / "net.ir").write_text(DEGENERATE_CONCAT_IR)
+    rng = np.random.default_rng(43)
+    feats = {name: rng.standard_normal((3, 4)) for name in "abcd"}
+    for name in "abc":
+        feats[name][1] = 0.5
+    manifest = write_dumps(tmp_path, feats, np.arange(3))
+    proc = _run_module("plan" if strict else "analyze", "--ir", tmp_path / "net.ir",
+                       "--manifest", manifest, "--out", tmp_path / "run",
+                       *(["--strict-degenerate"] if strict else []))
+    degenerate = "constant class mean vector(s) for class(es) [1]; correlations set to 0"
+    if strict:
+        # the first degenerate matrix in stream order is a producer's
+        assert (proc.returncode, proc.stderr) == (1, f"error: layer a: {degenerate}\n")
+    else:
+        # the concatenation's matrix is formed at its first consumer, before c's own
+        assert proc.returncode == 0
+        assert proc.stderr == "".join(
+            f"warning: DegenerateClassWarning: layer {layer}: {degenerate}\n"
+            for layer in ["a", "b", "a+b", "c"])
+
+
 def test_plan_statistics_peak_does_not_grow_with_depth(tmp_path):
     # plan, sweep and iterate hold the live layers only, not every layer's
     # means and matrix: 12 layers of 64 classes x 64 units peak as 3 do
@@ -407,8 +447,8 @@ def test_sweep_checks_structure_once_and_shares_stacked_correlations(tmp_path, m
     assert len((tmp_path / "run" / "reports" / "sweep.csv").read_text().splitlines()) == 22
     # the parse checks the structure; a sweep that passes builds no refined IR
     assert len(structural) == 1
-    # one matrix per block, then one per distinct concatenation
-    assert correlated == [*"abcdef", "a+b", "c+d"]
+    # one matrix per block and one per distinct concatenation, formed at its first consumer
+    assert correlated == ["a", "b", "a+b", "c", "d", "c+d", "e", "f"]
 
 
 def test_iterate_single_round_equals_plan_apply(workdir):

@@ -18,9 +18,9 @@ from convrefine.evalkit import (
 from convrefine.featio import scan_manifest
 from convrefine.netir import parse_network
 from convrefine.planner import build_plan
-from convrefine.sepstats import correlation_layer, network_statistics
+from convrefine.sepstats import network_statistics
 
-from conftest import class_means
+from conftest import class_means, correlation_layer
 
 
 def test_precision_perfect():

@@ -10,20 +10,19 @@ import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convrefine.featio import scan_manifest
+from convrefine.featio import ManifestDumps, scan_manifest
 from convrefine.netir import parse_network
 from convrefine.sepstats import (
     DegenerateClassError,
     DegenerateClassWarning,
     SeparationTally,
-    correlation_layer,
     network_statistics,
     separation_tally,
     write_correlation_csv,
     write_correlation_pgm,
 )
 
-from conftest import chain_ir, networks, reference_csv, write_dumps
+from conftest import chain_ir, correlation_layer, networks, reference_csv, write_dumps
 
 
 TWO_BLOCKS = parse_network(
@@ -401,28 +400,26 @@ def test_correlation_equals_the_eager_reference_bit_for_bit(m, h, seed, fortran)
 
 
 def eager_network_statistics(ir, means_by_layer, tie_tol=1e-6, strict=False):
-    """The reference: every block's means loaded, then every matrix, then every tally."""
+    """The reference: every block's means loaded, then the matrices in stream order.
+
+    A concatenation's matrix is formed at its first consumer, before that
+    consumer's own; every tally follows its block's matrix.
+    """
     means_by_layer = {b.name: means_by_layer[b.name] for b in ir.blocks}
-    matrix_of = {b.name: _eager_correlation(b.name, means_by_layer[b.name], strict)
-                 for b in ir.blocks}
-    sizes = {m.shape[0] for m in matrix_of.values()}
-    if len(sizes) > 1:
-        raise ValueError(f"layers disagree on the number of classes: {sorted(sizes)}")
-    stacked_of = {}
-    tallies = {}
+    matrix_of, tallies = {}, {}
     for b in ir.blocks:
         preds = ir.predecessors(b.name)
-        if not preds:
-            continue
-        if len(preds) == 1:
-            prev_matrix = matrix_of[preds[0]]
-        elif preds in stacked_of:
-            prev_matrix = stacked_of[preds]
-        else:
+        if len(preds) > 1 and preds not in matrix_of:
             stacked = np.concatenate([means_by_layer[p] for p in preds], axis=1)
-            prev_matrix = stacked_of[preds] = _eager_correlation("+".join(preds), stacked, strict)
-        tallies[b.name] = separation_tally(prev_matrix, matrix_of[b.name], tie_tol=tie_tol)
-    return matrix_of, tallies
+            matrix_of[preds] = _eager_correlation("+".join(preds), stacked, strict)
+        matrix_of[b.name] = _eager_correlation(b.name, means_by_layer[b.name], strict)
+        sizes = {matrix_of[ir.blocks[0].name].shape[0], matrix_of[b.name].shape[0]}
+        if len(sizes) > 1:
+            raise ValueError(f"layers disagree on the number of classes: {sorted(sizes)}")
+        if preds:
+            prev_matrix = matrix_of[preds if len(preds) > 1 else preds[0]]
+            tallies[b.name] = separation_tally(prev_matrix, matrix_of[b.name], tie_tol=tie_tol)
+    return {b.name: matrix_of[b.name] for b in ir.blocks}, tallies
 
 
 class _Recorded(Mapping):
@@ -545,3 +542,121 @@ def test_streamed_chain_holds_one_layer_of_means_and_two_matrices(tmp_path):
     chunk = m * width * (4 + 8 + 8)
     # two 64-row blocks of a symmetrisation or a tally, then 0.25 MB for small objects
     assert peak <= means + 2 * matrix + chunk + 2 * 64 * m * 8 + 250_000
+
+
+@pytest.mark.parametrize("tie_tol", [-1.0, math.nan])
+def test_tie_tol_is_refused_before_any_means_are_read(tie_tol):
+    source = _Recorded({"conv0": np.eye(3, 4), "conv1": np.eye(3, 4)})
+    with pytest.raises(ValueError, match="tie_tol must be non-negative and finite"):
+        network_statistics(chain_ir([4, 4]), source, tie_tol=tie_tol)
+    assert source.reads == []
+
+
+def _documented_working_set(ir, m, width):
+    """Bytes of ``network_statistics``' working set per step, as its docstring states them.
+
+    Each class is one image of ``width[block]`` channels.  Returns, per
+    block in IR order, the bytes held when its means are looked up (the
+    kept means of the concatenations still open and the live matrices),
+    and the bytes of everything the step may hold besides: a concatenation
+    formed there with the kept means it drops, the block's means and their
+    copy if a concatenation reads them later, its matrix, the chunk buffers
+    and two 64-row blocks.
+    """
+    pos = {b.name: i for i, b in enumerate(ir.blocks)}
+    formed, last, kept_until = {}, {}, {}  # keyed by the blocks a matrix correlates
+    for i, b in enumerate(ir.blocks):
+        preds = ir.predecessors(b.name)
+        formed[(b.name,)] = last[(b.name,)] = i
+        if len(preds) > 1 and preds not in formed:
+            formed[preds] = i
+            kept_until.update(dict.fromkeys(preds, i))
+        if preds:
+            last[preds] = i
+
+    def means(names):
+        return 8 * m * sum(width[n] for n in names)
+
+    held, step = [], []
+    for i, b in enumerate(ir.blocks):
+        preds = ir.predecessors(b.name)
+        live = [k for k in formed if formed[k] <= i <= last[k] and k != (b.name,)]
+        held.append(means(p for p in kept_until if pos[p] < i < kept_until[p])
+                    + 8 * m * m * len(live))
+        stacking = formed.get(preds) == i and len(preds) > 1
+        step.append(held[-1]
+                    + (means(preds) + means(p for p in preds if kept_until[p] == i)
+                       if stacking else 0)
+                    + means([b.name]) * (2 if b.name in kept_until else 1)
+                    + 8 * m * m  # the block's own matrix
+                    + m * width[b.name] * (4 + 8 + 8)  # a chunk's float32, float64 and indices
+                    + 2 * 64 * m * 8)
+    return held, step
+
+
+class _HeldAtLookup(ManifestDumps):
+    """Streamed dumps that record the traced bytes held when each is looked up."""
+
+    def __init__(self, dumps):
+        vars(self).update(vars(dumps))
+        self.held = []
+
+    def __getitem__(self, name):
+        self.held.append(tracemalloc.get_traced_memory()[0])
+        return super().__getitem__(name)
+
+
+def _inception_ir(units, scale):
+    """A stem, ``units`` two-stage inception units of the benchmark's widths x ``scale``,
+    and a 1x1 head; each unit reads the concatenation of the last one's four outputs."""
+    out = {"stem": 64}
+    lines = ["block stem in=3 out=64 k=3x3 group=1 stage=0"]
+    prior = ["stem"]
+
+    def add(name, width, stage, reads):
+        out[name] = width
+        lines.append(f"block {name} in={sum(out[r] for r in reads)} out={width} k=1x1"
+                     f" group=1 stage={stage} prev={','.join(reads)}")
+
+    for u in range(units):
+        for k, w, stage, reads in [("1x1", 32, 1, prior), ("3r", 24, 1, prior),
+                                   ("5r", 16, 1, prior), ("3x3", 32, 2, [f"u{u}_3r"]),
+                                   ("5x5", 16, 2, [f"u{u}_5r"]), ("pool", 16, 2, prior)]:
+            add(f"u{u}_{k}", w * scale, 2 * u + stage, reads)
+        prior = [f"u{u}_{k}" for k in ("1x1", "3x3", "5x5", "pool")]
+    add("head", 64, 2 * units + 1, prior)
+    return parse_network("\n".join(lines) + "\n")
+
+
+def test_inception_statistics_hold_the_documented_working_set(tmp_path):
+    # 56 blocks of 300 classes, one image each.  Every unit's four outputs
+    # feed the next unit's concatenation, whose pool branch reads it a stage
+    # later.  The pass peaks at 5.2 MB against a formula of 8.2 MB; holding
+    # every concatenated producer's means and every consumer's matrix to the
+    # end of the pass peaks at 43.3 MB.
+    m = 300
+    ir = _inception_ir(9, 8)
+    assert len(ir.blocks) == 56
+    rng = np.random.default_rng(41)
+    feats = {b.name: rng.standard_normal((m, b.out_channels)) for b in ir.blocks}
+    dumps = scan_manifest(write_dumps(tmp_path, feats, rng.permutation(m)), ir)
+    peak = _traced_peak(lambda: network_statistics(ir, dumps, keep_matrices=False))
+    _, step = _documented_working_set(ir, m, {b.name: b.out_channels for b in ir.blocks})
+    assert peak <= max(step) + 250_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(min_width=2, max_stages=5))
+def test_streamed_statistics_hold_only_the_live_means_and_matrices(tmp_path_factory, ir):
+    # 100 classes: a matrix (80 kB) outweighs the slack for small objects,
+    # so a matrix or kept means held past their last reader show.
+    m = 100
+    rng = np.random.default_rng(len(ir.blocks))
+    feats = {b.name: rng.standard_normal((m, b.out_channels)) for b in ir.blocks}
+    dumps = _HeldAtLookup(scan_manifest(
+        write_dumps(tmp_path_factory.mktemp("dumps"), feats, np.arange(m)), ir))
+    peak = _traced_peak(lambda: network_statistics(ir, dumps, keep_matrices=False))
+    held, step = _documented_working_set(ir, m, {b.name: b.out_channels for b in ir.blocks})
+    for got, want in zip(dumps.held, held):
+        assert got <= want + 40_000
+    assert peak <= max(step) + 40_000
