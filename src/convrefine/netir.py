@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 from pathlib import Path
 
 
@@ -158,11 +159,16 @@ def validate_network(blocks, edges) -> dict[str, tuple[str, ...]]:
                 f" ({by_name[producer].stage} -> {by_name[consumer].stage})"
             )
 
-    # stages are non-negative, so none lies beyond the last block's
-    missing = sorted(set(range(blocks[-1].stage)) - {b.stage for b in blocks})
-    if missing:
+    # stages are non-negative, so none lies beyond the last block's; as a
+    # stage may be huge, the first missing ones are read off the gaps
+    stages = sorted({b.stage for b in blocks})
+    count = stages[-1] + 1 - len(stages)
+    if count:
+        gaps = chain.from_iterable(range(lo + 1, hi) for lo, hi in zip([-1, *stages], stages))
+        missing = list(islice(gaps, len(blocks)))
+        more = f" and {count - len(missing)} more" if count > len(missing) else ""
         raise IRValidationError(
-            f"stage indices must cover 0..{blocks[-1].stage} exactly (missing {missing})"
+            f"stage indices must cover 0..{stages[-1]} exactly (missing {missing}{more})"
         )
 
     preds = {k: tuple(v) for k, v in grouped.items()}

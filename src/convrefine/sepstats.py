@@ -52,19 +52,22 @@ class SeparationTally:
 _NORM_ROWS = 64  # rows per block of every M x M or M x channels temporary
 
 
-def _unit_rows(name: str, g: np.ndarray, strict: bool) -> list[int]:
-    """Centre and scale the rows of ``g`` to unit norm in place; returns the degenerate rows.
+def _correlate(name: str, g: np.ndarray, strict: bool) -> np.ndarray:
+    """The (M, M) Pearson correlation of the rows of ``g``: clipped, unit diagonal.
 
-    ``g`` is a float64 C-order array that nothing else holds.  A constant
-    row keeps its zeros and is named in a warning (strict mode raises).
+    ``g`` is a float64 C-order array that nothing else holds; its rows are
+    centred and scaled to unit norm in place.  A constant row's row and
+    column are 0 and a warning names its class (strict mode raises).  The
+    result is symmetric bit for bit only because it is ``g @ g.T`` of that
+    same C-order array, which NumPy forms with BLAS ``syrk`` (or a loop that
+    sums cells (i, j) and (j, i) alike); ``g @ np.ascontiguousarray(g.T)``
+    goes through ``gemm`` and is not symmetric.
     """
     if g.ndim != 2:
         raise ValueError(f"layer {name}: class means must be rank 2")
     if g.shape[1] < 2:
-        raise ValueError(
-            f"layer {name}: need at least 2 hidden units for correlation,"
-            f" got {g.shape[1]}"
-        )
+        raise ValueError(f"layer {name}: need at least 2 hidden units for correlation,"
+                         f" got {g.shape[1]}")
     g -= g.mean(axis=1, keepdims=True)
     # The squares are held one block of rows at a time; a C-order row sums
     # in the same order whatever block holds it, so the norms keep their bits.
@@ -83,27 +86,11 @@ def _unit_rows(name: str, g: np.ndarray, strict: bool) -> list[int]:
         # at the line that called network_statistics
         warnings.warn(msg, DegenerateClassWarning, stacklevel=3)
     g /= np.where(norms == 0.0, 1.0, norms)[:, None]
-    return degenerate
-
-
-def _gram(unit: np.ndarray, degenerate: list[int]) -> np.ndarray:
-    """The correlation matrix of :func:`_unit_rows`' rows: symmetrised, clipped, unit diagonal.
-
-    Each pair's (a_ij + a_ji) / 2 is formed once, a block of rows at a time,
-    and written to both cells; the sum's bits do not depend on its order.
-    """
-    corr = unit @ unit.T
-    for lo in range(0, len(corr), _NORM_ROWS):
-        hi = lo + _NORM_ROWS
-        pair = corr[lo:hi, lo:] + corr[lo:, lo:hi].T
-        pair /= 2.0
-        np.clip(pair, -1.0, 1.0, out=pair)
-        corr[lo:hi, lo:] = pair
-        corr[lo:, lo:hi] = pair.T
+    corr = g @ g.T
+    np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
-    if degenerate:
-        corr[degenerate, :] = 0.0
-        corr[:, degenerate] = 0.0
+    corr[degenerate, :] = 0.0
+    corr[:, degenerate] = 0.0
     return corr
 
 
@@ -154,8 +141,8 @@ def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
 
     At each step the working set is the current layer's means, plus the
     kept means of the concatenations still open, plus the live matrices
-    (each dropped after its last reader), plus the 64-row blocks of a
-    symmetrisation or a tally and the chunk buffers of a streamed dump.
+    (each dropped after its last reader), plus the 64-row blocks of a tally
+    and the chunk buffers of a streamed dump.
     Means streamed from a ``ManifestDumps``, which nothing else holds, are
     centred in place unless a concatenation reads them later; arrays from
     any other mapping are copied first, never written.
@@ -183,7 +170,7 @@ def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
             # the concatenation is a new array, so it is centred in place
             stacked = np.ascontiguousarray(np.concatenate([kept[p] for p in preds], axis=1),
                                            dtype=np.float64)
-            live[preds] = _gram(stacked, _unit_rows("+".join(preds), stacked, strict))
+            live[preds] = _correlate("+".join(preds), stacked, strict)
             del stacked
             for p in preds:
                 if kept_until[p] == i:
@@ -193,7 +180,7 @@ def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
             kept[b.name] = means
         if not streamed or b.name in kept_until:
             means = np.array(means, dtype=np.float64, order="C")
-        live[(b.name,)] = _gram(means, _unit_rows(b.name, means, strict))
+        live[(b.name,)] = _correlate(b.name, means, strict)
         del means  # not held while the next dump streams
         sizes.add(len(live[(b.name,)]))
         if len(sizes) > 1:

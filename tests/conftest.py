@@ -32,16 +32,14 @@ def class_means(name, feats, labels, num_classes=None):
 def correlation_layer(name, means, strict=False):
     """(M, M) Pearson correlation of every ordered pair of rows of ``means``.
 
-    The reference composition of ``sepstats._unit_rows`` and
-    ``sepstats._gram``, the two steps of each matrix that
-    ``network_statistics`` forms.  Row m of ``means`` is the mean feature
-    vector of class m in layer ``name``, which messages name; a constant
-    row's row and column are 0 and a warning names its class (strict mode
-    raises).  The means are copied in C order, so the bits do not depend on
-    their memory layout and ``means`` is never written.
+    ``sepstats._correlate``, the one step of each matrix that
+    ``network_statistics`` forms, applied to a C-order copy.  Row m of
+    ``means`` is the mean feature vector of class m in layer ``name``, which
+    messages name; a constant row's row and column are 0 and a warning names
+    its class (strict mode raises).  The copy makes the bits independent of
+    the means' memory layout, and ``means`` is never written.
     """
-    g = np.array(means, dtype=np.float64, order="C")
-    return sepstats._gram(g, sepstats._unit_rows(name, g, strict))
+    return sepstats._correlate(name, np.array(means, dtype=np.float64, order="C"), strict)
 
 
 def poison(path, flat_index=0):

@@ -439,8 +439,8 @@ def test_sweep_checks_structure_once_and_shares_stacked_correlations(tmp_path, m
         return wrapper
 
     monkeypatch.setattr(netir, "validate_network", counted(structural, netir.validate_network))
-    # every matrix, streamed or copied, starts with its unit rows
-    monkeypatch.setattr(sepstats, "_unit_rows", counted(correlated, sepstats._unit_rows))
+    # every matrix, streamed or copied, is one _correlate call
+    monkeypatch.setattr(sepstats, "_correlate", counted(correlated, sepstats._correlate))
     assert _run("sweep", "--ir", tmp_path / "net.ir", "--manifest",
                 tmp_path / "dumps" / "manifest.txt", "--sweep-steps", "20",
                 "--out", tmp_path / "run") == 0

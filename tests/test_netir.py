@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import time
 
 import oracle
 import pytest
@@ -147,6 +148,19 @@ def test_stage_gap_rejected():
             "block b in=4 out=4 k=1x1 group=1 stage=1 prev=a\n"
             "block c in=4 out=4 k=1x1 group=1 stage=3 prev=b\n"
         )
+
+
+@pytest.mark.parametrize("stage", [2**32 - 1, 10**30], ids=["u32-max", "1e30"])
+def test_huge_stage_gap_is_refused_at_once(stage):
+    # as many missing stages as blocks are listed, then a count of the rest
+    text = ("block a in=3 out=4 k=1x1 group=1 stage=0\n"
+            f"block b in=4 out=4 k=1x1 group=1 stage={stage} prev=a\n")
+    start = time.perf_counter()
+    with pytest.raises(IRValidationError) as err:
+        parse_network(text)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == (f"<ir>: stage indices must cover 0..{stage} exactly"
+                              f" (missing [1, 2] and {stage - 3} more)")
 
 
 def test_programmatic_construction_derives_exclusion_flags():

@@ -11,12 +11,13 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import oracle
 import workloads
 from hypothesis import assume, given, settings, strategies as st
 from setup_inputs import build_inputs
 
-from convrefine import cli
+from convrefine import cli, featio
 from convrefine.evalkit import uniform_target
 from convrefine.netir import serialize_network
 
@@ -62,6 +63,21 @@ def random_specs(draw):
     )
 
 
+def shift_and_scale_layers(spec, manifest):
+    """Give each layer's dump its own offset and power-of-two scale, in float32.
+
+    synth's class means are centred with unit norm, so without this a
+    concatenation of raw means reads the same as one of centred, unit-scaled
+    means.
+    """
+    rng = np.random.default_rng(spec.subseed("affine"))
+    layers, _ = oracle.read_manifest(manifest)
+    for path in layers.values():
+        scale = np.float32(2.0 ** rng.integers(-3, 4))
+        featio.write_tensor_file(path, oracle.read_atns(path) * scale
+                                 + np.float32(rng.uniform(-2.0, 2.0)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(random_specs())
 def test_every_output_matches_the_oracle_on_random_dags(spec):
@@ -69,6 +85,7 @@ def test_every_output_matches_the_oracle_on_random_dags(spec):
     # non-trivial plan, which a random graph need not give
     with tempfile.TemporaryDirectory() as tmp:
         inputs = build_inputs(spec, Path(tmp) / "inputs")
+        shift_and_scale_layers(spec, inputs["manifest"])
         out = Path(tmp) / "out"
         stdouts = {}
         for name, argv in spec.commands(*(str(inputs[key]) for key in

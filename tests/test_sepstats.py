@@ -1,8 +1,12 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections.abc import Mapping
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -383,11 +387,14 @@ def _eager_correlation(name, means, strict=False):
 def test_correlation_equals_the_eager_reference_bit_for_bit(m, h, seed, fortran):
     # M spans several blocks of the row norms; row scales span 60 decades and
     # some rows are constant, so every row's sum order shows in its bits; a
-    # Fortran-ordered copy of the means must give the same bits
+    # Fortran-ordered copy of the means must give the same bits.  Rows scaled
+    # by 1e-180 square to 0, so they count as degenerate though not zero; their
+    # products show unless both their row and their column are zeroed
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((m, h)) * 10.0 ** rng.integers(-30, 31, size=(m, 1))
     constant = rng.random(m) < 0.1
     means[constant] = rng.standard_normal((int(constant.sum()), 1))
+    means[rng.random(m) < 0.1] *= 1e-180
     given_means = np.asfortranarray(means) if fortran else means
     with warnings.catch_warnings(record=True) as got_warned:
         warnings.simplefilter("always")
@@ -397,6 +404,44 @@ def test_correlation_equals_the_eager_reference_bit_for_bit(m, h, seed, fortran)
         want = _eager_correlation("l", means)
     assert got.tobytes() == want.tobytes()
     assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
+
+
+_BLAS_CHECK = """
+import warnings
+import numpy as np
+from conftest import correlation_layer
+from test_sepstats import _eager_correlation
+
+rng = np.random.default_rng(43)
+for m, h in ((500, 512), (300, 520)):
+    means = rng.standard_normal((m, h)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+    means[m // 3] = 2.5  # one constant class
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        got = correlation_layer("l", means)
+        want = _eager_correlation("l", means)
+    assert len(warned) == 2 and str(warned[0].message) == str(warned[1].message)
+    bits = got.view(np.uint64)
+    assert np.array_equal(bits, bits.T), (m, h)
+    assert got.tobytes() == want.tobytes(), (m, h)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("setting", ["OPENBLAS_NUM_THREADS=1", "OPENBLAS_NUM_THREADS=2",
+                                     "OPENBLAS_CORETYPE=Prescott"])
+def test_correlation_is_symmetric_under_blas_threads_and_kernels(setting):
+    # products this large are split across threads, and the kernel is picked
+    # when the library loads, so each setting gets a fresh interpreter; the
+    # eager reference still symmetrises, so equal bytes show nothing was lost
+    tests = Path(__file__).parent
+    key, _, value = setting.partition("=")
+    env = dict(os.environ, **{key: value},
+               PYTHONPATH=os.pathsep.join(str(tests.parent / d) for d in ("src", "bench", "tests")))
+    proc = subprocess.run([sys.executable, "-c", _BLAS_CHECK], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def eager_network_statistics(ir, means_by_layer, tie_tol=1e-6, strict=False):
@@ -540,7 +585,7 @@ def test_streamed_chain_holds_one_layer_of_means_and_two_matrices(tmp_path):
     means, matrix = m * width * 8, m * m * 8
     # the float32 and float64 copies of a chunk (here every image) and its flat indices
     chunk = m * width * (4 + 8 + 8)
-    # two 64-row blocks of a symmetrisation or a tally, then 0.25 MB for small objects
+    # two 64-row blocks of a tally, then 0.25 MB for small objects
     assert peak <= means + 2 * matrix + chunk + 2 * 64 * m * 8 + 250_000
 
 
