@@ -35,24 +35,35 @@ TRUTH_FORMAT = BinaryFormat(b"ATMH", "truth", "II")  # N, M
 def precision_at_k(scores, truth, k: int) -> float:
     """True positives over all predictions, with per-image top lists.
 
-    ``scores`` and ``truth`` are (N, M) arrays, ``truth`` of 0/1 entries.
-    An image with p positive labels contributes its top min(p, k) scored
-    classes as predictions; k only caps the list.  Score ties break toward
-    the lower class index.  Images without positive labels are skipped with
-    a warning.
+    ``scores`` and ``truth`` are (N, M) arrays, ``truth`` of 0/1 entries,
+    ``scores`` free of NaN.  An image with p positive labels contributes its
+    top min(p, k) scored classes as predictions; k only caps the list.
+    Score ties break toward the lower class index.  Images without positive
+    labels are skipped with a warning.
     """
     n, m = scores.shape
     if not 1 <= k <= m:
         raise ValueError(f"k must be in 1..{m}, got {k}")
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
     p = truth.sum(axis=1)
     for i in np.flatnonzero(p == 0).tolist():
         warnings.warn(f"image {i} has no positive labels; skipped", stacklevel=2)
     take = np.minimum(p, k)[:, None]
-    ranked = np.take_along_axis(truth, np.argsort(-scores, axis=1, kind="stable"), axis=1)
     predictions = int(take.sum())
     if predictions == 0:
         raise ValueError("no image produced predictions")
-    return int(ranked[np.arange(m) < take].sum()) / predictions
+    # each image's top k: the classes scored above its k-th highest score,
+    # then the lowest-indexed of those scored equal to it
+    kth = np.partition(scores, m - k, axis=1)[:, [m - k]]  # a copy: the partition goes
+    above = scores > kth
+    tied = scores == kth
+    ranks = np.cumsum(tied, axis=1, dtype=np.min_scalar_type(m))  # each tie's place among ties
+    top = above | (tied & (ranks <= k - above.sum(axis=1, keepdims=True)))
+    cols = np.nonzero(top)[1].reshape(n, k)  # in class order
+    order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1, kind="stable")
+    ranked = np.take_along_axis(truth, np.take_along_axis(cols, order, axis=1), axis=1)
+    return int(ranked[np.arange(k) < take].sum()) / predictions
 
 
 def read_truth_file(path) -> np.ndarray:

@@ -1,7 +1,10 @@
 import struct
+import warnings
 
 import numpy as np
+import oracle
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convrefine import evalkit
 from convrefine.evalkit import (
@@ -69,6 +72,8 @@ def test_precision_k_bounds():
         precision_at_k(scores, truth, 4)
     with pytest.raises(ValueError, match="k must be in 1..3"):
         precision_at_k(scores, truth, 0)
+    with pytest.raises(ValueError, match="scores must not be NaN"):
+        precision_at_k(np.array([[0.0, np.nan, 1.0]]), truth, 1)
 
 
 def test_precision_tie_breaks_toward_lower_class_index():
@@ -76,6 +81,25 @@ def test_precision_tie_breaks_toward_lower_class_index():
     truth = np.array([[0, 1, 0]])
     # ties keep ascending class order, so the single prediction is class 0
     assert precision_at_k(scores, truth, 3) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_precision_with_tied_scores_matches_the_oracle(data):
+    # scores of 0..3 over up to 30 classes tie often, also inside a top k of
+    # more than 16, where NumPy's default argsort is not stable
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(2, 30))
+    scores = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m)),
+                      dtype=np.float64).reshape(n, m)
+    truth = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n * m, max_size=n * m)),
+                     dtype=np.uint8).reshape(n, m)
+    truth[0, data.draw(st.integers(0, m - 1))] = 1
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "image .* has no positive labels", UserWarning)
+        for k in range(1, m + 1):
+            want = oracle.precision_exhaustive(scores, truth, k)
+            assert precision_at_k(scores, truth, k) == float(want)
 
 
 def test_precision_rank_order_invariance():

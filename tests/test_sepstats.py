@@ -14,6 +14,7 @@ import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convrefine import sepstats
 from convrefine.featio import ManifestDumps, scan_manifest
 from convrefine.netir import parse_network
 from convrefine.sepstats import (
@@ -57,6 +58,23 @@ def test_degenerate_class_convention():
 def test_degenerate_strict_mode():
     with pytest.raises(DegenerateClassError, match="layer l"):
         correlation_layer("l", [[2.0, 2.0, 2.0], [1.0, 2.0, 3.0]], strict=True)
+
+
+def test_every_constant_row_is_degenerate_whatever_its_value():
+    # Centred in float64, a row of 7 copies of 0.1, 0.2, 0.7, 2.2 or 0.9 keeps
+    # equal values of about 1e-17 (1/3 and 0.6 reach 0); unflagged, such rows
+    # would correlate with each other at exactly +-1.
+    values = (0.1, 0.2, 0.7, 2.2, 0.9, 1 / 3, 0.6)
+    means = np.array([[v] * 7 for v in values] + [[1, 2, 3, 4, 5, 6, 7], [7, 1, 6, 2, 5, 3, 4]],
+                     dtype=np.float64)
+    centred = means.copy()
+    with pytest.warns(DegenerateClassWarning, match=r"class\(es\) \[0, 1, 2, 3, 4, 5, 6\];"):
+        c = sepstats._correlate("l", centred, False)
+    assert not centred[:7].any()
+    assert not c[:7].any() and not c[:, :7].any()
+    assert c[7, 7] == c[8, 8] == 1.0
+    with pytest.raises(DegenerateClassError, match=r"class\(es\) \[0, 1, 2, 3, 4, 5, 6\];"):
+        correlation_layer("l", means, strict=True)
 
 
 def test_matrix_invariants_random():
@@ -246,9 +264,11 @@ def test_csv_export_reparses(tmp_path):
 
 
 # signed zeros, infinities, NaN, subnormals and values whose shortest text
-# switches between positional and exponent notation
+# switches between positional and exponent notation, or gains a leading zero
+DECADES = [1e-4, 1e-3, 0.01, 0.1, 1.0]
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5e-310,
-                  1e16, 1e-5, 1e-4, 9999999999999998.0, 0.1, 1.0, -1.0]
+                  1e16, 1e-5, 9999999999999998.0, -1.0, *DECADES,
+                  *(math.nextafter(d, to) for d in DECADES for to in (0.0, 2.0))]
 
 # mirror cells that look alike but differ in their bits, in float64 and in float32
 BIT_MISMATCHES = [(0.0, -0.0), (math.nan, -math.nan),
@@ -261,7 +281,7 @@ def csv_inputs(draw):
     """A matrix in one of the forms the CSV writer takes, and whether it is valid.
 
     Valid means square and symmetric bit for bit.  Up to 8 rows, so that
-    texts are handed down across several rows.  Invalid matrices are
+    the repr batch of a block spans several rows.  Invalid matrices are
     non-square, or square with one mirror pair from ``BIT_MISMATCHES``.
     """
     rows = draw(st.integers(1, 8))
@@ -302,6 +322,45 @@ def test_csv_export_matches_per_cell_repr(tmp_path_factory, case):
         assert not path.exists()
 
 
+def _ulps_around(values, ulps=3):
+    """Each value and its ``ulps`` neighbouring floats on either side."""
+    out = []
+    for v in values:
+        below = above = v
+        for _ in range(ulps):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            out += [below, above]
+        out.append(v)
+    return out
+
+
+def test_csv_kernel_writes_repr_bytes():
+    # The kernel writes cells with 1e-4 <= |x| < 1 and hands the rest, and
+    # ties between two shortest candidates, to repr.  Random bit patterns in
+    # [-1, 1] are mostly tiny, so the range gets its own half million;
+    # dyadics of few bits make every kind of tie; the neighbours of each
+    # decade and power of two cross a change of leading zeros or of spacing.
+    rng = np.random.default_rng(37)
+    bulk_bits = np.array([1e-4, 1.0]).view(np.int64)
+    dyadic = np.arange(1, 2**15) / 2.0 ** np.arange(15, 25)[:, None]
+    cells = np.concatenate([
+        rng.integers(0, np.float64(1.0).view(np.int64), 10**6, endpoint=True).view(np.float64),
+        rng.integers(*bulk_bits, 5 * 10**5).view(np.float64),
+        dyadic[dyadic >= 1e-4].ravel(),
+        _ulps_around(DECADES + [2.0**-e for e in range(1, 14)]),
+    ])
+    cells *= rng.choice([-1.0, 1.0], cells.size)
+    special = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1e-5, math.nan, math.inf, 1.5,
+                        12345.678, 1e16, 1.8e291, 1.7976931348623157e308])
+    cells = np.concatenate([cells, special, -special])
+    rows = np.resize(cells, (-(-cells.size // 1000), 1000))  # the last row wraps around
+    with np.errstate(all="raise"):
+        for lo in range(0, len(rows), sepstats._CSV_ROWS):
+            block = rows[lo : lo + sepstats._CSV_ROWS]
+            want = "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+            assert sepstats._csv_block(block) == want.encode("ascii")
+
+
 def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
@@ -316,10 +375,20 @@ ROW_BLOCK_BYTES = 64 * M_PINNED * 8  # one 64-row block of an M x M float64 matr
 
 
 def test_csv_export_holds_a_quarter_of_the_texts(tmp_path):
-    # about M^2/4 cell texts are live at once (1.8 MB here); a table of every
-    # distinct cell's text, formatted before the first row, peaks at 6.0 MB
+    # handing each text down to its mirror cell held about M^2/4 texts at once
+    # (1.8 MB here); a table of every distinct cell's text, formatted before
+    # the first row, peaks at 6.0 MB
     matrix = correlation_layer("l", np.random.default_rng(23).standard_normal((M_PINNED, 400)))
     assert _traced_peak(lambda: write_correlation_csv(tmp_path / "c.csv", matrix)) <= 3.5e6
+
+
+def test_csv_export_holds_one_row_block(tmp_path):
+    # 0.95 MB: each cell of a 16-row block has a 25-byte slot, its keep mask
+    # and about 18 float64 or int64 temporaries of the kernel live at once;
+    # the kernel run over the whole matrix at once peaks at 17 MB
+    matrix = correlation_layer("l", np.random.default_rng(23).standard_normal((M_PINNED, 400)))
+    peak = _traced_peak(lambda: write_correlation_csv(tmp_path / "c.csv", matrix))
+    assert peak <= sepstats._CSV_ROWS * M_PINNED * 256
 
 
 def test_tally_works_in_row_blocks():
@@ -355,7 +424,9 @@ def test_pgm_export_mapping(tmp_path):
 
 
 def _eager_correlation(name, means, strict=False):
-    """correlation_layer with every step out of place, as it was written before streaming."""
+    """correlation_layer with every step out of place, as it was written before
+    streaming; a row is degenerate when its raw values are all equal or its
+    centred norm is 0."""
     g = np.asarray(means, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError(f"layer {name}: class means must be rank 2")
@@ -365,7 +436,8 @@ def _eager_correlation(name, means, strict=False):
         )
     centered = g - g.mean(axis=1, keepdims=True)
     norms = np.sqrt((centered * centered).sum(axis=1))
-    degenerate = [int(i) for i in np.flatnonzero(norms == 0.0)]
+    constant = (g == g[:, :1]).all(axis=1)
+    degenerate = [int(i) for i in np.flatnonzero(constant | (norms == 0.0))]
     if degenerate:
         msg = (f"layer {name}: constant class mean vector(s) for"
                f" class(es) {degenerate}; correlations set to 0")
