@@ -19,6 +19,8 @@ import numpy as np
 
 from . import evalkit, featio, netir, planner, rewriter, sepstats
 
+LAMBDA = 0.25  # the default --lambda of plan and iterate
+
 
 def _read_ir(path) -> netir.NetworkIR:
     return netir.parse_network(netir.read_text(path, netir.IRSyntaxError), path)
@@ -249,7 +251,7 @@ def cmd_precision(args) -> int:
 def _add_common_inputs(p, manifest_action="store"):
     p.add_argument("--ir", required=True, help="network IR file")
     p.add_argument("--manifest", required=True, action=manifest_action, help="activation manifest")
-    p.add_argument("--tie-tol", type=float, default=1e-6, dest="tie_tol")
+    p.add_argument("--tie-tol", type=float, default=sepstats.TIE_TOL, dest="tie_tol")
     p.add_argument("--strict-degenerate", action="store_true", dest="strict_degenerate")
     p.add_argument("--out", required=True, help="output directory")
 
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="compute stretch/split factors")
     _add_common_inputs(p)
-    p.add_argument("--lambda", type=float, default=0.25, dest="lam")
+    p.add_argument("--lambda", type=float, default=LAMBDA, dest="lam")
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("apply", help="rewrite an IR with a plan file")
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iterate", help="re-refine across rounds of retraining dumps")
     _add_common_inputs(p, manifest_action="append")
-    p.add_argument("--lambda", type=float, default=0.25, dest="lam")
+    p.add_argument("--lambda", type=float, default=LAMBDA, dest="lam")
     p.set_defaults(fn=cmd_iterate)
 
     p = sub.add_parser("synth", help="generate synthetic activation dumps")

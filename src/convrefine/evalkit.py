@@ -60,8 +60,9 @@ def precision_at_k(scores, truth, k: int) -> float:
     tied = scores == kth
     ranks = np.cumsum(tied, axis=1, dtype=np.min_scalar_type(m))  # each tie's place among ties
     top = above | (tied & (ranks <= k - above.sum(axis=1, keepdims=True)))
-    cols = np.nonzero(top)[1].reshape(n, k)  # in class order
-    order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1, kind="stable")
+    cols = np.nonzero(top)[1].reshape(n, k)[:, ::-1]  # in descending class order
+    # a stable ascending sort, reversed: descending, ties to the lower class; -x wraps integers
+    order = np.argsort(np.take_along_axis(scores, cols, axis=1), axis=1, kind="stable")[:, ::-1]
     ranked = np.take_along_axis(truth, np.take_along_axis(cols, order, axis=1), axis=1)
     return int(ranked[np.arange(k) < take].sum()) / predictions
 
@@ -303,7 +304,7 @@ def load_profile(path) -> SynthProfile:
         else:
             raise ValueError(f"{where}: profile has no 'rho' or 'matrix' key")
         layers[name] = SynthLayer(name=name, width=width, target=target)
-    noise = _profile_field(raw, "noise", str(path), _number) if "noise" in raw else 0.05
+    noise = _profile_field(raw, "noise", str(path), _number) if "noise" in raw else SynthProfile.noise
     if not 0 <= noise < math.inf:
         raise ValueError(f"{path}: bad value {raw['noise']!r} for 'noise': must be finite, >= 0")
     return SynthProfile(

@@ -12,14 +12,15 @@ A manifest ties them together, one line per layer plus one labels line::
     labels <path>
 
 Paths are resolved relative to the manifest file.  :func:`scan_manifest`
-first checks the manifest, the labels and every dump's header, reading no
-payload.  Each dump is then streamed once, on request, in chunks of whole
-images: rank-4 dumps (N,C,H,W) are average-pooled over the spatial axes
-chunk by chunk, rank-2 dumps (N,C) are taken as already pooled, and the
-pooled rows are added into per-class sums.  Memory per layer is therefore
-O(classes x channels) plus one fixed-size chunk, whatever the number of
-images, and a caller that streams the layers one at a time holds only those
-it keeps.  All statistics run in float64 regardless of the float32 storage.
+first checks the manifest, the labels and every dump's header against the
+IR, reading no payload.  Every dump is read one way: its header is checked
+on the open file, then its payload is read once, in chunks of whole images
+into one reused float32 buffer of about ``CHUNK_VALUES`` values.  A lookup
+pools each chunk (rank-4 dumps (N,C,H,W) are averaged over the spatial axes
+into float64 rows, rank-2 dumps (N,C) taken as pooled) and adds the rows, in
+float64, into per-class sums, so memory per layer is O(classes x channels)
+plus one chunk and its rows, whatever the number of images.
+:func:`read_tensor_file` fills a whole float64 tensor from the same chunks.
 """
 
 from __future__ import annotations
@@ -104,64 +105,59 @@ TENSOR_FORMAT = BinaryFormat(b"ATNS", "tensor", "H")  # rank, then rank u32 dims
 LABELS_FORMAT = BinaryFormat(b"ATLB", "labels", "I")  # N
 
 
-def _parse_tensor_header(head: bytes, file_size: int, path) -> tuple[tuple[int, ...], int]:
-    """Check an ATNS header against the file size; returns (dims, payload offset).
-
-    ``head`` holds at least the first 24 bytes of the file, or all of a
-    shorter file.
-    """
+def _read_tensor_header(fh, path) -> tuple[int, ...]:
+    """Check the ATNS header of the open dump ``fh`` against its size; returns its dims.
+    Reads the first 24 bytes (or all of a shorter file), then seeks to the payload."""
+    head = fh.read(24)
     (rank,), offset = TENSOR_FORMAT.decode(head, path)
     if rank not in (2, 4):
         raise TensorFormatError(f"{path}: rank must be 2 or 4, got {rank}")
     dims, offset = _unpack(head, offset, f"{rank}I", path, "dims")
     if any(d == 0 for d in dims):
         raise TensorFormatError(f"{path}: zero-sized dimension in {dims}")
-    check_payload(path, file_size, offset, math.prod(dims) * 4, f"dims {dims}")
-    return dims, offset
+    check_payload(path, os.fstat(fh.fileno()).st_size, offset, 4 * math.prod(dims), f"dims {dims}")
+    fh.seek(offset)
+    return dims
 
 
-def _non_finite(path, flat_index: int) -> TensorFormatError:
-    return TensorFormatError(f"{path}: non-finite value at flat index {flat_index}")
+def _chunks(fh, path, dims: tuple[int, ...]):
+    """Yield (first image, float32 images) for whole-image chunks of the payload at ``fh``;
+    the images view one buffer of about ``CHUNK_VALUES`` values, reused for the next chunk."""
+    step = min(dims[0], max(1, CHUNK_VALUES // math.prod(dims[1:])))
+    buf = np.empty((step,) + dims[1:], dtype="<f4")
+    for lo in range(0, dims[0], step):
+        images = buf[: dims[0] - lo]  # the last chunk may be short
+        if fh.readinto(images) != images.nbytes:
+            raise TensorFormatError(f"{path}: payload shrank while it was read")
+        yield lo, images
+
+
+def _pooled(path, chunks):
+    """Yield (first image, pooled rows) for the float32 ``chunks`` of a dump.
+
+    Rank-4 images are averaged over H and W into float64 rows, cast inside
+    the reduce; rank-2 images are the rows as they are.  A float64 sum of
+    float32 values cannot overflow, so the rows are finite exactly when the
+    chunk's values are.
+    """
+    for lo, images in chunks:
+        rows = images.mean(axis=(2, 3), dtype=np.float64) if images.ndim == 4 else images
+        if not np.isfinite(rows).all():
+            bad = lo * images[0].size + int(np.flatnonzero(~np.isfinite(images))[0])
+            raise TensorFormatError(f"{path}: non-finite value at flat index {bad}")
+        yield lo, rows
 
 
 def read_tensor_file(path) -> np.ndarray:
-    """Load a whole ATNS tensor as float64, checking shape and finiteness."""
+    """Load a whole ATNS tensor as float64, checking shape and finiteness chunk by chunk."""
     path = Path(path)
-    buf = path.read_bytes()
-    dims, payload_off = _parse_tensor_header(buf, len(buf), path)
-    values = np.frombuffer(buf, dtype="<f4", count=math.prod(dims), offset=payload_off)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise _non_finite(path, int(bad[0]))
-    return values.astype(np.float64).reshape(dims)
-
-
-def _pooled_chunks(fh, path, dims: tuple[int, ...], payload_off: int):
-    """Yield (first image, pooled float64 rows) for whole-image chunks of a dump.
-
-    ``fh`` is the dump opened for binary reading.  The rows are a view of a
-    buffer reused for the next chunk: consume them before advancing.
-    """
-    per_image = math.prod(dims[1:])
-    step = min(dims[0], max(1, CHUNK_VALUES // per_image))
-    raw = np.empty(step * per_image, dtype="<f4")
-    wide = np.empty(step * per_image, dtype=np.float64)
-    fh.seek(payload_off)
-    for lo in range(0, dims[0], step):
-        k = min(step, dims[0] - lo)
-        values = raw[: k * per_image]
-        if fh.readinto(values) != values.nbytes:
-            raise TensorFormatError(f"{path}: payload shrank while it was read")
-        chunk = wide[: k * per_image]
-        np.copyto(chunk, values)
-        images = chunk.reshape((k,) + dims[1:])
-        pooled = images.mean(axis=(2, 3)) if len(dims) == 4 else images
-        # A float64 sum of float32 values cannot overflow, so the pooled rows
-        # are finite exactly when every value of the chunk is.
-        if not np.isfinite(pooled).all():
-            bad = int(np.flatnonzero(~np.isfinite(chunk))[0])
-            raise _non_finite(path, lo * per_image + bad)
-        yield lo, pooled
+    with open(path, "rb") as fh:
+        dims = _read_tensor_header(fh, path)
+        # each image read as one row, so that nothing is pooled; the rows are cast into place
+        tensor = np.empty((dims[0], math.prod(dims[1:])), dtype=np.float64)
+        for lo, rows in _pooled(path, _chunks(fh, path, tensor.shape)):
+            tensor[lo : lo + len(rows)] = rows
+    return tensor.reshape(dims)
 
 
 def _class_counts(layer_name: str, labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -187,7 +183,8 @@ def _class_means(labels: np.ndarray, counts: np.ndarray, width: int, chunks) -> 
 
     Row m of the (M, width) float64 result is the mean feature vector of
     the ``counts[m]`` images labelled m, as :func:`_class_counts` gives
-    them.  ``chunks`` yields (first image, rows) for consecutive images.
+    them.  ``chunks`` yields (first image, rows), as :func:`_pooled` does;
+    each chunk's rows are cast to float64 once, if they are not already.
     ``np.add.at`` adds into each entry of a class's sum the rows of that
     class one at a time in image order: the same order, and so the same
     float64 result, as ``rows.mean(axis=0)`` over that class's rows.
@@ -198,7 +195,8 @@ def _class_means(labels: np.ndarray, counts: np.ndarray, width: int, chunks) -> 
         # One flat index per value keeps the image order of every entry's
         # additions; 1-D np.add.at runs several times faster than whole rows.
         flat = labels[lo : lo + rows.shape[0], None] * width + columns
-        np.add.at(sums.reshape(-1), flat.reshape(-1), rows.reshape(-1))
+        np.add.at(sums.reshape(-1), flat.reshape(-1),
+                  rows.astype(np.float64, copy=False).reshape(-1))
     sums /= counts[:, None]
     return sums
 
@@ -278,13 +276,12 @@ class ManifestDumps(Mapping):
         self._labels, self._counts, self._dumps = labels, counts, dumps
 
     def __getitem__(self, name: str) -> np.ndarray:
-        path, dims, payload_off = self._dumps[name]
+        path, dims = self._dumps[name]
         with open(path, "rb") as fh:
-            header = _parse_tensor_header(fh.read(24), os.fstat(fh.fileno()).st_size, path)
-            if header != (dims, payload_off):
+            if _read_tensor_header(fh, path) != dims:
                 raise ManifestError(f"{path}: header changed since the manifest was checked")
             return _class_means(self._labels, self._counts, dims[1],
-                                _pooled_chunks(fh, path, dims, payload_off))
+                                _pooled(path, _chunks(fh, path, dims)))
 
     def __contains__(self, name) -> bool:  # without streaming, as Mapping's would
         return name in self._dumps
@@ -296,15 +293,15 @@ class ManifestDumps(Mapping):
         return len(self._dumps)
 
 
-def scan_manifest(path, ir: NetworkIR | None = None) -> ManifestDumps:
+def scan_manifest(path, ir: NetworkIR) -> ManifestDumps:
     """Check a manifest and every dump's header, reading no payload.
 
     The number of classes is one more than the largest label.  All layers
     must share the labels file's image count, and every class must have
-    images.  When an IR is given, each layer name must exist in it, the
-    feature width must match the block's out_channels, and every block must
-    have a dump.  The dumps are checked in manifest order; the result
-    streams each one into its class means on lookup.
+    images.  Each layer name must be a block of ``ir``, the feature width
+    must match the block's out_channels, and every block must have a dump.
+    The dumps are checked in manifest order; the result streams each one
+    into its class means on lookup.
     """
     path = Path(path)
     layer_paths: dict[str, Path] = {}
@@ -339,29 +336,25 @@ def scan_manifest(path, ir: NetworkIR | None = None) -> ManifestDumps:
     dumps: dict[str, tuple] = {}
     for name, tensor_path in layer_paths.items():
         with open(tensor_path, "rb") as fh:
-            dims, payload_off = _parse_tensor_header(
-                fh.read(24), os.fstat(fh.fileno()).st_size, tensor_path
-            )
+            dims = _read_tensor_header(fh, tensor_path)
             if dims[0] != labels.shape[0]:
                 raise ManifestError(
                     f"layer {name}: {dims[0]} images in {tensor_path}"
                     f" but {labels.shape[0]} labels in {labels_path}"
                 )
-            if ir is not None:
-                try:
-                    block = ir.block(name)
-                except KeyError:
-                    raise ManifestError(f"layer {name}: no such block in the IR") from None
-                if dims[1] != block.out_channels:
-                    raise ManifestError(
-                        f"layer {name}: {dims[1]} hidden units in dump,"
-                        f" block declares {block.out_channels}"
-                    )
+            try:
+                block = ir.block(name)
+            except KeyError:
+                raise ManifestError(f"layer {name}: no such block in the IR") from None
+            if dims[1] != block.out_channels:
+                raise ManifestError(
+                    f"layer {name}: {dims[1]} hidden units in dump,"
+                    f" block declares {block.out_channels}"
+                )
             if counts is None:
                 counts = _class_counts(name, labels, int(labels.max()) + 1)
-            dumps[name] = (tensor_path, dims, payload_off)
-    if ir is not None:
-        missing = sorted({b.name for b in ir.blocks} - dumps.keys())
-        if missing:
-            raise ManifestError(f"{path}: manifest has no dumps for block(s) {missing}")
+            dumps[name] = (tensor_path, dims)
+    missing = sorted({b.name for b in ir.blocks} - dumps.keys())
+    if missing:
+        raise ManifestError(f"{path}: manifest has no dumps for block(s) {missing}")
     return ManifestDumps(labels, counts, dumps)

@@ -51,6 +51,7 @@ class SeparationTally:
 
 
 _NORM_ROWS = 64  # rows per block of every M x M or M x channels temporary
+TIE_TOL = 1e-6  # default |change| of a correlation within which a pair ties
 
 
 def _correlate(name: str, g: np.ndarray, strict: bool) -> np.ndarray:
@@ -106,7 +107,7 @@ def check_tie_tol(tie_tol: float) -> None:
         raise ValueError(f"tie_tol must be non-negative and finite, got {tie_tol}")
 
 
-def separation_tally(prev: np.ndarray, cur: np.ndarray, tie_tol: float = 1e-6) -> SeparationTally:
+def separation_tally(prev: np.ndarray, cur: np.ndarray, tie_tol: float = TIE_TOL) -> SeparationTally:
     """Count class pairs whose correlation moved between two layers.
 
     A pair counts toward n_plus when cur < prev - tie_tol, toward n_minus
@@ -129,7 +130,7 @@ def separation_tally(prev: np.ndarray, cur: np.ndarray, tie_tol: float = 1e-6) -
     return SeparationTally(n_plus=plus, n_minus=minus, n_ties=total - plus - minus, n_total=total)
 
 
-def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
+def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = TIE_TOL,
                        strict: bool = False, keep_matrices: bool = True) -> tuple[dict, dict]:
     """Per-block correlation matrices and tallies, in one pass over the IR.
 
@@ -148,7 +149,7 @@ def network_statistics(ir: NetworkIR, means_by_layer, tie_tol: float = 1e-6,
     At each step the working set is the current layer's means, plus the
     kept means of the concatenations still open, plus the live matrices
     (each dropped after its last reader), plus the 64-row blocks of a tally
-    and the chunk buffers of a streamed dump.
+    and a streamed dump's one float32 chunk and its pooled float64 rows.
     Means streamed from a ``ManifestDumps``, which nothing else holds, are
     centred in place unless a concatenation reads them later; arrays from
     any other mapping are copied first, never written.

@@ -63,6 +63,15 @@ def write_dumps(dest, feats_by_name, labels):
     return manifest
 
 
+def one_stage_ir(dumps):
+    """A one-stage IR with a block of each dump's name and width, as ``scan_manifest`` checks.
+
+    ``dumps`` maps a name to its tensor, or to its width alone.
+    """
+    return NetworkIR([ConvBlock(name, 1, dump if isinstance(dump, int) else np.shape(dump)[1], 1, 1)
+                      for name, dump in dumps.items()], [])
+
+
 def shrink_after_recheck(monkeypatch, path, keep_bytes):
     """Cut the dump at ``path`` to ``keep_bytes`` right after its header's second check.
 
@@ -70,18 +79,18 @@ def shrink_after_recheck(monkeypatch, path, keep_bytes):
     which the payload is streamed from the file it has open.  The dump must
     be well over a read buffer (1 MB is), or the cut bytes are already read.
     """
-    parse = featio._parse_tensor_header
+    read_header = featio._read_tensor_header
     checks = []
 
-    def parse_then_shrink(head, file_size, checked):
-        result = parse(head, file_size, checked)
+    def read_then_shrink(fh, checked):
+        result = read_header(fh, checked)
         if Path(checked) == Path(path):
             checks.append(checked)
             if len(checks) == 2:
                 os.truncate(path, keep_bytes)
         return result
 
-    monkeypatch.setattr(featio, "_parse_tensor_header", parse_then_shrink)
+    monkeypatch.setattr(featio, "_read_tensor_header", read_then_shrink)
 
 
 def reference_csv(rows) -> str:

@@ -86,12 +86,16 @@ def test_precision_tie_breaks_toward_lower_class_index():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_precision_with_tied_scores_matches_the_oracle(data):
-    # scores of 0..3 over up to 30 classes tie often, also inside a top k of
-    # more than 16, where NumPy's default argsort is not stable
+    # four score levels over up to 30 classes tie often, also inside a top k
+    # of more than 16, where NumPy's default argsort is not stable; as uint8
+    # or int8, with -128 among them, a negated score would wrap
     n = data.draw(st.integers(1, 5))
     m = data.draw(st.integers(2, 30))
-    scores = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m)),
-                      dtype=np.float64).reshape(n, m)
+    levels = data.draw(st.sampled_from([np.array([0.0, 1.0, 2.0, 3.0]),
+                                        np.array([0, 1, 2, 255], dtype=np.uint8),
+                                        np.array([-128, -1, 0, 127], dtype=np.int8)]))
+    scores = levels[data.draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m))
+                    ].reshape(n, m)
     truth = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n * m, max_size=n * m)),
                      dtype=np.uint8).reshape(n, m)
     truth[0, data.draw(st.integers(0, m - 1))] = 1

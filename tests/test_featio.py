@@ -1,11 +1,13 @@
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from convrefine import featio
 from convrefine.evalkit import read_truth_file, write_truth_file
@@ -20,7 +22,7 @@ from convrefine.featio import (
 )
 from convrefine.netir import parse_network
 
-from conftest import class_means, poison, shrink_after_recheck, write_dumps
+from conftest import class_means, one_stage_ir, poison, shrink_after_recheck, write_dumps
 
 
 def test_tensor_header_layout_is_pinned(tmp_path):
@@ -61,6 +63,21 @@ def test_tensor_roundtrip(tmp_path):
         path = tmp_path / "rt.atns"
         write_tensor_file(path, t)
         np.testing.assert_array_equal(read_tensor_file(path), t.astype(np.float64))
+
+
+def test_whole_tensor_read_holds_the_result_and_one_chunk(tmp_path):
+    # the float64 result, one float32 chunk and a small slack; never also
+    # the 2 MB of the file's bytes
+    path = tmp_path / "t.atns"
+    write_tensor_file(path, np.ones((256, 2048), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        t = read_tensor_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(t, 1.0)
+    assert peak <= t.nbytes + featio.CHUNK_VALUES * 4 + 128 * 1024
 
 
 def test_labels_roundtrip(tmp_path):
@@ -110,7 +127,7 @@ def _pooled(tensor):
         write_tensor_file(tmp / "t.atns", tensor)
         write_labels_file(tmp / "labels.atlb", np.arange(tensor.shape[0]))
         (tmp / "m.txt").write_text("layer t t.atns\nlabels labels.atlb\n")
-        return scan_manifest(tmp / "m.txt")["t"]
+        return scan_manifest(tmp / "m.txt", one_stage_ir({"t": tensor}))["t"]
 
 
 def test_pool_hand_example():
@@ -132,6 +149,26 @@ def test_pool_preserves_means(n, c, h, w, seed):
     pooled = _pooled(t)
     assert pooled.shape == (n, c)
     np.testing.assert_allclose(pooled.sum(), t.astype(np.float64).sum() / (h * w), rtol=1e-12)
+
+
+@given(n=st.integers(1, 7), c=st.integers(1, 4), h=st.integers(1, 12), w=st.integers(1, 12),
+       images_a_chunk=st.sampled_from([None, 0, 1, 2, 3]), decade=st.integers(-30, 30),
+       seed=st.integers(0, 2**32 - 1))
+# 90,000 values a map: past NumPy's 8,192-element reduce buffer
+@example(n=2, c=2, h=300, w=300, images_a_chunk=None, decade=0, seed=0)
+@settings(max_examples=80, deadline=None)
+def test_pooled_rows_are_the_float64_mean_bit_for_bit(n, c, h, w, images_a_chunk, decade, seed):
+    # the float64 cast happens inside the reduce, over chunks of whole images
+    # (0: an image larger than a chunk; None: the module's size), the last
+    # one often short; the rows must be those of the mean of the cast tensor
+    rng = np.random.default_rng(seed)
+    t = (rng.standard_normal((n, c, h, w)) * 10.0**decade).astype(np.float32)
+    per_image = c * h * w
+    chunk_values = (featio.CHUNK_VALUES if images_a_chunk is None
+                    else max(1, images_a_chunk * per_image + per_image // 2))
+    with mock.patch.object(featio, "CHUNK_VALUES", chunk_values):
+        pooled = _pooled(t)
+    assert pooled.tobytes() == t.astype(np.float64).mean(axis=(2, 3)).tobytes()
 
 
 def test_class_means_hand_example():
@@ -164,12 +201,9 @@ def test_class_means_permutation_invariant():
 
 def test_manifest_two_layers(tmp_path):
     rng = np.random.default_rng(5)
-    manifest = write_dumps(
-        tmp_path,
-        {"a": rng.standard_normal((4, 8)), "b": rng.standard_normal((4, 6, 2, 2))},
-        np.array([0, 1, 0, 1]),
-    )
-    means = dict(scan_manifest(manifest))
+    feats = {"a": rng.standard_normal((4, 8)), "b": rng.standard_normal((4, 6, 2, 2))}
+    manifest = write_dumps(tmp_path, feats, np.array([0, 1, 0, 1]))
+    means = dict(scan_manifest(manifest, one_stage_ir(feats)))
     assert sorted(means) == ["a", "b"]
     assert means["a"].shape == (2, 8)
     assert means["b"].shape == (2, 6)  # pooled from rank 4
@@ -180,7 +214,7 @@ def test_manifest_count_mismatch(tmp_path):
         tmp_path, {"a": np.zeros((4, 3))}, np.array([0, 1, 0, 1, 1])
     )
     with pytest.raises(ManifestError, match="4 images .* 5 labels"):
-        dict(scan_manifest(manifest))
+        dict(scan_manifest(manifest, one_stage_ir({"a": 3})))
 
 
 def test_manifest_cross_checks_against_ir(tmp_path):
@@ -204,31 +238,32 @@ def test_manifest_cross_checks_against_ir(tmp_path):
 
 
 def test_manifest_structural_errors(tmp_path):
+    ir = one_stage_ir({"a": 2})
     empty = tmp_path / "m.txt"
     empty.write_text("labels l.atlb\n")
     with pytest.raises(ManifestError, match="lists no layers"):
-        dict(scan_manifest(empty))
+        dict(scan_manifest(empty, ir))
     empty.write_text("# nothing\n")
     with pytest.raises(ManifestError, match="lists no layers"):
-        dict(scan_manifest(empty))
+        dict(scan_manifest(empty, ir))
     nolabels = tmp_path / "m2.txt"
     write_tensor_file(tmp_path / "a.atns", np.zeros((1, 2)))
     nolabels.write_text("layer a a.atns\n")
     with pytest.raises(ManifestError, match="no labels line"):
-        dict(scan_manifest(nolabels))
+        dict(scan_manifest(nolabels, ir))
     dup = tmp_path / "m3.txt"
     dup.write_text("layer a a.atns\nlayer a a.atns\nlabels l.atlb\n")
     with pytest.raises(ManifestError, match="duplicate layer"):
-        dict(scan_manifest(dup))
+        dict(scan_manifest(dup, ir))
     dup.write_text("layer a a.atns\nlabels l.atlb\nlabels l.atlb\n")
     with pytest.raises(ManifestError, match=f"^{re.escape(str(dup))}:3: duplicate labels line$"):
-        dict(scan_manifest(dup))
+        dict(scan_manifest(dup, ir))
     write_labels_file(tmp_path / "none.atlb", np.array([], dtype=np.int64))
     unlabelled = tmp_path / "m4.txt"
     unlabelled.write_text("layer a a.atns\nlabels none.atlb\n")
     message = f"{tmp_path / 'none.atlb'}: labels file is empty"
     with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
-        dict(scan_manifest(unlabelled))
+        dict(scan_manifest(unlabelled, ir))
 
 
 def _reference_means(tensor, labels, num_classes):
@@ -257,7 +292,7 @@ def test_streamed_means_equal_row_means(tmp_path, monkeypatch, chunk_values, sha
     labels = rng.integers(0, 3, size=shape[0])  # classes interleave across chunks
     labels[:3] = [0, 1, 2]
     manifest = write_dumps(tmp_path, {"a": tensor}, labels)
-    got = scan_manifest(manifest)["a"]
+    got = scan_manifest(manifest, one_stage_ir({"a": tensor}))["a"]
     np.testing.assert_array_equal(got, _reference_means(tensor, labels, 3))
 
 
@@ -276,7 +311,7 @@ def test_streamed_non_finite_reports_global_index(tmp_path, monkeypatch, shape, 
     write_labels_file(tmp_path / "labels.atlb", np.arange(shape[0]) % 2)
     (tmp_path / "m.txt").write_text("layer a a.atns\nlabels labels.atlb\n")
     with pytest.raises(TensorFormatError, match=f"a.atns: non-finite value at flat index {index}$"):
-        dict(scan_manifest(tmp_path / "m.txt"))
+        dict(scan_manifest(tmp_path / "m.txt", one_stage_ir({"a": tensor})))
 
 
 def test_streamed_empty_class_names_layer(tmp_path):
@@ -284,11 +319,11 @@ def test_streamed_empty_class_names_layer(tmp_path):
         tmp_path, {"a": np.ones((4, 3)), "b": np.ones((4, 3))}, np.array([0, 2, 0, 2])
     )
     with pytest.raises(ValueError, match="layer a: class 1 has no images"):
-        dict(scan_manifest(manifest))
+        dict(scan_manifest(manifest, one_stage_ir({"a": 3, "b": 3})))
     # a label near 2^32 names the first empty class without a 2^32-row array
     manifest = write_dumps(tmp_path, {"a": np.ones((2, 3))}, np.array([0, 2**32 - 1]))
     with pytest.raises(ValueError, match="layer a: class 1 has no images"):
-        dict(scan_manifest(manifest))
+        dict(scan_manifest(manifest, one_stage_ir({"a": 3})))
 
 
 def test_classes_counted_once_per_manifest(tmp_path, monkeypatch):
@@ -298,13 +333,14 @@ def test_classes_counted_once_per_manifest(tmp_path, monkeypatch):
     count = featio._class_counts
     monkeypatch.setattr(featio, "_class_counts",
                         lambda name, *args: calls.append(name) or count(name, *args))
-    means = dict(scan_manifest(write_dumps(tmp_path, feats, labels)))
+    ir = one_stage_ir(feats)
+    means = dict(scan_manifest(write_dumps(tmp_path, feats, labels), ir))
     assert list(means) == ["a", "b", "c"]
     assert calls == ["a"]
     # the first layer's image count is checked before the classes are counted
     feats["a"] = np.ones((5, 2))
     with pytest.raises(ValueError, match="layer a: 5 images in .* but 6 labels"):
-        dict(scan_manifest(write_dumps(tmp_path, feats, np.array([0, 2, 0, 2, 0, 2]))))
+        dict(scan_manifest(write_dumps(tmp_path, feats, np.array([0, 2, 0, 2, 0, 2])), ir))
 
 
 TWO_STAGES = parse_network(
@@ -360,7 +396,7 @@ def test_scan_reads_no_payload_and_streams_on_lookup(tmp_path):
 ])
 def test_stream_rechecks_the_header(tmp_path, shape, message):
     manifest = write_dumps(tmp_path, {"a": np.ones((4, 4))}, np.array([0, 1, 0, 1]))
-    dumps = scan_manifest(manifest)
+    dumps = scan_manifest(manifest, one_stage_ir({"a": 4}))
     if shape is None:  # same header, payload cut short
         data = (tmp_path / "a.atns").read_bytes()
         (tmp_path / "a.atns").write_bytes(data[:-4])
@@ -375,7 +411,7 @@ def test_dump_that_shrinks_after_the_header_recheck_names_the_file(tmp_path, mon
     manifest = write_dumps(tmp_path, {"a": np.ones((4, 1 << 16))}, np.array([0, 1, 0, 1]))
     path = tmp_path / "a.atns"
     shrink_after_recheck(monkeypatch, path, path.stat().st_size - 4)
-    dumps = scan_manifest(manifest)
+    dumps = scan_manifest(manifest, one_stage_ir({"a": 1 << 16}))
     with pytest.raises(TensorFormatError,
                        match=f"^{re.escape(str(path))}: payload shrank while it was read$"):
         dumps["a"]
@@ -391,7 +427,7 @@ def test_header_sizes_do_not_wrap(tmp_path):
     write_labels_file(tmp_path / "labels.atlb", np.zeros(1 << 16))
     (tmp_path / "m.txt").write_text("layer a huge.atns\nlabels labels.atlb\n")
     with pytest.raises(TensorFormatError, match="huge.atns: truncated payload"):
-        dict(scan_manifest(tmp_path / "m.txt"))
+        dict(scan_manifest(tmp_path / "m.txt", one_stage_ir({"a": 1 << 16})))
 
 
 def test_chunked_write_checks_every_chunk(tmp_path):
