@@ -12,14 +12,15 @@ A manifest ties them together, one line per layer plus one labels line::
     labels <path>
 
 Paths are resolved relative to the manifest file.  :func:`scan_manifest`
-first checks the manifest, the labels and every dump's header against the
-IR, reading no payload.  Every dump is read one way: its header is checked
-on the open file, then its payload is read once, in chunks of whole images
-into one reused float32 buffer of about ``CHUNK_VALUES`` values.  A lookup
-pools each chunk (rank-4 dumps (N,C,H,W) are averaged over the spatial axes
-into float64 rows, rank-2 dumps (N,C) taken as pooled) and adds the rows, in
-float64, into per-class sums, so memory per layer is O(classes x channels)
-plus one chunk and its rows, whatever the number of images.
+first checks each manifest line, with the labels or dump header it names,
+against the IR, reading no payload.  Every dump is read one way: its header
+is checked on the open file, then its payload is read once, in chunks of
+whole images into one reused float32 buffer of about ``CHUNK_VALUES``
+values.  A lookup pools each chunk (rank-4 dumps (N,C,H,W) are averaged
+over the spatial axes into float64 rows, rank-2 dumps (N,C) taken as
+pooled) and adds the rows, in float64, into per-class sums, so memory per
+layer is O(classes x channels) plus one chunk and its rows, whatever the
+number of images.
 :func:`read_tensor_file` fills a whole float64 tensor from the same chunks.
 """
 
@@ -160,21 +161,22 @@ def read_tensor_file(path) -> np.ndarray:
     return tensor.reshape(dims)
 
 
-def _class_counts(layer_name: str, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Images per class 0..M-1 of ``labels``, which lie in 0..M-1.
+def _class_counts(labels_path, labels: np.ndarray) -> np.ndarray:
+    """Images per class 0..M-1 of ``labels``, M being the largest label plus one.
 
-    Every class must be represented; an empty class is an error naming
-    ``layer_name``, because its mean (and every correlation involving it)
-    is undefined.
+    Every class must be represented; no labels at all, or an empty class, is
+    an error naming ``labels_path``, because a class's mean (and every
+    correlation involving it) is undefined without images.
     """
-    # Every class has images exactly when there are num_classes distinct
-    # labels.  Nothing of size num_classes is allocated before that holds:
-    # a label read from a file can be near 2^32.
+    # Every class has images exactly when the largest of the distinct labels
+    # is their count less one.  Nothing of size M is allocated before that
+    # holds: a label read from a file can be near 2^32.
     present, counts = np.unique(labels, return_counts=True)
-    if present.size < num_classes:
-        gaps = np.flatnonzero(present != np.arange(present.size))
-        empty = int(gaps[0]) if gaps.size else present.size
-        raise ValueError(f"layer {layer_name}: class {empty} has no images")
+    if not present.size:
+        raise ValueError(f"{labels_path}: labels file is empty")
+    if present[-1] >= present.size:
+        empty = int(np.flatnonzero(present != np.arange(present.size))[0])
+        raise ValueError(f"{labels_path}: class {empty} has no images")
     return counts
 
 
@@ -254,7 +256,8 @@ def read_labels_file(path) -> np.ndarray:
 
 def write_labels_file(path, labels) -> None:
     labels = np.asarray(labels)
-    if labels.ndim != 1 or (labels.size and labels.min() < 0):
+    if labels.ndim != 1 or labels.dtype.kind not in "biuf" or not np.all(
+            np.isfinite(labels) & (labels >= 0) & (labels == np.floor(labels))):
         raise ValueError(f"{path}: labels must be a 1-D array of non-negative integers")
     if labels.size and labels.max() > _U32_MAX:
         raise ValueError(f"{path}: label {labels.max()} does not fit in a u32")
@@ -266,7 +269,9 @@ def write_labels_file(path, labels) -> None:
 class ManifestDumps(Mapping):
     """The dumps :func:`scan_manifest` checked; a lookup streams one into its class means.
 
-    The dump's header is read again first and must not have changed.
+    ``labels`` and ``counts`` hold the labels file's classes and images per
+    class, ``dumps`` each layer's (path, dims).  On lookup, the dump's
+    header is read again first and must not have changed.
     Nothing is cached: each lookup returns a new float64 array that nothing
     else holds, so a caller holds only the means it keeps, and
     ``sepstats.network_statistics`` may centre them in place.
@@ -294,66 +299,57 @@ class ManifestDumps(Mapping):
 
 
 def scan_manifest(path, ir: NetworkIR) -> ManifestDumps:
-    """Check a manifest and every dump's header, reading no payload.
+    """Check a manifest line by line against ``ir`` and the files it names, reading no payload.
 
-    The number of classes is one more than the largest label.  All layers
-    must share the labels file's image count, and every class must have
-    images.  Each layer name must be a block of ``ir``, the feature width
-    must match the block's out_channels, and every block must have a dump.
-    The dumps are checked in manifest order; the result streams each one
-    into its class means on lookup.
+    A ``layer`` line must name a block of ``ir`` not named before; its dump's
+    header is checked, and its width must be the block's out_channels.  The
+    ``labels`` line's file is read, and every class from 0 to its largest
+    label must have images.  An error on a line reads ``<manifest>:<line>:``,
+    then the dump or labels file at fault, if one is.  After the last line,
+    every dump must hold as many images as there are labels, and every block
+    must have a dump.  The result streams each dump into its class means on
+    lookup.
     """
     path = Path(path)
-    layer_paths: dict[str, Path] = {}
-    labels_path = None
+    dumps: dict[str, tuple] = {}
+    labels_path = labels = counts = None
 
     def layer(tokens):
         if len(tokens) != 3:
             raise ValueError("expected 'layer <name> <path>'")
-        if tokens[1] in layer_paths:
-            raise ValueError(f"duplicate layer {tokens[1]!r}")
-        layer_paths[tokens[1]] = path.parent / tokens[2]
+        name, tensor_path = tokens[1], path.parent / tokens[2]
+        if name in dumps:
+            raise ValueError(f"duplicate layer {name!r}")
+        block = ir._by_name.get(name)
+        if block is None:
+            raise ValueError(f"layer {name}: no such block in the IR")
+        with open(tensor_path, "rb") as fh:
+            dims = _read_tensor_header(fh, tensor_path)
+        if dims[1] != block.out_channels:
+            raise ValueError(f"layer {name}: {dims[1]} hidden units in {tensor_path},"
+                             f" block declares {block.out_channels}")
+        dumps[name] = (tensor_path, dims)
 
-    def labels(tokens):
-        nonlocal labels_path
+    def labels_line(tokens):
+        nonlocal labels_path, labels, counts
         if len(tokens) != 2:
             raise ValueError("expected 'labels <path>'")
         if labels_path is not None:
             raise ValueError("duplicate labels line")
         labels_path = path.parent / tokens[1]
+        labels = read_labels_file(labels_path)
+        counts = _class_counts(labels_path, labels)
 
     text = read_text(path, ManifestError)
-    _read_records(text, path, ManifestError, {"layer": layer, "labels": labels})
-    if not layer_paths:
+    _read_records(text, path, ManifestError, {"layer": layer, "labels": labels_line})
+    if not dumps:
         raise ManifestError(f"{path}: manifest lists no layers")
     if labels_path is None:
         raise ManifestError(f"{path}: manifest has no labels line")
-
-    labels = read_labels_file(labels_path)
-    if labels.size == 0:
-        raise ManifestError(f"{labels_path}: labels file is empty")
-    counts = None  # images per class, counted at the first layer
-    dumps: dict[str, tuple] = {}
-    for name, tensor_path in layer_paths.items():
-        with open(tensor_path, "rb") as fh:
-            dims = _read_tensor_header(fh, tensor_path)
-            if dims[0] != labels.shape[0]:
-                raise ManifestError(
-                    f"layer {name}: {dims[0]} images in {tensor_path}"
-                    f" but {labels.shape[0]} labels in {labels_path}"
-                )
-            try:
-                block = ir.block(name)
-            except KeyError:
-                raise ManifestError(f"layer {name}: no such block in the IR") from None
-            if dims[1] != block.out_channels:
-                raise ManifestError(
-                    f"layer {name}: {dims[1]} hidden units in dump,"
-                    f" block declares {block.out_channels}"
-                )
-            if counts is None:
-                counts = _class_counts(name, labels, int(labels.max()) + 1)
-            dumps[name] = (tensor_path, dims)
+    for name, (tensor_path, dims) in dumps.items():
+        if dims[0] != labels.size:
+            raise ManifestError(f"layer {name}: {dims[0]} images in {tensor_path}"
+                                f" but {labels.size} labels in {labels_path}")
     missing = sorted({b.name for b in ir.blocks} - dumps.keys())
     if missing:
         raise ManifestError(f"{path}: manifest has no dumps for block(s) {missing}")

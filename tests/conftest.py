@@ -16,16 +16,15 @@ from convrefine.sepstats import SeparationTally
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def class_means(name, feats, labels, num_classes=None):
+def class_means(name, feats, labels):
     """Class means of in-memory pooled features, summed as a streamed dump is.
 
-    ``num_classes`` defaults to one more than the largest label, as in
-    ``scan_manifest``.
+    There is one class more than the largest label, as in ``scan_manifest``;
+    ``name`` stands for the labels file in the error of an empty class.
     """
     labels = np.asarray(labels, dtype=np.int64)
     feats = np.asarray(feats, dtype=np.float64)
-    m = int(labels.max()) + 1 if num_classes is None else num_classes
-    counts = featio._class_counts(name, labels, m)
+    counts = featio._class_counts(name, labels)
     return featio._class_means(labels, counts, feats.shape[1], [(0, feats)])
 
 

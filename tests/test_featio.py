@@ -99,7 +99,8 @@ def test_labels_writer_refuses_labels_past_u32(tmp_path):
     assert read_labels_file(path).tolist() == [2**32 - 1, 3]
 
 
-@pytest.mark.parametrize("labels", [[3, -1], [[0, 1]]], ids=["negative", "rank-2"])
+@pytest.mark.parametrize("labels", [[3, -1], [[0, 1]], [0, 1.7], [0, np.nan], ["1", "2"]],
+                         ids=["negative", "rank-2", "fraction", "nan", "strings"])
 def test_labels_writer_refuses_what_is_not_a_label_vector(tmp_path, labels):
     path = tmp_path / "l.atlb"
     message = f"{path}: labels must be a 1-D array of non-negative integers"
@@ -183,7 +184,7 @@ def test_class_means_single_image_per_class():
 
 def test_class_means_missing_class():
     with pytest.raises(ValueError, match="class 1 has no images"):
-        class_means("l", np.zeros((2, 3)), np.array([0, 0]), num_classes=2)
+        class_means("l", np.zeros((2, 3)), np.array([0, 2]))
 
 
 def test_class_means_permutation_invariant():
@@ -227,18 +228,21 @@ def test_manifest_cross_checks_against_ir(tmp_path):
         {"a": np.zeros((2, 8)), "ghost": np.zeros((2, 6))},
         np.array([0, 1]),
     )
-    with pytest.raises(ManifestError, match="no such block"):
+    message = f"{manifest}:2: layer ghost: no such block in the IR"
+    with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
         dict(scan_manifest(manifest, ir))
 
     manifest = write_dumps(
         tmp_path, {"a": np.zeros((2, 8)), "b": np.zeros((2, 5))}, np.array([0, 1])
     )
-    with pytest.raises(ManifestError, match="block declares 6"):
+    message = f"{manifest}:2: layer b: 5 hidden units in {tmp_path / 'b.atns'}, block declares 6"
+    with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
         dict(scan_manifest(manifest, ir))
 
 
 def test_manifest_structural_errors(tmp_path):
     ir = one_stage_ir({"a": 2})
+    write_labels_file(tmp_path / "l.atlb", np.array([0]))  # each labels line reads its file
     empty = tmp_path / "m.txt"
     empty.write_text("labels l.atlb\n")
     with pytest.raises(ManifestError, match="lists no layers"):
@@ -261,7 +265,7 @@ def test_manifest_structural_errors(tmp_path):
     write_labels_file(tmp_path / "none.atlb", np.array([], dtype=np.int64))
     unlabelled = tmp_path / "m4.txt"
     unlabelled.write_text("layer a a.atns\nlabels none.atlb\n")
-    message = f"{tmp_path / 'none.atlb'}: labels file is empty"
+    message = f"{unlabelled}:2: {tmp_path / 'none.atlb'}: labels file is empty"
     with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
         dict(scan_manifest(unlabelled, ir))
 
@@ -314,15 +318,17 @@ def test_streamed_non_finite_reports_global_index(tmp_path, monkeypatch, shape, 
         dict(scan_manifest(tmp_path / "m.txt", one_stage_ir({"a": tensor})))
 
 
-def test_streamed_empty_class_names_layer(tmp_path):
+def test_streamed_empty_class_names_labels_file(tmp_path):
     manifest = write_dumps(
         tmp_path, {"a": np.ones((4, 3)), "b": np.ones((4, 3))}, np.array([0, 2, 0, 2])
     )
-    with pytest.raises(ValueError, match="layer a: class 1 has no images"):
+    message = f"{manifest}:3: {tmp_path / 'labels.atlb'}: class 1 has no images"
+    with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
         dict(scan_manifest(manifest, one_stage_ir({"a": 3, "b": 3})))
     # a label near 2^32 names the first empty class without a 2^32-row array
     manifest = write_dumps(tmp_path, {"a": np.ones((2, 3))}, np.array([0, 2**32 - 1]))
-    with pytest.raises(ValueError, match="layer a: class 1 has no images"):
+    message = f"{manifest}:2: {tmp_path / 'labels.atlb'}: class 1 has no images"
+    with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
         dict(scan_manifest(manifest, one_stage_ir({"a": 3})))
 
 
@@ -332,15 +338,18 @@ def test_classes_counted_once_per_manifest(tmp_path, monkeypatch):
     calls = []
     count = featio._class_counts
     monkeypatch.setattr(featio, "_class_counts",
-                        lambda name, *args: calls.append(name) or count(name, *args))
+                        lambda path, *args: calls.append(path) or count(path, *args))
     ir = one_stage_ir(feats)
     means = dict(scan_manifest(write_dumps(tmp_path, feats, labels), ir))
     assert list(means) == ["a", "b", "c"]
-    assert calls == ["a"]
-    # the first layer's image count is checked before the classes are counted
+    assert calls == [tmp_path / "labels.atlb"]
+    # the classes are counted at the labels line, so an empty class is
+    # reported before any dump's image count is compared with the labels
     feats["a"] = np.ones((5, 2))
-    with pytest.raises(ValueError, match="layer a: 5 images in .* but 6 labels"):
+    with pytest.raises(ManifestError, match=r"^\S+:4: \S+labels\.atlb: class 1 has no images$"):
         dict(scan_manifest(write_dumps(tmp_path, feats, np.array([0, 2, 0, 2, 0, 2])), ir))
+    with pytest.raises(ManifestError, match="^layer a: 5 images in .* but 6 labels"):
+        dict(scan_manifest(write_dumps(tmp_path, feats, labels), ir))
 
 
 TWO_STAGES = parse_network(
@@ -352,7 +361,7 @@ TWO_STAGES = parse_network(
 
 @pytest.mark.parametrize("fault, message", [
     ("magic", r"b\.atns: bad magic, not an ATNS tensor file"),
-    ("width", r"layer b: 5 hidden units in dump, block declares 4"),
+    ("width", r"layer b: 5 hidden units in .*b\.atns, block declares 4"),
     ("missing", r"manifest\.txt: manifest has no dumps for block\(s\) \['c'\]"),
 ])
 def test_header_faults_come_before_any_payload_fault(tmp_path, fault, message):
@@ -369,10 +378,12 @@ def test_header_faults_come_before_any_payload_fault(tmp_path, fault, message):
     if fault == "magic":
         data = (tmp_path / "b.atns").read_bytes()
         (tmp_path / "b.atns").write_bytes(b"XTNS" + data[4:])
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ManifestError, match=message) as exc:
         dict(scan_manifest(manifest, TWO_STAGES))
+    # a dump's fault names its manifest line, a block without a dump the manifest
+    assert str(exc.value).startswith(f"{manifest}{'' if fault == 'missing' else ':2'}: ")
     # the scan alone reads no payload and so reports the same fault
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ManifestError, match=message):
         scan_manifest(manifest, TWO_STAGES)
 
 
@@ -426,7 +437,8 @@ def test_header_sizes_do_not_wrap(tmp_path):
         read_tensor_file(path)
     write_labels_file(tmp_path / "labels.atlb", np.zeros(1 << 16))
     (tmp_path / "m.txt").write_text("layer a huge.atns\nlabels labels.atlb\n")
-    with pytest.raises(TensorFormatError, match="huge.atns: truncated payload"):
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(tmp_path / 'm.txt'))}:1:"
+                                            f" {re.escape(str(path))}: truncated payload"):
         dict(scan_manifest(tmp_path / "m.txt", one_stage_ir({"a": 1 << 16})))
 
 
