@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: analyze, plan, apply, sweep, iterate, synth, precision.
+Subcommands: analyze, plan, apply, sweep, synth, precision.
 Activation dumps are always inputs, produced by whatever framework trained
 the network; everything here is deterministic given its inputs, warnings go
 to stderr, data goes to files under --out.
@@ -19,19 +19,17 @@ import numpy as np
 
 from . import evalkit, featio, netir, planner, rewriter, sepstats
 
-LAMBDA = 0.25  # the default --lambda of plan and iterate
-
 
 def _read_ir(path) -> netir.NetworkIR:
     return netir.parse_network(netir.read_text(path, netir.IRSyntaxError), path)
 
 
-def _statistics(args, ir, manifest, keep_matrices=False) -> tuple[dict, dict]:
-    """Correlation matrices and tallies of ``ir``'s blocks from ``manifest``'s dumps,
+def _statistics(args, ir, keep_matrices=False) -> tuple[dict, dict]:
+    """Correlation matrices and tallies of ``ir``'s blocks from ``args.manifest``'s dumps,
     each dump streamed only after every header is checked."""
     sepstats.check_tie_tol(args.tie_tol)
     return sepstats.network_statistics(
-        ir, featio.scan_manifest(manifest, ir), tie_tol=args.tie_tol,
+        ir, featio.scan_manifest(args.manifest, ir), tie_tol=args.tie_tol,
         strict=args.strict_degenerate, keep_matrices=keep_matrices,
     )
 
@@ -107,7 +105,7 @@ def _write_maps(dest, layers) -> None:
 
 def cmd_analyze(args) -> int:
     ir = _read_ir(args.ir)
-    matrices, tallies = _statistics(args, ir, args.manifest, keep_matrices=True)
+    matrices, tallies = _statistics(args, ir, keep_matrices=True)
     base = _outdirs(args.out, "analysis")
     _write_maps(base / "analysis", list(matrices.items()))
     (base / "analysis" / "tallies.txt").write_text(_tally_table(ir, tallies))
@@ -121,7 +119,7 @@ def cmd_analyze(args) -> int:
 def cmd_plan(args) -> int:
     planner.check_lambda(args.lam)
     ir = _read_ir(args.ir)
-    plan = planner.build_plan(ir, _statistics(args, ir, args.manifest)[1], args.lam)
+    plan = planner.build_plan(ir, _statistics(args, ir)[1], args.lam)
     base = _outdirs(args.out, "plans")
     path = base / "plans" / f"lambda_{plan.lambda_used!r}.plan"
     path.write_text(planner.serialize_plan(plan))
@@ -192,7 +190,7 @@ def cmd_sweep(args) -> int:
     if hi is not None and hi < lo:
         raise ValueError(f"sweep range is empty: [{lo}, {hi}]")
     ir = _read_ir(args.ir)
-    tallies = _statistics(args, ir, args.manifest)[1]
+    tallies = _statistics(args, ir)[1]
     terms = planner.block_terms(ir, tallies)
     lam_o = planner.lambda_o(terms)
     grid = np.linspace(lo, max(lo, lam_o) if hi is None else hi, args.sweep_steps)
@@ -205,22 +203,6 @@ def cmd_sweep(args) -> int:
     path.write_text("\n".join(rows) + "\n")
     print(f"lambda_o={lam_o!r}")
     print(f"sweep -> {path}")
-    return 0
-
-
-def cmd_iterate(args) -> int:
-    planner.check_lambda(args.lam)
-    ir = _read_ir(args.ir)
-    base = _outdirs(args.out, "plans", "refined", "reports")
-    for r, manifest in enumerate(args.manifest, start=1):
-        plan = planner.build_plan(ir, _statistics(args, ir, manifest)[1], args.lam)
-        refined = rewriter.apply_plan(ir, plan)
-        report = rewriter.size_report(ir, refined)
-        (base / "plans" / f"round_{r}.plan").write_text(planner.serialize_plan(plan))
-        (base / "refined" / f"round_{r}.ir").write_text(netir.serialize_network(refined))
-        (base / "reports" / f"round_{r}_size.txt").write_text(rewriter.render_size_report(report))
-        print(f"round {r}: reduction_pct={report.reduction_pct!r}")
-        ir = refined
     return 0
 
 
@@ -248,9 +230,9 @@ def cmd_precision(args) -> int:
     return 0
 
 
-def _add_common_inputs(p, manifest_action="store"):
+def _add_common_inputs(p):
     p.add_argument("--ir", required=True, help="network IR file")
-    p.add_argument("--manifest", required=True, action=manifest_action, help="activation manifest")
+    p.add_argument("--manifest", required=True, help="activation manifest")
     p.add_argument("--tie-tol", type=float, default=sepstats.TIE_TOL, dest="tie_tol")
     p.add_argument("--strict-degenerate", action="store_true", dest="strict_degenerate")
     p.add_argument("--out", required=True, help="output directory")
@@ -269,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="compute stretch/split factors")
     _add_common_inputs(p)
-    p.add_argument("--lambda", type=float, default=LAMBDA, dest="lam")
+    p.add_argument("--lambda", type=float, default=0.25, dest="lam")
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("apply", help="rewrite an IR with a plan file")
@@ -284,11 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-max", type=float, default=None, dest="sweep_max")
     p.add_argument("--sweep-steps", type=int, default=10, dest="sweep_steps")
     p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("iterate", help="re-refine across rounds of retraining dumps")
-    _add_common_inputs(p, manifest_action="append")
-    p.add_argument("--lambda", type=float, default=LAMBDA, dest="lam")
-    p.set_defaults(fn=cmd_iterate)
 
     p = sub.add_parser("synth", help="generate synthetic activation dumps")
     p.add_argument("--profile", required=True, help="JSON correlation profile")

@@ -47,7 +47,7 @@ class Widths(NamedTuple):
 
     groups: np.ndarray  # group factor times split
     stretched: np.ndarray  # out_channels times stretch, float64
-    raw: np.ndarray  # stretched rounded half up; 1 where stretched is not finite
+    raw: np.ndarray  # out_channels times repr(stretch) rounded half up; 1 if not finite
     widths: np.ndarray  # raw rounded up to a multiple of every group that must divide it
     in_widths: np.ndarray  # concatenated producer widths, or in_channels if input-fed
 
@@ -58,7 +58,11 @@ def refine_widths(ir: NetworkIR, splits, stretches) -> Widths:
     Column j of ``splits`` (an object array of Python ints) and
     ``stretches`` holds one plan's factors, rows in ``ir.blocks`` order, so
     every size is exact and none can wrap.  A block's width must stay
-    divisible by its own refined group and by each consumer's.
+    divisible by its own refined group and by each consumer's.  The
+    stretched width is out_channels times the decimal that ``repr`` prints
+    for the stretch, as the plan file and sweep.csv show it, rounded half up
+    exactly: ``stretch=1.15`` makes a 50-wide block 58 wide, not the 57 of
+    float64's 57.49999999999999.
     """
     blocks = ir.blocks
 
@@ -68,7 +72,18 @@ def refine_widths(ir: NetworkIR, splits, stretches) -> Widths:
     groups = column([b.group for b in blocks]) * splits
     with np.errstate(over="ignore"):
         stretched = np.array([b.out_channels for b in blocks], dtype=float)[:, None] * stretches
-    raw = np.frompyfunc(int, 1, 1)(np.floor(np.where(np.isfinite(stretched), stretched, 1.0) + 0.5))
+    half_up = np.where(np.isfinite(stretched), stretched, 1.0) + 0.5
+    raw = np.frompyfunc(int, 1, 1)(np.floor(half_up))
+    # The float product is within a few ulps of out times the printed stretch,
+    # so only a cell that near a half can round otherwise: it is redone exactly.
+    near = np.abs(half_up - np.rint(half_up)) <= half_up * 2.0**-49
+    stretches = np.broadcast_to(stretches, stretched.shape)
+    for i, j in zip(*np.nonzero(near)):
+        digits, _, exp = repr(float(stretches[i, j])).partition("e")
+        whole, _, frac = digits.partition(".")
+        shift = int(exp or 0) - len(frac)  # the stretch is int(whole + frac) * 10**shift
+        num, den = int(whole + frac) * 10 ** max(shift, 0), 10 ** max(-shift, 0)
+        raw[i, j] = (2 * blocks[i].out_channels * num + den) // (2 * den)
 
     row = {b.name: i for i, b in enumerate(blocks)}
     consumers = [[row[c] for c in ir.consumers(b.name)] for b in blocks]

@@ -58,12 +58,12 @@ def _correlate(name: str, g: np.ndarray, strict: bool) -> np.ndarray:
     """The (M, M) Pearson correlation of the rows of ``g``: clipped, unit diagonal.
 
     ``g`` is a float64 C-order array that nothing else holds; its rows are
-    centred and scaled to unit norm in place.  A row is degenerate when it is
-    constant (it is then centred to exact zeros) or its centred squares all
-    underflow: its row and column are 0 and a warning names its class
-    (strict mode raises).  The result is symmetric bit for bit only because
-    it is ``g @ g.T`` of that same C-order array, which NumPy forms with
-    BLAS ``syrk`` (or a loop that sums cells (i, j) and (j, i) alike);
+    centred and scaled to unit norm in place.  A row is degenerate only when
+    it is constant (it is then centred to exact zeros), however small its
+    values: its row and column are 0 and a warning names its class (strict
+    mode raises).  The result is symmetric bit for bit only because it is
+    ``g @ g.T`` of that same C-order array, which NumPy forms with BLAS
+    ``syrk`` (or a loop that sums cells (i, j) and (j, i) alike);
     ``g @ np.ascontiguousarray(g.T)`` goes through ``gemm`` and is not
     symmetric.
     """
@@ -81,6 +81,9 @@ def _correlate(name: str, g: np.ndarray, strict: bool) -> np.ndarray:
         # A constant row centres to equal values, not always to zeros (0.1 in
         # 7 channels leaves 1.4e-17 each); made zeros, its norm is 0.
         block[(block == block[:, :1]).all(axis=1)] = 0.0
+        # Scaled exactly by a power of two to a largest |x| in [0.5, 1), a row
+        # that varies keeps a norm > 0, and its unit row its bits, at any scale.
+        np.ldexp(block, -np.frexp(np.abs(block).max(axis=1, keepdims=True))[1], out=block)
         np.sqrt((block * block).sum(axis=1), out=norms[lo : lo + _NORM_ROWS])
     degenerate = [int(i) for i in np.flatnonzero(norms == 0.0)]
     if degenerate:

@@ -327,7 +327,7 @@ def test_degenerate_concatenation_reports_in_stream_order(tmp_path, strict):
 
 
 def test_plan_statistics_peak_does_not_grow_with_depth(tmp_path):
-    # plan, sweep and iterate hold the live layers only, not every layer's
+    # plan and sweep hold the live layers only, not every layer's
     # means and matrix: 12 layers of 64 classes x 64 units peak as 3 do
     def peak(depth):
         dumps = tmp_path / f"chain{depth}"
@@ -340,10 +340,10 @@ def test_plan_statistics_peak_does_not_grow_with_depth(tmp_path):
         (dumps / "m.txt").write_text(
             "".join(f"layer {b.name} {b.name}.atns\n" for b in ir.blocks) + "labels labels.atlb\n"
         )
-        args = argparse.Namespace(tie_tol=1e-6, strict_degenerate=False)
+        args = argparse.Namespace(manifest=dumps / "m.txt", tie_tol=1e-6, strict_degenerate=False)
         tracemalloc.start()
         try:
-            cli._statistics(args, ir, dumps / "m.txt")
+            cli._statistics(args, ir)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,9 +351,17 @@ def test_plan_statistics_peak_does_not_grow_with_depth(tmp_path):
     assert peak(12) <= 1.25 * peak(3)
 
 
+def _refine(ir, manifest, out, *options):
+    """``plan`` then ``apply`` of ``ir`` with ``manifest``'s dumps into ``out``; the refined IR."""
+    assert _run("plan", "--ir", ir, "--manifest", manifest, *options, "--out", out) == 0
+    assert _run("apply", "--ir", ir, "--plan", out / "plans" / "lambda_0.25.plan",
+                "--out", out) == 0
+    return out / "refined" / "refined.ir"
+
+
 def test_iterate_composes_groups(workdir):
     # a profile that splits conv2 but stretches nothing, so block widths stay
-    # put and the same dumps stay valid for the next round
+    # put and the same dumps stay valid for a second round on the refined IR
     profile = dict(PROFILE)
     profile["layers"] = [
         {"name": f"conv{i}", "width": 16, "rho": rho}
@@ -362,17 +370,11 @@ def test_iterate_composes_groups(workdir):
     (workdir / "p2.json").write_text(json.dumps(profile))
     assert _run("synth", "--profile", workdir / "p2.json", "--seed", "7",
                 "--out", workdir / "d2") == 0
-    out = workdir / "run"
     manifest = workdir / "d2" / "manifest.txt"
-    rc = _run("iterate", "--ir", workdir / "net.ir", "--manifest", manifest,
-              "--manifest", manifest, "--tie-tol", "1e-4", "--out", out)
-    assert rc == 0
-    r1 = parse_network((out / "refined" / "round_1.ir").read_text())
-    r2 = parse_network((out / "refined" / "round_2.ir").read_text())
-    assert r1.block("conv2").group == 2
-    assert r2.block("conv2").group == 4  # splits compose across rounds
-    assert (out / "plans" / "round_1.plan").exists()
-    assert (out / "reports" / "round_2_size.txt").exists()
+    r1 = _refine(workdir / "net.ir", manifest, workdir / "r1", "--tie-tol", "1e-4")
+    r2 = _refine(r1, manifest, workdir / "r2", "--tie-tol", "1e-4")
+    assert parse_network(r1.read_text()).block("conv2").group == 2
+    assert parse_network(r2.read_text()).block("conv2").group == 4  # splits compose across rounds
 
 
 def test_plan_emits_literal_case_b_line(workdir):
@@ -451,21 +453,6 @@ def test_sweep_checks_structure_once_and_shares_stacked_correlations(tmp_path, m
     assert correlated == ["a", "b", "a+b", "c", "d", "c+d", "e", "f"]
 
 
-def test_iterate_single_round_equals_plan_apply(workdir):
-    manifest = workdir / "dumps" / "manifest.txt"
-    it_out = workdir / "it"
-    assert _run("iterate", "--ir", workdir / "net.ir", "--manifest", manifest,
-                "--out", it_out) == 0
-    pl_out = workdir / "pl"
-    assert _run("plan", "--ir", workdir / "net.ir", "--manifest", manifest,
-                "--out", pl_out) == 0
-    assert _run("apply", "--ir", workdir / "net.ir",
-                "--plan", pl_out / "plans" / "lambda_0.25.plan", "--out", pl_out) == 0
-    assert (it_out / "refined" / "round_1.ir").read_text() == (
-        pl_out / "refined" / "refined.ir"
-    ).read_text()
-
-
 def test_iterate_identity_tallies_fixed_point(workdir):
     # constant correlation profile: every layer ties, every round is identity
     profile = dict(PROFILE)
@@ -475,13 +462,12 @@ def test_iterate_identity_tallies_fixed_point(workdir):
     (workdir / "p4.json").write_text(json.dumps(profile))
     assert _run("synth", "--profile", workdir / "p4.json", "--seed", "9",
                 "--out", workdir / "d4") == 0
-    out = workdir / "fix"
     manifest = workdir / "d4" / "manifest.txt"
-    assert _run("iterate", "--ir", workdir / "net.ir", "--manifest", manifest,
-                "--manifest", manifest, "--tie-tol", "1e-4", "--out", out) == 0
+    r1 = _refine(workdir / "net.ir", manifest, workdir / "r1", "--tie-tol", "1e-4")
+    r2 = _refine(r1, manifest, workdir / "r2", "--tie-tol", "1e-4")
     base = serialize_network(parse_network(CHAIN_IR))
-    assert (out / "refined" / "round_1.ir").read_text() == base
-    assert (out / "refined" / "round_2.ir").read_text() == base
+    assert r1.read_text() == base
+    assert r2.read_text() == base
 
 
 def test_manifest_without_a_blocks_dump_fails(workdir, capsys):
@@ -738,7 +724,6 @@ def test_precision_errors_name_both_files(tmp_path, capsys, scores_shape, messag
     "argv, message",
     [
         (["plan", "--lambda", "0"], "lambda must be positive and finite, got 0.0"),
-        (["iterate", "--lambda", "nan"], "lambda must be positive and finite, got nan"),
         (["sweep", "--sweep-steps", "0"], "sweep needs at least one grid point"),
         (["sweep", "--sweep-min", "0"], "lambda must be positive and finite, got 0.0"),
         (["sweep", "--sweep-min", "0.5", "--sweep-max", "0.25"],
@@ -749,7 +734,7 @@ def test_precision_errors_name_both_files(tmp_path, capsys, scores_shape, messag
         (["sweep", "--tie-tol", "inf"], "tie_tol must be non-negative and finite, got inf"),
         (["plan", "--tie-tol", "-1"], "tie_tol must be non-negative and finite, got -1.0"),
     ],
-    ids=["plan-lambda", "iterate-lambda", "sweep-steps", "sweep-min", "sweep-range",
+    ids=["plan-lambda", "sweep-steps", "sweep-min", "sweep-range",
          "sweep-max-nan", "sweep-max-inf", "analyze-tie-tol-nan", "sweep-tie-tol-inf",
          "plan-tie-tol-negative"],
 )

@@ -1,8 +1,10 @@
 """README's code runs against the package as it is."""
 
 import re
+import shlex
 from pathlib import Path
 
+from convrefine import cli
 from convrefine.evalkit import (
     SynthLayer,
     SynthProfile,
@@ -32,3 +34,14 @@ def test_library_snippet_runs(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[:4] == [f"{b.name} (4, 4)" for b in ir.blocks]
     assert out[-1] == "0.6666666666666666"
+
+
+def test_command_lines_parse():
+    # a removed or renamed command or flag cannot linger in the README
+    text = README.read_text()
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```", text, re.S | re.M).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("convrefine ")]
+    assert [shlex.split(line)[1] for line in lines] == [
+        "synth", "analyze", "plan", "apply", "sweep", "precision"]
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])

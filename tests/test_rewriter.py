@@ -1,6 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from convrefine.netir import ConvBlock, param_count, parse_network, serialize_network
 from convrefine.planner import PlanEntry, RefinementPlan
@@ -8,6 +11,7 @@ from convrefine.rewriter import (
     RewriteError,
     WidthRoundingWarning,
     apply_plan,
+    refine_widths,
     render_size_report,
     size_report,
     size_report_csv,
@@ -86,6 +90,24 @@ def test_stretch_rounds_up_to_consumer_group():
     assert refined.block("conv1").out_channels == 52
     assert refined.block("conv2").in_channels == 52
     assert refined.block("conv2").group == 4
+
+
+# a lambda as a short decimal, as a plan file or --lambda gives it, or any float
+LAMBDAS = st.one_of(st.builds(lambda n, d: float(f"{n}e-{d}"), st.integers(1, 999), st.integers(1, 4)),
+                    st.floats(1e-3, 1.0))
+
+
+@example(widths=[50, 10], lams=[0.05], ks=[3, 3])  # 50 * 1.15 is 57.49999999999999 in float64
+@given(st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=4),
+       st.lists(LAMBDAS, min_size=1, max_size=4), st.lists(st.integers(1, 40), min_size=4))
+def test_widths_round_the_printed_stretch_half_up(widths, lams, ks):
+    # each stretch is 1 + k*lambda, as planned; its width is out times the
+    # decimal that repr prints, as the plan file and sweep.csv show it
+    stretches = [[1.0 + lam * k for lam in lams] for k in ks[: len(widths)]]
+    w = refine_widths(chain_ir(widths), np.ones((len(widths), len(lams)), dtype=object),
+                      np.array(stretches))
+    assert w.raw.tolist() == [[math.floor(out * Fraction(repr(s)) + Fraction(1, 2)) for s in row]
+                              for out, row in zip(widths, stretches)]
 
 
 def test_cannot_split_input_fed_block():

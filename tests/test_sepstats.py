@@ -49,10 +49,12 @@ def test_hand_pearson_anticorrelated():
 
 
 def test_degenerate_class_convention():
+    # a degenerate class's row and column, its diagonal cell too, are +0.0 bit
+    # for bit, as its CSV cells print "0.0" whatever sign of zero BLAS forms
     with pytest.warns(DegenerateClassWarning, match=r"class\(es\) \[0\]"):
-        c = correlation_layer("l", [[2.0, 2.0, 2.0], [1.0, 2.0, 3.0]])
-    assert not c[0].any() and not c[:, 0].any()
-    assert c[1, 1] == 1.0
+        c = correlation_layer("l", [[2.0, 2.0, 2.0], [1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
+    assert c[0].tobytes() == c[:, 0].tobytes() == np.zeros(3).tobytes()
+    assert c[1, 1] == c[2, 2] == 1.0
 
 
 def test_degenerate_strict_mode():
@@ -459,14 +461,12 @@ def _eager_correlation(name, means, strict=False):
 def test_correlation_equals_the_eager_reference_bit_for_bit(m, h, seed, fortran):
     # M spans several blocks of the row norms; row scales span 60 decades and
     # some rows are constant, so every row's sum order shows in its bits; a
-    # Fortran-ordered copy of the means must give the same bits.  Rows scaled
-    # by 1e-180 square to 0, so they count as degenerate though not zero; their
-    # products show unless both their row and their column are zeroed
+    # Fortran-ordered copy of the means must give the same bits.  No square
+    # underflows here, so the reference's norms need no scaling
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((m, h)) * 10.0 ** rng.integers(-30, 31, size=(m, 1))
     constant = rng.random(m) < 0.1
     means[constant] = rng.standard_normal((int(constant.sum()), 1))
-    means[rng.random(m) < 0.1] *= 1e-180
     given_means = np.asfortranarray(means) if fortran else means
     with warnings.catch_warnings(record=True) as got_warned:
         warnings.simplefilter("always")
@@ -476,6 +476,29 @@ def test_correlation_equals_the_eager_reference_bit_for_bit(m, h, seed, fortran)
         want = _eager_correlation("l", means)
     assert got.tobytes() == want.tobytes()
     assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
+
+
+def _correlation_and_warnings(means):
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        corr = correlation_layer("l", means)
+    return corr.tobytes(), [str(w.message) for w in warned]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 80), st.integers(2, 40), st.integers(0, 2**32 - 1))
+def test_only_a_constant_row_is_degenerate_whatever_its_scale(m, h, seed):
+    # Scaling a row by 2**k, from 2**-900 (its squares underflow to 0) to
+    # 2**900 (they overflow), changes no bit of a Pearson matrix: each row
+    # varies in [1, 2) in magnitude before scaling, so every value stays normal
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(1.0, 2.0, (m, h)) * rng.choice([-1.0, 1.0], (m, h))
+    constant = np.flatnonzero(rng.random(m) < 0.1)
+    means[constant] = 1.5
+    scaled = np.ldexp(means, rng.integers(-900, 901, size=(m, 1)))
+    warned = [f"layer l: constant class mean vector(s) for class(es) {constant.tolist()};"
+              f" correlations set to 0"] if constant.size else []
+    assert _correlation_and_warnings(scaled) == (_correlation_and_warnings(means)[0], warned)
 
 
 _BLAS_CHECK = """

@@ -155,7 +155,7 @@ def test_sweep_past_u32_stops_with_apply_plans_error(tmp_path, monkeypatch, caps
                                                      tallies, lam, error, warning):
     ir = parse_network(text)
     (tmp_path / "net.ir").write_text(text)
-    monkeypatch.setattr(cli, "_statistics", lambda args, ir, manifest: ({}, tallies))
+    monkeypatch.setattr(cli, "_statistics", lambda args, ir: ({}, tallies))
     out = tmp_path / "run"
     rc, printed = outcome(lambda: [cli.main([
         "sweep", "--ir", str(tmp_path / "net.ir"), "--manifest", str(tmp_path / "unread"),
