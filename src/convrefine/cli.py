@@ -147,33 +147,35 @@ def cmd_apply(args) -> int:
     return 0
 
 
-def _sweep_rows(ir, tallies, terms, grid, lam_o):
+def _sweep_rows(ir, terms, grid, lam_o):
     """The sweep.csv rows of the lambdas of ``grid``, in order.
 
-    Every lambda is evaluated at once, in object arrays of Python ints.  A
-    lambda that passes every check of a plan and of its refined IR gives
-    its row and its rounding warnings from the arrays.  The first one that
-    does not is evaluated again on its own by build_plan and apply_plan,
-    which raise its error.  ``terms`` are the block_terms of ``tallies``.
+    Every lambda is evaluated at once, in object arrays of Python ints.
+    Each one ends as ``plan`` then ``apply`` would end it: factors that the
+    planner flags raise check_factors' error, then its rounding warnings are
+    issued, then a width or in-width past the u32 bound raises the error of
+    refined_network's validation.  ``terms`` are block_terms of the tallies.
     """
     kernel_h = np.array([b.kernel_h for b in ir.blocks], dtype=object)[:, None]
     kernel_w = np.array([b.kernel_w for b in ir.blocks], dtype=object)[:, None]
     bias = np.array([b.has_bias for b in ir.blocks])[:, None]
     stretches, exponents = planner.factor_grid(ir, terms, grid)
+    refused = (~np.isfinite(stretches) | (exponents >= 32)).any(axis=0)
     # a split of 2**32 already leaves the u32 bound, as any larger one does
     splits = np.exp2(np.minimum(exponents, 32)).astype(np.int64).astype(object)
     w = rewriter.refine_widths(ir, splits, stretches)
-    ok = rewriter.passing_columns(w)  # every stretch 1 + lambda*k passes the plan's check
+    too_wide = ((w.widths > netir._U32_MAX) | (w.in_widths > netir._U32_MAX)).any(axis=0)
     totals = netir.conv_params(w.in_widths, w.widths, kernel_h, kernel_w, w.groups, bias).sum(axis=0)
     for j, lam in enumerate(grid.tolist()):
-        if not ok[j]:
-            try:
-                rewriter.apply_plan(ir, planner.build_plan(ir, tallies, lam))
-            except ValueError as exc:
-                raise ValueError(f"lambda={lam!r}: {exc}") from None
-            raise RuntimeError(f"lambda={lam!r}: apply_plan accepts the plan the grid rejects")
-        for i in np.flatnonzero(w.widths[:, j] != w.raw[:, j]).tolist():
-            rewriter.warn_rounding(ir.blocks[i].name, w.raw[i, j], w.widths[i, j])
+        try:
+            if refused[j]:
+                planner.check_factors(ir, lam, stretches[:, j].tolist(), exponents[:, j].tolist())
+            for i in np.flatnonzero(w.widths[:, j] != w.raw[:, j]).tolist():
+                rewriter.warn_rounding(ir.blocks[i].name, w.raw[i, j], w.widths[i, j])
+            if too_wide[j]:
+                rewriter.refined_network(ir, w, j)
+        except ValueError as exc:
+            raise ValueError(f"lambda={lam!r}: {exc}") from None
         factors = zip(stretches[:, j].tolist(), splits[:, j].tolist())
         yield ",".join([repr(lam), str(int(lam > lam_o)), str(totals[j]),
                         *(f"{stretch!r},{split}" for stretch, split in factors)])
@@ -190,14 +192,13 @@ def cmd_sweep(args) -> int:
     if hi is not None and hi < lo:
         raise ValueError(f"sweep range is empty: [{lo}, {hi}]")
     ir = _read_ir(args.ir)
-    tallies = _statistics(args, ir)[1]
-    terms = planner.block_terms(ir, tallies)
+    terms = planner.block_terms(ir, _statistics(args, ir)[1])
     lam_o = planner.lambda_o(terms)
     grid = np.linspace(lo, max(lo, lam_o) if hi is None else hi, args.sweep_steps)
     header = ["lambda", "above_lambda_o", "conv_params"]
     for b in ir.blocks:
         header.extend((f"{b.name}_stretch", f"{b.name}_split"))
-    rows = [f"# lambda_o={lam_o!r}", ",".join(header), *_sweep_rows(ir, tallies, terms, grid, lam_o)]
+    rows = [f"# lambda_o={lam_o!r}", ",".join(header), *_sweep_rows(ir, terms, grid, lam_o)]
     base = _outdirs(args.out, "reports")
     path = base / "reports" / "sweep.csv"
     path.write_text("\n".join(rows) + "\n")
@@ -223,10 +224,8 @@ def cmd_synth(args) -> int:
 def cmd_precision(args) -> int:
     scores = featio.read_tensor_file(args.scores)
     truth = evalkit.read_truth_file(args.truth)
-    if scores.ndim != 2 or truth.shape != scores.shape:
-        raise ValueError(f"{args.scores}, {args.truth}: scores {scores.shape} and truth"
-                         f" {truth.shape} must match, rank 2")
-    print(f"precision_at_k={evalkit.precision_at_k(scores, truth, args.k)!r}")
+    precision = evalkit.precision_at_k(scores, truth, args.k, f"{args.scores}, {args.truth}")
+    print(f"precision_at_k={precision!r}")
     return 0
 
 

@@ -32,15 +32,21 @@ from .netir import _NAME_RE, _U32_MAX, read_text
 TRUTH_FORMAT = BinaryFormat(b"ATMH", "truth", "II")  # N, M
 
 
-def precision_at_k(scores, truth, k: int) -> float:
+def precision_at_k(scores, truth, k: int, source="<scores>, <truth>") -> float:
     """True positives over all predictions, with per-image top lists.
 
     ``scores`` and ``truth`` are (N, M) arrays, ``truth`` of 0/1 entries,
-    ``scores`` free of NaN.  An image with p positive labels contributes its
-    top min(p, k) scored classes as predictions; k only caps the list.
-    Score ties break toward the lower class index.  Images without positive
-    labels are skipped with a warning.
+    ``scores`` free of NaN; other shapes or entries raise naming ``source``.
+    An image with p positive labels contributes its top min(p, k) scored
+    classes as predictions; k only caps the list.  Score ties break toward
+    the lower class index.  Images without positive labels are skipped with
+    a warning.
     """
+    if scores.ndim != 2 or truth.shape != scores.shape:
+        raise ValueError(f"{source}: scores {scores.shape} and truth {truth.shape}"
+                         f" must match, rank 2")
+    if not np.isin(truth, (0, 1)).all():
+        raise ValueError(f"{source}: truth entries must be 0 or 1")
     n, m = scores.shape
     if not 1 <= k <= m:
         raise ValueError(f"k must be in 1..{m}, got {k}")

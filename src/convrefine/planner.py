@@ -176,23 +176,28 @@ def lambda_o(terms) -> float:
 def build_plan(ir: NetworkIR, tallies, lam: float) -> RefinementPlan:
     """Stretch/split factors at ``lam`` for every block of the network.
 
-    The factors are :func:`factor_grid`'s at the one lambda, and lambda_o
-    is :func:`lambda_o` of the :func:`block_terms`.  A split of 2**32 or
-    more, or a term whose quotient by ``lam`` overflows, raises PlanError
-    naming the first such block.
+    The factors are :func:`factor_grid`'s at the one lambda, passed by
+    :func:`check_factors`, and lambda_o is :func:`lambda_o` of the
+    :func:`block_terms`.
     """
     terms = block_terms(ir, tallies)
     check_lambda(lam)
-    stretches, exponents = factor_grid(ir, terms, np.array([lam]))
-    entries: dict[str, PlanEntry] = {}
-    for b, stretch, exponent in zip(ir.blocks, stretches[:, 0].tolist(), exponents[:, 0].tolist()):
-        if math.isinf(stretch) or math.isinf(exponent):  # x/lam overflowed
-            raise PlanError(f"block {b.name}: lambda {lam!r} is too small, x/lambda overflows")
-        if exponent >= 32:  # refused before the shift, whose result can outgrow memory
-            raise PlanError(f"block {b.name}: split 2**{exponent:.0f} does not fit in a u32")
-        t = terms.get(b.name)
-        entries[b.name] = _EXCLUDED if t is None else PlanEntry(stretch, 1 << int(exponent), t.case)
+    stretches, exponents = (f[:, 0].tolist() for f in factor_grid(ir, terms, np.array([lam])))
+    check_factors(ir, lam, stretches, exponents)
+    entries = {b.name: PlanEntry(stretch, 1 << int(exponent), terms[b.name].case)
+               if b.name in terms else _EXCLUDED
+               for b, stretch, exponent in zip(ir.blocks, stretches, exponents)}
     return RefinementPlan(per_block=entries, lambda_used=lam, lambda_o=lambda_o(terms))
+
+
+def check_factors(ir: NetworkIR, lam: float, stretches, exponents) -> None:
+    """Refuse, naming the first such block, a column of :func:`factor_grid` at ``lam`` where
+    an x/lambda overflows or a split is 2**32 or more, before its shift can outgrow memory."""
+    for b, stretch, exponent in zip(ir.blocks, stretches, exponents):
+        if math.isinf(stretch) or math.isinf(exponent):
+            raise PlanError(f"block {b.name}: lambda {lam!r} is too small, x/lambda overflows")
+        if exponent >= 32:
+            raise PlanError(f"block {b.name}: split 2**{exponent:.0f} does not fit in a u32")
 
 
 def factor_grid(ir: NetworkIR, terms, lams):

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .netir import _U32_MAX, ConvBlock, NetworkIR, param_count
+from .netir import NetworkIR, param_count
 from .planner import RefinementPlan
 
 
@@ -102,19 +102,6 @@ def refine_widths(ir: NetworkIR, splits, stretches) -> Widths:
     return Widths(groups, stretched, raw, widths, in_widths)
 
 
-def passing_columns(w: Widths):
-    """Which plans of a sweep (columns of ``w``) :func:`apply_plan` turns into a valid IR.
-
-    Only an infinite stretch (x+/lambda overflowed) and the u32 bound on
-    widths and in-widths can fail; a group divides its width.  The other
-    checks hold by construction: finite stretches are at most 1 + x+ <= 2,
-    input-fed blocks are excluded and never split, and :func:`refine_widths`
-    rounds each width up to a multiple of every group that must divide it.
-    """
-    fits = np.isfinite(w.stretched) & (w.widths <= _U32_MAX) & (w.in_widths <= _U32_MAX)
-    return fits.all(axis=0)
-
-
 def warn_rounding(name: str, raw: int, width: int) -> None:
     """Warn that block ``name``'s width ``raw`` grew to ``width`` to stay divisible.
 
@@ -129,11 +116,10 @@ def warn_rounding(name: str, raw: int, width: int) -> None:
 def apply_plan(ir: NetworkIR, plan: RefinementPlan) -> NetworkIR:
     """Refined IR with the plan's stretch and split factors applied.
 
-    The plan must carry an entry for every block.  Widths of input-fed
-    blocks are fixed by the data, so a split whose group cannot divide such
-    a block's in_channels is unrepairable and raises.  The sizes come from
-    :func:`refine_widths` in exact integers, and the refined IR is
-    validated like any other.
+    The plan must carry an entry for every block.  The sizes come from
+    :func:`refine_widths` in exact integers; a stretched width that is not
+    finite raises, and each rounded width warns.  The rest is refused by
+    :func:`refined_network`'s validation.
     """
     names = {b.name for b in ir.blocks}
     missing = sorted(names - plan.per_block.keys())
@@ -146,23 +132,21 @@ def apply_plan(ir: NetworkIR, plan: RefinementPlan) -> NetworkIR:
     entries = [plan.per_block[b.name] for b in ir.blocks]
     w = refine_widths(ir, np.array([[e.split] for e in entries], dtype=object),
                       np.array([[e.stretch] for e in entries], dtype=float))
-    groups, stretched, raw, widths, in_widths = (v[:, 0].tolist() for v in w)
+    stretched, raw, widths = (v[:, 0].tolist() for v in (w.stretched, w.raw, w.widths))
     for b, width, r, rounded in zip(ir.blocks, stretched, raw, widths):
         if not math.isfinite(width):
             raise RewriteError(f"block {b.name}: stretched width {width} is not finite")
         if rounded != r:
             warn_rounding(b.name, r, rounded)
+    return refined_network(ir, w, 0)
 
-    blocks = []
-    for b, group, width, in_width in zip(ir.blocks, groups, widths, in_widths):
-        if not ir.predecessors(b.name) and b.in_channels % group:
-            raise RewriteError(
-                f"block {b.name}: cannot split input-fed block, group"
-                f" {group} does not divide in_channels {b.in_channels}"
-            )
-        blocks.append(ConvBlock(b.name, in_width, width, b.kernel_h, b.kernel_w,
-                                group, b.stage, b.has_bias, b.excluded))
-    return NetworkIR(blocks, ir.edges)
+
+def refined_network(ir: NetworkIR, w: Widths, j: int) -> NetworkIR:
+    """The refined IR of plan ``j`` of ``w``.  Its validation refuses what rounding cannot
+    repair: a size past u32, or a group that does not divide an input-fed in_channels."""
+    sizes = zip(*(v[:, j].tolist() for v in (w.groups, w.widths, w.in_widths)))
+    return NetworkIR([replace(b, group=g, out_channels=o, in_channels=i)
+                      for b, (g, o, i) in zip(ir.blocks, sizes)], ir.edges)
 
 
 def size_report(before: NetworkIR, after: NetworkIR) -> SizeReport:

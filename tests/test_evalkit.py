@@ -76,6 +76,19 @@ def test_precision_k_bounds():
         precision_at_k(np.array([[0.0, np.nan, 1.0]]), truth, 1)
 
 
+@pytest.mark.parametrize("scores, truth, message", [
+    ([[0.9, 0.1, 0.5]], [[2, 0, 0]], "truth entries must be 0 or 1"),
+    ([[0.9, 0.1, 0.5]], [[1, -1, 0]], "truth entries must be 0 or 1"),
+    ([[0.9, 0.1, 0.5]], [[1, 0, 0, 0]], r"scores \(1, 3\) and truth \(1, 4\) must match, rank 2"),
+    ([[0.9, 0.1, 0.5]], [[1, 0, 0], [1, 0, 0]], r"scores \(1, 3\) and truth \(2, 3\) must match"),
+    ([[0.9, 0.1, 0.5]], [[1, 0]], r"scores \(1, 3\) and truth \(1, 2\) must match"),
+    ([0.9, 0.1, 0.5], [1, 0, 0], r"scores \(3,\) and truth \(3,\) must match, rank 2"),
+], ids=["entry-2", "entry-minus-1", "wider-truth", "taller-truth", "narrower-truth", "rank-1"])
+def test_precision_refuses_truth_unlike_its_scores(scores, truth, message):
+    with pytest.raises(ValueError, match=f"^<scores>, <truth>: {message}"):
+        precision_at_k(np.array(scores), np.array(truth), 1)
+
+
 def test_precision_tie_breaks_toward_lower_class_index():
     scores = np.array([[0.5, 0.5, 0.5]])
     truth = np.array([[0, 1, 0]])

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from convrefine.netir import ConvBlock, param_count, parse_network, serialize_network
+from convrefine.netir import (
+    ConvBlock,
+    IRValidationError,
+    param_count,
+    parse_network,
+    serialize_network,
+)
 from convrefine.planner import PlanEntry, RefinementPlan
 from convrefine.rewriter import (
     RewriteError,
@@ -113,7 +119,9 @@ def test_widths_round_the_printed_stretch_half_up(widths, lams, ks):
 def test_cannot_split_input_fed_block():
     ir = chain_ir([8, 8])
     plan = plan_of(ir, {"conv0": PlanEntry(1.0, 2, "a")})
-    with pytest.raises(RewriteError, match="input-fed block"):
+    # the data fixes an input-fed block's in_channels, so the refined IR's validation refuses it
+    with pytest.raises(IRValidationError,
+                       match="^block conv0: group 2 does not divide in_channels 3$"):
         apply_plan(ir, plan)
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convrefine import sepstats
-from convrefine.featio import ManifestDumps, scan_manifest
+from convrefine.featio import CHUNK_VALUES, ManifestDumps, scan_manifest
 from convrefine.netir import parse_network
 from convrefine.sepstats import (
     DegenerateClassError,
@@ -678,8 +678,7 @@ def test_streamed_chain_holds_one_layer_of_means_and_two_matrices(tmp_path):
     dumps = scan_manifest(write_dumps(tmp_path, feats, rng.permutation(m)), ir)
     peak = _traced_peak(lambda: network_statistics(ir, dumps, keep_matrices=False))
     means, matrix = m * width * 8, m * m * 8
-    # the float32 and float64 copies of a chunk (here every image) and its flat indices
-    chunk = m * width * (4 + 8 + 8)
+    chunk = _chunk_bytes((m, width))  # here every image
     # two 64-row blocks of a tally, then 0.25 MB for small objects
     assert peak <= means + 2 * matrix + chunk + 2 * 64 * m * 8 + 250_000
 
@@ -692,16 +691,30 @@ def test_tie_tol_is_refused_before_any_means_are_read(tie_tol):
     assert source.reads == []
 
 
-def _documented_working_set(ir, m, width):
+def _chunk_bytes(dims):
+    """Bytes of one streamed chunk of a dump of ``dims``, (N, C) or (N, C, H, W).
+
+    A chunk holds as many whole images as fit in ``CHUNK_VALUES`` values,
+    and at least one: their float32 values, then their float64 rows, pooled
+    or cast, and the rows' flat indices into the class sums.  NumPy's own
+    buffers, of up to 8192 values each (about 0.2 MB for a rank-4 chunk),
+    are left to each test's slack.
+    """
+    image = math.prod(dims[1:])
+    step = min(dims[0], max(1, CHUNK_VALUES // image))
+    return step * (4 * image + (8 + 8) * dims[1])
+
+
+def _documented_working_set(ir, m, dims):
     """Bytes of ``network_statistics``' working set per step, as its docstring states them.
 
-    Each class is one image of ``width[block]`` channels.  Returns, per
-    block in IR order, the bytes held when its means are looked up (the
-    kept means of the concatenations still open and the live matrices),
-    and the bytes of everything the step may hold besides: a concatenation
-    formed there with the kept means it drops, the block's means and their
-    copy if a concatenation reads them later, its matrix, the chunk buffers
-    and two 64-row blocks.
+    There are ``m`` classes, and ``dims[block]`` are the dims of the block's
+    dump.  Returns, per block in IR order, the bytes held when its means are
+    looked up (the kept means of the concatenations still open and the live
+    matrices), and the bytes of everything the step may hold besides: a
+    concatenation formed there with the kept means it drops, the block's
+    means and their copy if a concatenation reads them later, its matrix,
+    one chunk of its dump (:func:`_chunk_bytes`) and two 64-row blocks.
     """
     pos = {b.name: i for i, b in enumerate(ir.blocks)}
     formed, last, kept_until = {}, {}, {}  # keyed by the blocks a matrix correlates
@@ -715,7 +728,7 @@ def _documented_working_set(ir, m, width):
             last[preds] = i
 
     def means(names):
-        return 8 * m * sum(width[n] for n in names)
+        return 8 * m * sum(dims[n][1] for n in names)
 
     held, step = [], []
     for i, b in enumerate(ir.blocks):
@@ -729,7 +742,7 @@ def _documented_working_set(ir, m, width):
                        if stacking else 0)
                     + means([b.name]) * (2 if b.name in kept_until else 1)
                     + 8 * m * m  # the block's own matrix
-                    + m * width[b.name] * (4 + 8 + 8)  # a chunk's float32, float64 and indices
+                    + _chunk_bytes(dims[b.name])
                     + 2 * 64 * m * 8)
     return held, step
 
@@ -771,7 +784,7 @@ def _inception_ir(units, scale):
 def test_inception_statistics_hold_the_documented_working_set(tmp_path):
     # 56 blocks of 300 classes, one image each.  Every unit's four outputs
     # feed the next unit's concatenation, whose pool branch reads it a stage
-    # later.  The pass peaks at 5.2 MB against a formula of 8.2 MB; holding
+    # later.  The pass peaks at 5.2 MB against a formula of 8.0 MB; holding
     # every concatenated producer's means and every consumer's matrix to the
     # end of the pass peaks at 43.3 MB.
     m = 300
@@ -781,7 +794,25 @@ def test_inception_statistics_hold_the_documented_working_set(tmp_path):
     feats = {b.name: rng.standard_normal((m, b.out_channels)) for b in ir.blocks}
     dumps = scan_manifest(write_dumps(tmp_path, feats, rng.permutation(m)), ir)
     peak = _traced_peak(lambda: network_statistics(ir, dumps, keep_matrices=False))
-    _, step = _documented_working_set(ir, m, {b.name: b.out_channels for b in ir.blocks})
+    _, step = _documented_working_set(ir, m, {b.name: (m, b.out_channels) for b in ir.blocks})
+    assert peak <= max(step) + 250_000
+
+
+@pytest.mark.parametrize("units, m, per_class, spatial", [(3, 10, 20, (2, 2)), (2, 50, 4, (3, 3))],
+                         ids=["10-classes-of-20-2x2", "50-classes-of-4-3x3"])
+def test_streamed_maps_of_many_images_hold_the_documented_working_set(tmp_path, units, m,
+                                                                       per_class, spatial):
+    # Here a chunk of float32 maps outweighs the means and matrices: the
+    # first case peaks at 0.57 MB, 12.6 times a chunk term of one rank-2
+    # image per class would allow.
+    ir = _inception_ir(units, 1)
+    rng = np.random.default_rng(43)
+    dims = {b.name: (m * per_class, b.out_channels, *spatial) for b in ir.blocks}
+    feats = {name: rng.standard_normal(d) for name, d in dims.items()}
+    labels = rng.permutation(np.repeat(np.arange(m), per_class))
+    dumps = scan_manifest(write_dumps(tmp_path, feats, labels), ir)
+    peak = _traced_peak(lambda: network_statistics(ir, dumps, keep_matrices=False))
+    _, step = _documented_working_set(ir, m, dims)
     assert peak <= max(step) + 250_000
 
 
@@ -796,7 +827,7 @@ def test_streamed_statistics_hold_only_the_live_means_and_matrices(tmp_path_fact
     dumps = _HeldAtLookup(scan_manifest(
         write_dumps(tmp_path_factory.mktemp("dumps"), feats, np.arange(m)), ir))
     peak = _traced_peak(lambda: network_statistics(ir, dumps, keep_matrices=False))
-    held, step = _documented_working_set(ir, m, {b.name: b.out_channels for b in ir.blocks})
+    held, step = _documented_working_set(ir, m, {b.name: (m, b.out_channels) for b in ir.blocks})
     for got, want in zip(dumps.held, held):
         assert got <= want + 40_000
     assert peak <= max(step) + 40_000

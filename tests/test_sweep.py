@@ -94,7 +94,7 @@ def test_grid_rows_match_the_per_lambda_loop(data):
     terms = block_terms(ir, tallies)
     grid = data.draw(grids_for(terms))
     lam_o = lambda_o(terms)
-    got = outcome(lambda: cli._sweep_rows(ir, tallies, terms, grid, lam_o))
+    got = outcome(lambda: cli._sweep_rows(ir, terms, grid, lam_o))
     want = outcome(lambda: reference_rows(ir, tallies, grid, lam_o))
     assert got == want
     if isinstance(want[0], list):
